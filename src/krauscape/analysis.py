@@ -1,10 +1,11 @@
 """Optimization and level-set exploration of the control landscape.
 
-Riemannian gradient ascent/descent with Armijo backtracking, seeded
-multi-start campaigns, classification of converged points against the
-known critical sub-manifolds, transfer of points between level sets
-along the normalized gradient flow, and a numerical connectivity witness
-that traces a path inside a single level set.
+Riemannian gradient ascent/descent with an alternating Barzilai-Borwein
+trial step under a monotone Armijo safeguard (Wen & Yin, Math. Program.
+2013), seeded multi-start campaigns, classification of converged points
+against the known critical sub-manifolds, transfer of points between
+level sets along the normalized gradient flow, and a numerical
+connectivity witness that traces a path inside a single level set.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 _LINE_SEARCH_MAX_SHRINKS = 60
+_BB_STEP_MIN = 1e-10
+_BB_STEP_MAX = 1e10
+_FLOOR_ULPS = 4
 _CHORD_LIMIT = 0.05
 _SADDLE_GUARD = 1e-3
 _STALL_GRAD = 1e-6
@@ -60,7 +64,13 @@ class FlowStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Armijo backtracking settings for manifold gradient iteration."""
+    """Settings of the manifold gradient iteration.
+
+    ``initial_step`` is the trial step of the first iteration only; later
+    iterations start from the Barzilai-Borwein step.  ``armijo_shrink``
+    and ``armijo_slope`` set the backtracking safeguard applied to every
+    trial step.
+    """
 
     direction: str = "maximize"
     max_iters: int = 5000
@@ -89,8 +99,22 @@ class Trajectory:
 
     ``iterates`` holds (point, objective, gradient norm) triples; the
     objective sequence is monotone in the run direction.  ``terminated``
-    is "converged" or "max_iters"; a line-search failure sets ``stalled``
-    and counts as max_iters.
+    is "converged" or "max_iters".
+
+    A run converges when the gradient norm drops below ``grad_tol``, or
+    when it reaches the precision floor of J.  Near J = 1 a gradient norm
+    of 1e-8 leaves every value difference a step could make below one
+    ulp, so no trial passes the Armijo test although the run sits at the
+    optimum.  The line search therefore stops at the first failed trial
+    whose predicted gain ``t * |grad|^2`` is below the float resolution
+    of J (4 ulps of max(1, |J|)).  The failure counts as the floor when
+    even the first trial asked for a gain, ``armijo_slope * t * |grad|^2``,
+    below that resolution, with t capped at ``initial_step``: a longer
+    Barzilai-Borwein trial can fail by overshooting along a stiff
+    direction, while steps up to ``initial_step`` are short on the scale
+    of the curvature of J (Hessian norm at most 2).  The run then ends as
+    "converged" with ``stalled`` False.  A line-search failure above the
+    floor sets ``stalled`` and counts as max_iters.
     """
 
     iterates: tuple
@@ -117,7 +141,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class MultiStartReport:
-    """Aggregate of a seeded multi-start campaign."""
+    """Aggregate of a seeded multi-start campaign.
+
+    ``converged`` counts the runs that ended with terminated ==
+    "converged"; ``best_rows`` holds the (objective, gradient norm) pair
+    of every iterate of the best run.
+    """
 
     starts: int
     seed: int
@@ -127,13 +156,18 @@ class MultiStartReport:
     worst_gap: float
     classified_saddle_hits: int
     best_index: int
+    converged: int = 0
+    best_rows: tuple = ()
 
     def __post_init__(self):
         if not 0 <= self.reached_global <= self.starts:
             raise ValueError("reached_global must lie in [0, starts]")
+        if not 0 <= self.converged <= self.starts:
+            raise ValueError("converged must lie in [0, starts]")
         if self.worst_gap < 0:
             raise ValueError("worst_gap must be non-negative")
         object.__setattr__(self, "final_values", tuple(self.final_values))
+        object.__setattr__(self, "best_rows", tuple(self.best_rows))
 
 
 @dataclass(frozen=True)
@@ -172,12 +206,18 @@ def _retract(w: np.ndarray, step: np.ndarray, kind: str) -> np.ndarray:
 def optimize(
     start: KrausPoint, params: LandscapeParams, cfg: OptimizerConfig = OptimizerConfig()
 ) -> Trajectory:
-    """Armijo-backtracked gradient iteration from a feasible start.
+    """Barzilai-Borwein gradient iteration with an Armijo safeguard.
 
-    Accepts a step only when it improves the objective by the Armijo
-    fraction of the predicted gain, so the value sequence is monotone.
-    Terminates at ``grad_tol``, at ``max_iters``, or when the line search
-    fails 60 times in a row (reported via ``stalled``).
+    The first trial step is ``cfg.initial_step``.  After each accepted
+    step, with s and y the changes of the raw 8x2 frame and of the
+    Riemannian gradient, the next trial step alternates between
+    <s,s>/|Re<s,y>| (after odd steps) and |Re<s,y>|/<y,y> (after even
+    steps), clamped to [1e-10, 1e10]; it falls back to ``initial_step``
+    when Re<s,y> = 0.  A trial is accepted only when it improves the
+    objective by the Armijo fraction of the predicted gain, so the value
+    sequence is monotone.  Terminates at ``grad_tol``, at ``max_iters``,
+    at the precision floor of J, or when the line search fails above it
+    (``stalled``); see :class:`Trajectory`.
     """
     sgn = 1.0 if cfg.direction == "maximize" else -1.0
     w = start.matrix
@@ -187,26 +227,44 @@ def optimize(
     iterates = [(start, value, gnorm)]
     terminated = "max_iters"
     stalled = False
+    step = cfg.initial_step
     for _ in range(cfg.max_iters):
         if gnorm < cfg.grad_tol:
             terminated = "converged"
             break
         direction = sgn * grad
-        t = cfg.initial_step
+        floor = _FLOOR_ULPS * math.ulp(max(1.0, abs(value)))
+        gnorm2 = gnorm * gnorm
+        t = step
         accepted = False
         for _shrink in range(_LINE_SEARCH_MAX_SHRINKS + 1):
             w_new = _retract(w, t * direction, cfg.retraction)
             v_new = float(_objective_mat(w_new, params))
-            if sgn * (v_new - value) >= cfg.armijo_slope * t * gnorm * gnorm:
+            if sgn * (v_new - value) >= cfg.armijo_slope * t * gnorm2:
                 accepted = True
+                break
+            if t * gnorm2 < floor:
+                # Smaller trials predict gains below the resolution of J.
                 break
             t *= cfg.armijo_shrink
         if not accepted:
-            stalled = True
+            if cfg.armijo_slope * min(step, cfg.initial_step) * gnorm2 < floor:
+                terminated = "converged"
+            else:
+                stalled = True
             break
-        w = w_new
-        value = v_new
-        grad = _rgrad_mat(w, params)
+        grad_new = _rgrad_mat(w_new, params)
+        s = w_new - w
+        y = grad_new - grad
+        sy = abs(float(np.vdot(s, y).real))
+        if sy == 0.0:
+            step = cfg.initial_step
+        elif len(iterates) % 2:
+            step = float(np.vdot(s, s).real) / sy
+        else:
+            step = sy / float(np.vdot(y, y).real)
+        step = min(max(step, _BB_STEP_MIN), _BB_STEP_MAX)
+        w, value, grad = w_new, v_new, grad_new
         gnorm = float(np.linalg.norm(grad))
         iterates.append((KrausPoint.from_matrix(w), value, gnorm))
     if not stalled and gnorm < cfg.grad_tol:
@@ -227,12 +285,17 @@ def rerun_start(
     return optimize(start, params, cfg)
 
 
+def _summary(traj: Trajectory) -> tuple:
+    # A float array holds a campaign's rows in a sixth of the memory of tuples.
+    rows = np.array([(value, gnorm) for _, value, gnorm in traj.iterates])
+    return traj.final_value, traj.final_point, traj.terminated == "converged", rows
+
+
 def _run_range(params, seed, lo, hi, cfg):
     out = []
     for i in range(lo, hi):
         start = KrausPoint.from_matrix(_haar_frame(8, 2, _child_rng(seed, i)))
-        traj = optimize(start, params, cfg)
-        out.append((traj.final_value, traj.final_point, traj.final_grad_norm))
+        out.append(_summary(optimize(start, params, cfg)))
     return out
 
 
@@ -258,8 +321,7 @@ def multi_start(
         raise ValueError("an explicit start point requires n_starts == 1")
     target = 1.0 if cfg.direction == "maximize" else 0.0
     if start is not None:
-        traj = optimize(start, params, cfg)
-        finals = [(traj.final_value, traj.final_point, traj.final_grad_norm)]
+        finals = [_summary(optimize(start, params, cfg))]
     elif workers > 1:
         chunk = max(1, math.ceil(n_starts / (4 * workers)))
         bounds = [
@@ -282,11 +344,11 @@ def multi_start(
         ManifoldTag.SADDLE_PLUS,
         ManifoldTag.MIXED_SADDLE,
     )
-    values = tuple(v for v, _, _ in finals)
+    values = tuple(v for v, _, _, _ in finals)
     gaps = [abs(target - v) for v in values]
     reached = sum(1 for g in gaps if g <= 1e-6)
     hits = 0
-    for value, point, gnorm in finals:
+    for _, point, _, _ in finals:
         label = classify_critical(point, params)
         if isinstance(label, CriticalManifoldId) and label.tag in saddle_tags:
             hits += 1
@@ -301,6 +363,8 @@ def multi_start(
         worst_gap=max(gaps),
         classified_saddle_hits=hits,
         best_index=best_index,
+        converged=sum(1 for _, _, conv, _ in finals if conv),
+        best_rows=map(tuple, finals[best_index][3].tolist()),
     )
 
 

@@ -23,8 +23,6 @@ from .analysis import (
     FlowStallError,
     OptimizerConfig,
     multi_start,
-    optimize,
-    rerun_start,
     levelset_connect,
     level_transfer,
     _child_rng,
@@ -404,15 +402,12 @@ def _cmd_optimize(args) -> int:
     report = multi_start(
         params, args.starts, seed, ocfg, workers=args.workers, start=start
     )
-    if start is not None:
-        traj = optimize(start, params, ocfg)
-    else:
-        traj = rerun_start(params, seed, report.best_index, ocfg)
     payload = {
         "starts": report.starts,
         "seed": report.seed,
         "direction": report.direction,
         "reached_global": report.reached_global,
+        "converged": report.converged,
         "final_values": list(report.final_values),
         "worst_gap": report.worst_gap,
         "classified_saddle_hits": report.classified_saddle_hits,
@@ -428,10 +423,7 @@ def _cmd_optimize(args) -> int:
     if traj_path is None and cfg.output_path is not None:
         traj_path = cfg.output_path + ".traj.csv"
     if traj_path is not None:
-        rows = [
-            (i, value, gnorm)
-            for i, (_, value, gnorm) in enumerate(traj.iterates)
-        ]
+        rows = [(i, value, gnorm) for i, (value, gnorm) in enumerate(report.best_rows)]
         _write_text(csv_lines(("iter", "value", "grad_norm"), rows), traj_path)
     return 0
 

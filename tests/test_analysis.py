@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import krauscape.analysis as analysis
 from krauscape.analysis import (
     FlowStallError,
     LevelSetPath,
@@ -28,6 +29,7 @@ from krauscape.landscape import (
 from krauscape.stiefel import constraint_residuals, random_kraus_point
 
 PARAMS05 = LandscapeParams(w=(0.0, 0.0, 0.5))
+NEARPURE_W = ((0.0, 0.0, 0.999), (0.0, 0.0, 1.0 - 1e-6), (0.6, 0.0, 0.8))
 
 
 def feasibility(p):
@@ -103,6 +105,29 @@ class TestOptimize:
         with pytest.raises(ValueError):
             Trajectory(iterates=(), terminated="done")
 
+    def test_precision_floor_is_converged(self):
+        # Near J = 1 at |w| = 0.9 this run ends with a gradient norm above
+        # grad_tol that no step can reduce measurably; the fixed unit
+        # trial step labelled it a stall after 150 iterations.
+        params = LandscapeParams(w=(0.0, 0.0, 0.9))
+        cfg = OptimizerConfig(direction="maximize")
+        traj = optimize(random_kraus_point(seed=9), params, cfg)
+        assert traj.final_grad_norm >= cfg.grad_tol
+        assert traj.terminated == "converged"
+        assert not traj.stalled
+        assert traj.final_value > 1.0 - 1e-12
+        assert len(traj.iterates) - 1 <= 50
+
+    def test_failure_above_floor_stalls(self, monkeypatch):
+        # A gradient of the wrong sign makes every trial lose measurably:
+        # that is a stall, not the precision floor.
+        rgrad = analysis._rgrad_mat
+        monkeypatch.setattr(analysis, "_rgrad_mat", lambda w, p: -rgrad(w, p))
+        traj = optimize(random_kraus_point(seed=3), PARAMS05)
+        assert traj.stalled
+        assert traj.terminated == "max_iters"
+        assert len(traj.iterates) == 1
+
 
 class TestMultiStart:
     def test_deterministic(self):
@@ -118,12 +143,15 @@ class TestMultiStart:
         r2 = multi_start(PARAMS05, n_starts=12, seed=9, workers=2)
         assert r1.final_values == r2.final_values
         assert r1.reached_global == r2.reached_global
+        assert r1.converged == r2.converged == 12
+        assert r1.best_rows == r2.best_rows
 
     def test_rerun_matches_report(self):
         cfg = OptimizerConfig()
         report = multi_start(PARAMS05, n_starts=8, seed=11, cfg=cfg)
         traj = rerun_start(PARAMS05, 11, report.best_index, cfg)
         assert traj.final_value == report.final_values[report.best_index]
+        assert report.best_rows == tuple((v, g) for _, v, g in traj.iterates)
 
     def test_explicit_start_trapped_at_minimum(self):
         p = critical_point(CriticalManifoldId(ManifoldTag.GLOBAL_MIN), PARAMS05, seed=2)
@@ -155,6 +183,39 @@ class TestMultiStart:
                 classified_saddle_hits=0,
                 best_index=0,
             )
+
+    def test_converged_count_validation(self):
+        fields = dict(
+            starts=2,
+            seed=0,
+            direction="maximize",
+            reached_global=2,
+            final_values=(1.0, 1.0),
+            worst_gap=0.0,
+            classified_saddle_hits=0,
+            best_index=0,
+        )
+        assert MultiStartReport(**fields, converged=2).converged == 2
+        for bad in (-1, 3):
+            with pytest.raises(ValueError):
+                MultiStartReport(**fields, converged=bad)
+
+    @pytest.mark.parametrize("w", NEARPURE_W)
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_nearpure_campaign_converges(self, w, direction):
+        params = LandscapeParams(w=w)
+        cfg = OptimizerConfig(direction=direction)
+        starts = 4
+        report = multi_start(params, n_starts=starts, seed=0, cfg=cfg)
+        assert report.reached_global == starts
+        assert report.converged == starts
+        sgn = 1.0 if direction == "maximize" else -1.0
+        for i in range(starts):
+            traj = rerun_start(params, 0, i, cfg)
+            assert traj.terminated == "converged"
+            assert len(traj.iterates) - 1 <= 1000
+            vals = [v for _, v, _ in traj.iterates]
+            assert all(sgn * (b - a) >= 0 for a, b in zip(vals, vals[1:]))
 
 
 class TestClassify:

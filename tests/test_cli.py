@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from krauscape.cli import kraus_to_dict, main, point_to_dict
+from krauscape.analysis import OptimizerConfig, rerun_start
+from krauscape.cli import csv_lines, kraus_to_dict, main, point_to_dict
 from krauscape.landscape import (
     CriticalManifoldId,
     LandscapeParams,
@@ -115,6 +116,21 @@ class TestOptimize:
         assert report["reached_global"] == 5
         assert report["best_value"] > 1.0 - 1e-6
         assert traj_a.splitlines()[0] == b"iter,value,grad_norm"
+
+    def test_trajectory_matches_rerun(self, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["optimize", "--w", "0,0,0.999", "--seed", "5", "--direction", "min",
+                "--starts", "3", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["converged"] == 3
+        traj = rerun_start(
+            LandscapeParams(w=(0.0, 0.0, 0.999)), 5, report["best_index"],
+            OptimizerConfig(direction="minimize"),
+        )
+        rows = [(i, v, g) for i, (_, v, g) in enumerate(traj.iterates)]
+        expected = csv_lines(("iter", "value", "grad_norm"), rows).encode()
+        assert (tmp_path / "r.json.traj.csv").read_bytes() == expected
 
     def test_start_file_pinned_at_max(self, tmp_path, capsys):
         params = LandscapeParams(w=(0.0, 0.0, 0.5))
