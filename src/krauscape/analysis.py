@@ -401,12 +401,6 @@ def classify_critical(p: KrausPoint, params: LandscapeParams):
     return CriticalManifoldId(best_tag)
 
 
-def _flow_field(w: np.ndarray, params: LandscapeParams) -> tuple[np.ndarray, float]:
-    grad = _rgrad_mat(w, params)
-    gnorm2 = float(np.linalg.norm(grad)) ** 2
-    return grad, gnorm2
-
-
 def level_transfer(
     p: KrausPoint, params: LandscapeParams, target_mu: float
 ) -> KrausPoint:
@@ -430,10 +424,11 @@ def level_transfer(
         h = math.copysign(min(h_max, abs(target_mu - expected)), target_mu - expected)
 
         def field_at(frame: np.ndarray) -> np.ndarray:
-            grad, gnorm2 = _flow_field(frame, params)
-            if math.sqrt(gnorm2) < _STALL_GRAD:
+            grad = _rgrad_mat(frame, params)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm < _STALL_GRAD:
                 raise FlowStallError(float(_objective_mat(frame, params)))
-            return grad / gnorm2
+            return grad / gnorm**2
 
         k1 = field_at(w)
         k2 = field_at(_qf(w + 0.5 * h * k1))
@@ -448,10 +443,11 @@ def level_transfer(
             err = expected - value
             if abs(err) <= 1e-12:
                 break
-            grad, gnorm2 = _flow_field(w, params)
-            if math.sqrt(gnorm2) < _STALL_GRAD:
+            grad = _rgrad_mat(w, params)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm < _STALL_GRAD:
                 raise FlowStallError(value)
-            w = _qf(w + (err / gnorm2) * grad)
+            w = _qf(w + (err / gnorm**2) * grad)
         value = float(_objective_mat(w, params))
         if abs(value - expected) > 1e-9:
             raise FlowStallError(value)
@@ -499,11 +495,12 @@ def _correct_to_level(
             value = float(_objective_mat(frame, params))
             if abs(value - mu) <= 1e-10:
                 break
-            grad, gnorm2 = _flow_field(frame, params)
-            if math.sqrt(gnorm2) < _STALL_GRAD:
+            grad = _rgrad_mat(frame, params)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm < _STALL_GRAD:
                 ok = False
                 break
-            step = (mu - value) / gnorm2
+            step = (mu - value) / gnorm**2
             frame = _qf(frame + step * grad)
         else:
             ok = False
@@ -521,6 +518,21 @@ def _correct_to_level(
 
 def _chord(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
+
+
+def _failed_path(
+    a: KrausPoint, b: KrausPoint, mu: float, detail: str,
+    deviation: float = math.inf, step: float = math.inf,
+) -> LevelSetPath:
+    """Failure report that keeps only the two endpoints as waypoints."""
+    return LevelSetPath(
+        mu=mu,
+        waypoints=(a, b),
+        max_value_deviation=deviation,
+        max_step_length=step,
+        status="failed",
+        detail=detail,
+    )
 
 
 def levelset_connect(
@@ -573,14 +585,7 @@ def levelset_connect(
             continue
         node = _correct_to_level(_frame_interp(wa, wb, tau), mu, params, i)
         if node is None:
-            return LevelSetPath(
-                mu=mu,
-                waypoints=(a, b),
-                max_value_deviation=math.inf,
-                max_step_length=math.inf,
-                status="failed",
-                detail=f"corrector stalled while seeding node {i}",
-            )
+            return _failed_path(a, b, mu, f"corrector stalled while seeding node {i}")
         frames.append(node)
 
     key = n_seed
@@ -595,49 +600,29 @@ def levelset_connect(
                 node = _correct_to_level(mid, mu, params, key)
                 key += 1
                 if node is None:
-                    return LevelSetPath(
-                        mu=mu,
-                        waypoints=(a, b),
-                        max_value_deviation=math.inf,
-                        max_step_length=math.inf,
-                        status="failed",
-                        detail=f"corrector stalled while bisecting segment {i}",
+                    return _failed_path(
+                        a, b, mu, f"corrector stalled while bisecting segment {i}"
                     )
                 refined.append(node)
             refined.append(frames[i + 1])
         frames = refined
         if len(frames) > 4096:
-            return LevelSetPath(
-                mu=mu,
-                waypoints=(a, b),
-                max_value_deviation=math.inf,
-                max_step_length=math.inf,
-                status="failed",
-                detail="node budget exhausted before reaching the step limit",
+            return _failed_path(
+                a, b, mu, "node budget exhausted before reaching the step limit"
             )
     gaps = [_chord(frames[i], frames[i + 1]) for i in range(len(frames) - 1)]
     devs = [abs(float(_objective_mat(f, params)) - mu) for f in frames]
-    status = "connected"
-    detail = ""
     if max(gaps) > _CHORD_LIMIT or max(devs) > 1e-6:
-        status = "failed"
-        detail = "refinement finished above the step or level tolerance"
-        return LevelSetPath(
-            mu=mu,
-            waypoints=(a, b),
-            max_value_deviation=max(devs),
-            max_step_length=max(gaps),
-            status=status,
-            detail=detail,
+        return _failed_path(
+            a, b, mu, "refinement finished above the step or level tolerance",
+            max(devs), max(gaps),
         )
-    waypoints = tuple(KrausPoint.from_matrix(f) for f in frames)
     return LevelSetPath(
         mu=mu,
-        waypoints=waypoints,
+        waypoints=tuple(KrausPoint.from_matrix(f) for f in frames),
         max_value_deviation=max(devs),
         max_step_length=max(gaps),
-        status=status,
-        detail=detail,
+        status="connected",
     )
 
 
@@ -721,13 +706,9 @@ def _connect_extreme(
     gaps = [_chord(frames[i], frames[i + 1]) for i in range(len(frames) - 1)]
     devs = [abs(float(_objective_mat(f, params)) - mu) for f in frames]
     if max(gaps) > _CHORD_LIMIT or max(devs) > 1e-6:
-        return LevelSetPath(
-            mu=mu,
-            waypoints=(a, b),
-            max_value_deviation=max(devs),
-            max_step_length=max(gaps),
-            status="failed",
-            detail="extreme-level interpolation exceeded tolerances",
+        return _failed_path(
+            a, b, mu, "extreme-level interpolation exceeded tolerances",
+            max(devs), max(gaps),
         )
     return LevelSetPath(
         mu=mu,
@@ -735,5 +716,4 @@ def _connect_extreme(
         max_value_deviation=max(devs),
         max_step_length=max(gaps),
         status="connected",
-        detail="",
     )

@@ -428,7 +428,7 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-_MORSE_TOL_DEFAULTS = {"hessian_step": 1e-4, "zero_tol": 1e-5}
+_MORSE_TOL_DEFAULTS = {"zero_tol": 1e-12}
 
 
 def _cmd_morse(args) -> int:
@@ -438,7 +438,7 @@ def _cmd_morse(args) -> int:
     mid = _parse_manifold(args.manifold, args.z)
     predicted = predicted_morse(mid, params)
     point = critical_point(mid, params, seed=cfg.seed)
-    hess = hessian_form(point, params, step=tols["hessian_step"])
+    hess = hessian_form(point, params)
     computed = morse_signature(hess, zero_tol=tols["zero_tol"])
     match = computed == predicted
     grad_norm = riemannian_gradient(point, params).norm()

@@ -3,9 +3,9 @@
 The yield functional in channel coordinates, the norm-dependent unitary
 change of coordinates that diagonalizes it, exact constructors for every
 critical sub-manifold together with their predicted values and Morse
-signatures, Wirtinger gradients, a finite-difference Hessian on the
-constraint manifold, stationarity certificates, and the value-reversing
-duality of the landscape.
+signatures, Wirtinger gradients, the closed-form Riemannian Hessian on
+the constraint manifold, stationarity certificates, and the
+value-reversing duality of the landscape.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from .stiefel import (
     StiefelPoint,
     TangentBasis,
     TangentVector,
-    constraint_residuals,
     orthonormal_tangent_basis,
     _haar_frame,
     _project_mat,
-    _qf,
+    _validate_blocks,
+    _worst_residual,
 )
 
 __all__ = [
@@ -172,24 +172,7 @@ class DiagCoords:
     vt2: np.ndarray
 
     def __post_init__(self):
-        blocks = {}
-        for name in ("ut1", "ut2", "vt1", "vt2"):
-            v = np.array(getattr(self, name), dtype=complex).reshape(-1)
-            if v.shape != (4,):
-                raise ValueError(f"{name} must be a length-4 complex vector")
-            if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-                raise ValueError(f"{name} contains non-finite entries")
-            v.setflags(write=False)
-            blocks[name] = v
-            object.__setattr__(self, name, v)
-        phi1, phi2, phi3 = constraint_residuals(
-            blocks["ut1"], blocks["ut2"], blocks["vt1"], blocks["vt2"]
-        )
-        worst = max(abs(phi1), abs(phi2), abs(phi3))
-        if worst > 1e-10:
-            raise ValueError(
-                f"infeasible diagonal coordinates: constraint residual {worst:.3e}"
-            )
+        _validate_blocks(self, ("ut1", "ut2", "vt1", "vt2"), "diagonal")
 
 
 class ManifoldTag(str, enum.Enum):
@@ -262,14 +245,17 @@ def _objective_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
 
 
 def _grad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
-    """Wirtinger gradient (derivative in the conjugated entries) as 8x2."""
-    u1 = w[0:4, 0]
-    u2 = w[0:4, 1]
+    """Wirtinger gradient (derivative in the conjugated entries) on 8x2 frames.
+
+    Linear in ``w``; broadcasts over leading axes.
+    """
+    u1 = w[..., 0:4, 0]
+    u2 = w[..., 0:4, 1]
     gamma = params.gamma
     z0 = params.z0
-    g = np.zeros((8, 2), dtype=complex)
-    g[0:4, 0] = 0.5 * ((1.0 + gamma) * u1 + np.conj(z0) * u2)
-    g[0:4, 1] = 0.5 * (z0 * u1 + (1.0 - gamma) * u2)
+    g = np.zeros(w.shape, dtype=complex)
+    g[..., 0:4, 0] = 0.5 * ((1.0 + gamma) * u1 + np.conj(z0) * u2)
+    g[..., 0:4, 1] = 0.5 * (z0 * u1 + (1.0 - gamma) * u2)
     return g
 
 
@@ -469,11 +455,13 @@ def critical_point(
     return from_diag(DiagCoords(ut1=ut1, ut2=ut2, vt1=vt1, vt2=vt2), params)
 
 
-def morse_signature(h: np.ndarray, zero_tol: float = 1e-5) -> MorseSignature:
+def morse_signature(h: np.ndarray, zero_tol: float = 1e-12) -> MorseSignature:
     """Inertia of a symmetric matrix with a relative null threshold.
 
     Eigenvalues within ``zero_tol * max(1, spectral radius)`` of zero
-    count as null.
+    count as null.  The default 1e-12 sits between the null eigenvalues
+    of :func:`hessian_form` (rounding level, ~1e-15) and its smallest
+    non-null ones, which shrink like |w| towards the fully mixed state.
     """
     h = np.asarray(h, dtype=float)
     sym = 0.5 * (h + h.T)
@@ -489,18 +477,26 @@ def hessian_form(
     p: KrausPoint,
     params: LandscapeParams,
     basis: TangentBasis | None = None,
-    step: float = 1e-4,
 ) -> np.ndarray:
-    """Second-difference Hessian of the retracted objective at a point.
+    """Closed-form Riemannian Hessian of the yield in an orthonormal tangent basis.
 
-    Builds the symmetric matrix H_ij = d^2/ds_i ds_j J(retract(p, s.t))
-    by central differences with stride ``step`` over an orthonormal
-    tangent basis.  Meaningful as a Morse form only at critical points;
-    a warning is issued when the gradient norm exceeds 1e-6.
+    The yield is the Brockett-type cost J(X) = Re tr(X^H P X N), with P
+    the projector onto the u-rows of the 8x2 frame X and N the 2x2 state
+    matrix, so the Riemannian Hessian for the real trace metric on the
+    Stiefel manifold is Hess J[xi] = Proj_X(2 P xi N - xi sym(X^H grad J))
+    with grad J = 2 P X N the Euclidean gradient (Absil, Mahony and
+    Sepulchre, *Optimization
+    Algorithms on Matrix Manifolds*, 2008).  The returned symmetric matrix
+    is H_ij = Re<t_i, Hess J[t_j]>; the projection drops out because
+    every t_i is tangent.  At a critical point it equals the second
+    derivative of J(retract(p, s.t)) for any retraction, so its inertia is
+    the Morse signature; a warning is issued when the gradient norm
+    exceeds 1e-6.
     """
     base = p.to_stiefel()
     w = base.frame
-    grad_norm = float(np.linalg.norm(_rgrad_mat(w, params)))
+    egrad = 2.0 * _grad_mat(w, params)
+    grad_norm = float(np.linalg.norm(_project_mat(w, egrad)))
     if grad_norm > 1e-6:
         warnings.warn(
             f"Hessian requested at a point with gradient norm {grad_norm:.3e}; "
@@ -512,44 +508,9 @@ def hessian_form(
     elif not np.array_equal(basis.base.frame, w):
         raise ValueError("tangent basis is not based at the given point")
     t = basis.as_array()
-    dim = t.shape[0]
-    h = step
-
-    # Stencil bookkeeping: one row of tangent coefficients per evaluation.
-    rows = [np.zeros(dim)]
-    diag_at = {}
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        diag_at[i] = len(rows)
-        rows.append(e)
-        rows.append(-e)
-    cross_at = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros(dim)
-            e[i] = h
-            e[j] = h
-            f = np.zeros(dim)
-            f[i] = h
-            f[j] = -h
-            cross_at[(i, j)] = len(rows)
-            rows.extend([e, f, -f, -e])
-    coeffs = np.stack(rows)
-
-    deltas = np.tensordot(coeffs, t, axes=(1, 0))
-    frames = _qf(w[None, :, :] + deltas)
-    vals = _objective_mat(frames, params)
-
-    f0 = vals[0]
-    out = np.zeros((dim, dim))
-    for i in range(dim):
-        k = diag_at[i]
-        out[i, i] = (vals[k] - 2.0 * f0 + vals[k + 1]) / (h * h)
-    for (i, j), k in cross_at.items():
-        val = (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4.0 * h * h)
-        out[i, j] = val
-        out[j, i] = val
+    s = w.conj().T @ egrad
+    hess_t = 2.0 * _grad_mat(t, params) - t @ (0.5 * (s + s.conj().T))
+    out = np.einsum("inj,mnj->im", t.conj(), hess_t).real
     return 0.5 * (out + out.T)
 
 
@@ -582,14 +543,13 @@ def lagrange_certificate(
     b_real = np.concatenate([b.real, b.imag])
     theta, _, _, _ = np.linalg.lstsq(a_real, -b_real, rcond=None)
     residual = float(np.linalg.norm(a_real @ theta + b_real))
-    phi1, phi2, phi3 = constraint_residuals(p.u1, p.u2, p.v1, p.v2)
     return CriticalPointCertificate(
         point=p,
         eta1=float(theta[0]),
         eta2=float(theta[1]),
         eta3=complex(theta[2], theta[3]),
         stationarity_residual=residual,
-        constraint_residual=max(abs(phi1), abs(phi2), abs(phi3)),
+        constraint_residual=_worst_residual(p.u1, p.u2, p.v1, p.v2),
     )
 
 

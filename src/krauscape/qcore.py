@@ -241,10 +241,11 @@ def completeness_residual(k) -> float:
 
 
 def apply_kraus(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
-    """Propagate a state through the channel rho -> sum_l K_l rho K_l^+."""
-    res = _ops_completeness_residual(k.operators)
-    if res > k.tol:
-        raise CompletenessError(res, k.tol)
+    """Propagate a state through the channel rho -> sum_l K_l rho K_l^+.
+
+    A ``KrausSet`` is frozen, its operators are read-only and its
+    completeness was checked when it was built, so none is re-checked here.
+    """
     out = np.zeros((2, 2), dtype=complex)
     r = rho.entries
     for op in k.operators:

@@ -42,6 +42,27 @@ def _as_c4(a, what: str) -> np.ndarray:
     return v
 
 
+def _worst_residual(u1, u2, v1, v2) -> float:
+    phi1, phi2, phi3 = constraint_residuals(u1, u2, v1, v2)
+    return max(abs(phi1), abs(phi2), abs(phi3))
+
+
+def _validate_blocks(obj, names: tuple, what: str) -> None:
+    """Freeze the four C^4 blocks of a frozen dataclass and check feasibility.
+
+    The blocks, in (u1, u2, v1, v2) order, must satisfy the channel
+    constraints within 1e-10; ``what`` names the coordinates in the error.
+    """
+    blocks = [_as_c4(getattr(obj, name), name) for name in names]
+    for name, block in zip(names, blocks):
+        object.__setattr__(obj, name, block)
+    worst = _worst_residual(*blocks)
+    if worst > 1e-10:
+        raise ValueError(
+            f"infeasible {what} coordinates: constraint residual {worst:.3e}"
+        )
+
+
 def real_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Real inner product Re sum conj(a) b on stacked complex arrays."""
     return float(np.vdot(a, b).real)
@@ -84,14 +105,7 @@ class KrausPoint:
     v2: np.ndarray
 
     def __post_init__(self):
-        for name in ("u1", "u2", "v1", "v2"):
-            object.__setattr__(self, name, _as_c4(getattr(self, name), name))
-        phi1, phi2, phi3 = constraint_residuals(self.u1, self.u2, self.v1, self.v2)
-        worst = max(abs(phi1), abs(phi2), abs(phi3))
-        if worst > 1e-10:
-            raise ValueError(
-                f"infeasible channel coordinates: constraint residual {worst:.3e}"
-            )
+        _validate_blocks(self, ("u1", "u2", "v1", "v2"), "channel")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -191,14 +205,7 @@ def kraus_to_point(k: KrausSet) -> KrausPoint:
     try:
         return KrausPoint(u1=res[0], u2=res[1], v1=res[2], v2=res[3])
     except ValueError:
-        raise CompletenessError(
-            _kraus_point_residual(res), k.tol
-        ) from None
-
-
-def _kraus_point_residual(res: np.ndarray) -> float:
-    phi1, phi2, phi3 = constraint_residuals(res[0], res[1], res[2], res[3])
-    return max(abs(phi1), abs(phi2), abs(phi3))
+        raise CompletenessError(_worst_residual(*res), k.tol) from None
 
 
 def point_to_kraus(p: KrausPoint) -> KrausSet:

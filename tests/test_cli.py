@@ -246,21 +246,30 @@ class TestMorse:
         code = main(["morse", "--w", "0,0,0.5", "--seed", "1", "--manifold", "ridge"])
         assert code == 2
 
-    def test_unknown_tolerance(self, capsys):
+    def test_near_mixed_saddle_matches(self, capsys):
         code = main(
-            [
-                "morse",
-                "--w",
-                "0,0,0.5",
-                "--seed",
-                "1",
-                "--manifold",
-                "saddle-minus",
-                "--tol",
-                "bogus=1",
-            ]
+            ["morse", "--w", "0,0,1e-5", "--seed", "0", "--manifold", "saddle-minus"]
         )
-        assert code == 2
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["computed"] == [8, 6, 14]
+
+    def test_unknown_tolerance(self, capsys):
+        for tol in ("bogus=1", "hessian_step=1e-4"):
+            code = main(
+                [
+                    "morse",
+                    "--w",
+                    "0,0,0.5",
+                    "--seed",
+                    "1",
+                    "--manifold",
+                    "saddle-minus",
+                    "--tol",
+                    tol,
+                ]
+            )
+            assert code == 2
 
 
 class TestLevelset:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from krauscape.landscape import (
+    _grad_mat,
+    _objective_mat,
     CoordChange,
     CriticalManifoldId,
     CriticalPointCertificate,
@@ -30,7 +32,9 @@ from krauscape.landscape import (
 )
 from krauscape.qcore import THETA0, BlochVector, bloch_to_density, objective_trace
 from krauscape.stiefel import (
+    _qf,
     constraint_residuals,
+    orthonormal_tangent_basis,
     point_to_kraus,
     random_kraus_point,
 )
@@ -225,6 +229,16 @@ class TestObjectiveDiag:
         d = DiagCoords(ut1=E1, ut2=E2, vt1=ZERO4, vt2=ZERO4)
         assert objective_diag(d, params) == pytest.approx(1.0)
 
+    def test_validation(self):
+        d = DiagCoords(ut1=[1, 0, 0, 0], ut2=E2, vt1=ZERO4, vt2=ZERO4)
+        assert d.ut1.dtype == complex and not d.ut1.flags.writeable
+        with pytest.raises(ValueError, match="infeasible diagonal coordinates"):
+            DiagCoords(ut1=E1, ut2=E1, vt1=ZERO4, vt2=ZERO4)
+        with pytest.raises(ValueError, match="vt2 must be a length-4"):
+            DiagCoords(ut1=E1, ut2=E2, vt1=ZERO4, vt2=np.zeros(3))
+        with pytest.raises(ValueError, match="ut2 contains non-finite"):
+            DiagCoords(ut1=E1, ut2=np.array([np.nan, 0, 0, 0]), vt1=ZERO4, vt2=ZERO4)
+
 
 class TestGradients:
     def test_zero_u1_zero_z0(self):
@@ -347,6 +361,23 @@ class TestCriticalStructure:
             assert objective_uv(p, params) == pytest.approx(1.0, abs=1e-12)
 
 
+def fd_hessian(p, params, h=1e-4):
+    """Central-difference Hessian of J(QR(p + s.t)) over the tangent basis.
+
+    The independent reference for the closed form; the diagonal uses the
+    same four-point formula with stride 2h.
+    """
+    t = orthonormal_tangent_basis(p.to_stiefel()).as_array()
+    e = h * np.eye(len(t))
+
+    def j(coeffs):
+        return _objective_mat(_qf(p.matrix + np.tensordot(coeffs, t, axes=1)), params)
+
+    pairs_p = e[:, None, :] + e[None, :, :]
+    pairs_m = e[:, None, :] - e[None, :, :]
+    return (j(pairs_p) - j(pairs_m) - j(-pairs_m) + j(-pairs_p)) / (4.0 * h * h)
+
+
 class TestMorse:
     def test_predicted(self):
         params = LandscapeParams(w=BlochVector(0.0, 0.0, 0.5))
@@ -388,6 +419,50 @@ class TestMorse:
         assert eigs.min() > -1e-6
         cut = 1e-5 * max(1.0, float(np.max(np.abs(eigs))))
         assert int(np.sum(eigs > cut)) == 16
+
+    @pytest.mark.parametrize(
+        "w, tag, z",
+        [
+            ((0.0, 0.0, 0.5), ManifoldTag.GLOBAL_MIN, None),
+            ((0.0, 0.0, 0.5), ManifoldTag.GLOBAL_MAX, None),
+            ((0.6, 0.0, 0.8), ManifoldTag.GLOBAL_MIN, None),
+            ((0.6, 0.0, 0.8), ManifoldTag.GLOBAL_MAX, None),
+            ((0.3, -0.4, 0.2), ManifoldTag.SADDLE_MINUS, None),
+            ((0.3, -0.4, 0.2), ManifoldTag.SADDLE_PLUS, None),
+            ((0.0, 0.0, 0.0), ManifoldTag.MIXED_SADDLE, None),
+            ((0.0, 0.0, 0.0), ManifoldTag.MIXED_SADDLE, 2 - 1j),
+        ],
+    )
+    def test_matches_finite_difference_oracle(self, w, tag, z):
+        params = LandscapeParams(w=BlochVector(*w))
+        for seed in range(5):
+            p = critical_point(CriticalManifoldId(tag, z=z), params, seed=seed)
+            h = hessian_form(p, params)
+            assert np.array_equal(h, h.T)
+            assert np.max(np.abs(h - fd_hessian(p, params))) <= 1e-6
+
+    @pytest.mark.parametrize("norm", [1e-5, 1e-8])
+    @pytest.mark.parametrize(
+        "tag, expected",
+        [
+            (ManifoldTag.SADDLE_MINUS, MorseSignature(8, 6, 14)),
+            (ManifoldTag.SADDLE_PLUS, MorseSignature(6, 8, 14)),
+        ],
+    )
+    def test_near_mixed_saddle_signatures(self, norm, tag, expected):
+        # The non-null eigenvalues shrink like |w|; the default null cut
+        # must sit below them and above the rounding-level null ones.
+        params = LandscapeParams(w=BlochVector(0.0, 0.0, norm))
+        for seed in range(20):
+            p = critical_point(CriticalManifoldId(tag), params, seed=seed)
+            assert morse_signature(hessian_form(p, params)) == expected
+
+    def test_grad_mat_broadcasts_bitwise(self):
+        params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
+        stack = np.stack([random_kraus_point(seed=s).matrix for s in range(4)])
+        batched = _grad_mat(stack, params)
+        for frame, g in zip(stack, batched):
+            assert np.array_equal(_grad_mat(frame, params), g)
 
     def test_signature_sums_to_dimension(self):
         with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ class TestKrausCorrespondence:
             assert np.max(np.abs(back.matrix - p.matrix)) < 1e-14
 
     def test_infeasible_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="infeasible channel coordinates"):
             KrausPoint(u1=E1, u2=E1, v1=ZERO4, v2=ZERO4)
 
     def test_loose_tolerance_set_rejected(self):
