@@ -6,6 +6,12 @@ trial step under a monotone Armijo safeguard (Wen & Yin, Math. Program.
 against the known critical sub-manifolds, transfer of points between
 level sets along the normalized gradient flow, and a numerical
 connectivity witness that traces a path inside a single level set.
+
+One engine runs the optimizer: it carries a whole campaign as an
+(N, 8, 2) stack of raw frames and keeps, per run, only the objective and
+gradient norm of each iterate.  :func:`optimize` is that engine on a
+single frame; validated :class:`KrausPoint` objects are built only where
+a caller receives them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .landscape import (
     saddle_values,
     to_diag,
 )
-from .stiefel import KrausPoint, _haar_frame, _polar, _project_mat, _qf
+from .stiefel import KrausPoint, _ginibre, _haar_frame, _polar, _project_mat, _qf
 
 __all__ = [
     "FlowStallError",
@@ -47,6 +53,7 @@ _LINE_SEARCH_MAX_SHRINKS = 60
 _BB_STEP_MIN = 1e-10
 _BB_STEP_MAX = 1e10
 _FLOOR_ULPS = 4
+_TINY = 5e-324  # smallest subnormal: a positive divisor stays unchanged
 _CHORD_LIMIT = 0.05
 _SADDLE_GUARD = 1e-3
 _STALL_GRAD = 1e-6
@@ -99,7 +106,9 @@ class Trajectory:
 
     ``iterates`` holds (point, objective, gradient norm) triples; the
     objective sequence is monotone in the run direction.  ``terminated``
-    is "converged" or "max_iters".
+    is "converged" or "max_iters".  Only :func:`optimize` and
+    :func:`rerun_start` build a Trajectory; a campaign keeps raw frames
+    and (objective, gradient norm) rows instead.
 
     A run converges when the gradient norm drops below ``grad_tol``, or
     when it reaches the precision floor of J.  Near J = 1 a gradient norm
@@ -197,10 +206,133 @@ class LevelSetPath:
                 raise ValueError("connected path exceeds the chordal step limit")
 
 
-def _retract(w: np.ndarray, step: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "qr":
-        return _qf(w + step)
-    return _polar(w + step)
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Re<a_i, b_i> of two C-contiguous (N, 8, 2) stacks.
+
+    Each row is summed over its own 32 contiguous reals, so a row's value
+    does not depend on the other rows of the stack.
+    """
+    prod = a.view(np.float64) * b.view(np.float64)
+    return prod.reshape(len(prod), -1).sum(axis=1)
+
+
+def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
+             keep_frames: bool = False):
+    """Run the optimizer of :func:`optimize` on every frame of an (N, 8, 2) stack.
+
+    Rows share no arithmetic, so each row's run is bitwise the run of a
+    batch of one.  Rows advance in lockstep: every row still running
+    accepts one step per iteration, so the Barzilai-Borwein parity is the
+    iteration's.  A line search retracts only the rows still searching,
+    and the running set is compacted only when a run ends.
+
+    Returns ``(rows, converged, stalled, frames)``: ``rows[i]`` is run i's
+    (iterates, 2) float array of (objective, gradient norm), the flags
+    are boolean arrays, and ``frames[i]`` is run i's (iterates, 8, 2)
+    stack of frames when ``keep_frames`` is set, else ``frames`` is None.
+    """
+    sgn = 1.0 if cfg.direction == "maximize" else -1.0
+    retract = _qf if cfg.retraction == "qr" else _polar
+    n = len(w0)
+    ids = np.arange(n)
+    w = np.ascontiguousarray(w0, dtype=complex)
+    value = _objective_mat(w, params)
+    # d is the ascent direction sgn * grad J; y and the BB steps are the
+    # same for d as for grad J.
+    d = sgn * _rgrad_mat(w, params)
+    gnorm2 = _re_inner(d, d)
+    gnorm = np.sqrt(gnorm2)
+    step = np.full(n, cfg.initial_step)
+    history = [(ids, value, gnorm, w if keep_frames else None)]
+    converged = np.zeros(n, dtype=bool)
+    stalled = np.zeros(n, dtype=bool)
+    for it in range(cfg.max_iters):
+        done = gnorm < cfg.grad_tol
+        if done.any():
+            converged[ids[done]] = True
+            live = ~done
+            # gnorm is recomputed before its next use.
+            ids, w, value, d, gnorm2, step = (
+                ids[live], w[live], value[live], d[live], gnorm2[live], step[live])
+            if not len(ids):
+                break
+        t = step
+        w_new = retract(w + t[:, None, None] * d)
+        v_new = _objective_mat(w_new, params)
+        ok = sgn * (v_new - value) >= cfg.armijo_slope * t * gnorm2
+        if not ok.all():
+            # Smaller trials than t * |grad|^2 < floor predict gains below
+            # the resolution of J.
+            floor = _FLOOR_ULPS * np.spacing(np.maximum(1.0, np.abs(value)))
+            # The rows still searching, compacted only when one leaves.
+            search = np.flatnonzero(~ok & (t * gnorm2 >= floor))
+            ws, ds, vs, g2s, ts, fs = w, d, value, gnorm2, t, floor
+            if len(search) < len(ids):
+                ws, ds, vs, g2s, ts, fs = (
+                    w[search], d[search], value[search], gnorm2[search], t[search],
+                    floor[search])
+            for _shrink in range(_LINE_SEARCH_MAX_SHRINKS):
+                if not len(search):
+                    break
+                ts = ts * cfg.armijo_shrink
+                trial = retract(ws + ts[:, None, None] * ds)
+                v_trial = _objective_mat(trial, params)
+                accept = sgn * (v_trial - vs) >= cfg.armijo_slope * ts * g2s
+                if accept.all():
+                    w_new[search], v_new[search], ok[search] = trial, v_trial, True
+                    break
+                if accept.any():
+                    hit = search[accept]
+                    w_new[hit], v_new[hit], ok[hit] = trial[accept], v_trial[accept], True
+                more = ~accept & (ts * g2s >= fs)
+                if not more.all():
+                    search, ws, ds, vs, g2s, ts, fs = (
+                        search[more], ws[more], ds[more], vs[more], g2s[more], ts[more],
+                        fs[more])
+            failed = ~ok
+            if failed.any():
+                at_floor = (
+                    cfg.armijo_slope * np.minimum(step, cfg.initial_step) * gnorm2
+                    < floor
+                )
+                converged[ids[failed & at_floor]] = True
+                stalled[ids[failed & ~at_floor]] = True
+                # value, gnorm and step are replaced below before any use.
+                ids, w, d, w_new, v_new = ids[ok], w[ok], d[ok], w_new[ok], v_new[ok]
+                if not len(ids):
+                    break
+        d_new = sgn * _rgrad_mat(w_new, params)
+        s = w_new - w
+        y = d_new - d
+        sy = np.abs(_re_inner(s, y))
+        # After an odd count of iterates <s,s>/|<s,y>|, else |<s,y>|/<y,y>;
+        # sy > 0 implies <y,y> > 0, and sy = 0 falls back to initial_step.
+        if it % 2 == 0:
+            bb = _re_inner(s, s) / np.maximum(sy, _TINY)
+        else:
+            bb = sy / np.maximum(_re_inner(y, y), _TINY)
+        if not sy.all():
+            bb = np.where(sy == 0.0, cfg.initial_step, bb)
+        step = np.minimum(np.maximum(bb, _BB_STEP_MIN), _BB_STEP_MAX)
+        w, value, d = w_new, v_new, d_new
+        gnorm2 = _re_inner(d, d)
+        gnorm = np.sqrt(gnorm2)
+        history.append((ids, value, gnorm, w if keep_frames else None))
+    else:
+        converged[ids[gnorm < cfg.grad_tol]] = True
+
+    # Regroup the per-iteration records run by run, in iteration order.
+    run_of = np.concatenate([h[0] for h in history])
+    order = np.argsort(run_of, kind="stable")
+    cuts = np.cumsum(np.bincount(run_of, minlength=n))[:-1]
+    rows = np.column_stack([
+        np.concatenate([h[1] for h in history]),
+        np.concatenate([h[2] for h in history]),
+    ])
+    frames = None
+    if keep_frames:
+        frames = np.split(np.concatenate([h[3] for h in history])[order], cuts)
+    return np.split(rows[order], cuts), converged, stalled, frames
 
 
 def optimize(
@@ -218,63 +350,33 @@ def optimize(
     sequence is monotone.  Terminates at ``grad_tol``, at ``max_iters``,
     at the precision floor of J, or when the line search fails above it
     (``stalled``); see :class:`Trajectory`.
+
+    This is the campaign engine of :func:`multi_start` on a batch of one
+    frame, so a run here is bitwise the same run inside any campaign.
     """
-    sgn = 1.0 if cfg.direction == "maximize" else -1.0
-    w = start.matrix
-    value = float(_objective_mat(w, params))
-    grad = _rgrad_mat(w, params)
-    gnorm = float(np.linalg.norm(grad))
-    iterates = [(start, value, gnorm)]
-    terminated = "max_iters"
-    stalled = False
-    step = cfg.initial_step
-    for _ in range(cfg.max_iters):
-        if gnorm < cfg.grad_tol:
-            terminated = "converged"
-            break
-        direction = sgn * grad
-        floor = _FLOOR_ULPS * math.ulp(max(1.0, abs(value)))
-        gnorm2 = gnorm * gnorm
-        t = step
-        accepted = False
-        for _shrink in range(_LINE_SEARCH_MAX_SHRINKS + 1):
-            w_new = _retract(w, t * direction, cfg.retraction)
-            v_new = float(_objective_mat(w_new, params))
-            if sgn * (v_new - value) >= cfg.armijo_slope * t * gnorm2:
-                accepted = True
-                break
-            if t * gnorm2 < floor:
-                # Smaller trials predict gains below the resolution of J.
-                break
-            t *= cfg.armijo_shrink
-        if not accepted:
-            if cfg.armijo_slope * min(step, cfg.initial_step) * gnorm2 < floor:
-                terminated = "converged"
-            else:
-                stalled = True
-            break
-        grad_new = _rgrad_mat(w_new, params)
-        s = w_new - w
-        y = grad_new - grad
-        sy = abs(float(np.vdot(s, y).real))
-        if sy == 0.0:
-            step = cfg.initial_step
-        elif len(iterates) % 2:
-            step = float(np.vdot(s, s).real) / sy
-        else:
-            step = sy / float(np.vdot(y, y).real)
-        step = min(max(step, _BB_STEP_MIN), _BB_STEP_MAX)
-        w, value, grad = w_new, v_new, grad_new
-        gnorm = float(np.linalg.norm(grad))
-        iterates.append((KrausPoint.from_matrix(w), value, gnorm))
-    if not stalled and gnorm < cfg.grad_tol:
-        terminated = "converged"
-    return Trajectory(iterates=tuple(iterates), terminated=terminated, stalled=stalled)
+    rows, converged, stalled, frames = _descend(
+        start.matrix[None], params, cfg, keep_frames=True)
+    points = [start] + [KrausPoint.from_matrix(f) for f in frames[0][1:]]
+    iterates = [(p, v, g) for p, (v, g) in zip(points, rows[0].tolist())]
+    return Trajectory(
+        iterates=iterates,
+        terminated="converged" if converged[0] else "max_iters",
+        stalled=bool(stalled[0]),
+    )
 
 
 def _child_rng(seed: int, index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=(index,))
     return np.random.default_rng(ss)
+
+
+def _haar_starts(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Haar frames of starts lo..hi-1, each drawn from its own child generator.
+
+    The Gaussian draws are stacked and finished with one batched QR;
+    frame i equals ``_haar_frame(8, 2, _child_rng(seed, i))`` bitwise.
+    """
+    return _qf(np.stack([_ginibre(8, 2, _child_rng(seed, i)) for i in range(lo, hi)]))
 
 
 def rerun_start(
@@ -285,18 +387,10 @@ def rerun_start(
     return optimize(start, params, cfg)
 
 
-def _summary(traj: Trajectory) -> tuple:
-    # A float array holds a campaign's rows in a sixth of the memory of tuples.
-    rows = np.array([(value, gnorm) for _, value, gnorm in traj.iterates])
-    return traj.final_value, traj.final_point, traj.terminated == "converged", rows
-
-
 def _run_range(params, seed, lo, hi, cfg):
-    out = []
-    for i in range(lo, hi):
-        start = KrausPoint.from_matrix(_haar_frame(8, 2, _child_rng(seed, i)))
-        out.append(_summary(optimize(start, params, cfg)))
-    return out
+    """Runs of starts lo..hi-1 as one batch: (rows, converged)."""
+    rows, converged, _, _ = _descend(_haar_starts(seed, lo, hi), params, cfg)
+    return rows, converged
 
 
 def multi_start(
@@ -309,47 +403,51 @@ def multi_start(
 ) -> MultiStartReport:
     """Seeded Haar multi-start campaign with deterministic aggregation.
 
-    Start i uses the child generator spawned from (seed, i), so reports
-    are identical for any worker count; workers > 1 distributes runs over
-    processes and merges results in start order.  An explicit ``start``
-    replaces the Haar draw and requires ``n_starts == 1``; it documents
-    the behavior of runs launched exactly on a critical manifold.
+    Start i uses the child generator spawned from (seed, i).  All starts
+    run as one (N, 8, 2) batch of the optimizer engine, whose rows do not
+    depend on each other, so reports are identical for any batch split
+    and any worker count.  ``workers`` > 1 splits the starts into one
+    batch per worker, runs the batches in a process pool and merges them
+    in start order; ``workers`` must be at least 1.  Saddle hits are
+    classified from each run's final objective and gradient norm.  An
+    explicit ``start`` replaces the Haar draw and requires
+    ``n_starts == 1``; it documents the behavior of runs launched exactly
+    on a critical manifold.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if start is not None and n_starts != 1:
         raise ValueError("an explicit start point requires n_starts == 1")
     target = 1.0 if cfg.direction == "maximize" else 0.0
     if start is not None:
-        finals = [_summary(optimize(start, params, cfg))]
+        rows, converged, _, _ = _descend(start.matrix[None], params, cfg)
     elif workers > 1:
-        chunk = max(1, math.ceil(n_starts / (4 * workers)))
-        bounds = [
-            (lo, min(lo + chunk, n_starts)) for lo in range(0, n_starts, chunk)
-        ]
-        results = [None] * len(bounds)
+        chunk = math.ceil(n_starts / workers)
+        bounds = [(lo, min(lo + chunk, n_starts)) for lo in range(0, n_starts, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [
-                pool.submit(_run_range, params, seed, lo, hi, cfg)
-                for lo, hi in bounds
+                pool.submit(_run_range, params, seed, lo, hi, cfg) for lo, hi in bounds
             ]
-            for slot, fut in enumerate(futs):
-                results[slot] = fut.result()
-        finals = [item for block in results for item in block]
+            blocks = [fut.result() for fut in futs]
+        rows = [r for block, _ in blocks for r in block]
+        converged = np.concatenate([conv for _, conv in blocks])
     else:
-        finals = _run_range(params, seed, 0, n_starts, cfg)
+        rows, converged = _run_range(params, seed, 0, n_starts, cfg)
 
     saddle_tags = (
         ManifoldTag.SADDLE_MINUS,
         ManifoldTag.SADDLE_PLUS,
         ManifoldTag.MIXED_SADDLE,
     )
-    values = tuple(v for v, _, _, _ in finals)
+    finals = [r[-1].tolist() for r in rows]
+    values = tuple(v for v, _ in finals)
     gaps = [abs(target - v) for v in values]
     reached = sum(1 for g in gaps if g <= 1e-6)
     hits = 0
-    for _, point, _, _ in finals:
-        label = classify_critical(point, params)
+    for value, gnorm in finals:
+        label = _classify(value, gnorm, params)
         if isinstance(label, CriticalManifoldId) and label.tag in saddle_tags:
             hits += 1
     best = max(values) if cfg.direction == "maximize" else min(values)
@@ -363,8 +461,8 @@ def multi_start(
         worst_gap=max(gaps),
         classified_saddle_hits=hits,
         best_index=best_index,
-        converged=sum(1 for _, _, conv, _ in finals if conv),
-        best_rows=map(tuple, finals[best_index][3].tolist()),
+        converged=int(converged.sum()),
+        best_rows=map(tuple, rows[best_index].tolist()),
     )
 
 
@@ -378,9 +476,13 @@ def classify_critical(p: KrausPoint, params: LandscapeParams):
     """
     w = p.matrix
     gnorm = float(np.linalg.norm(_rgrad_mat(w, params)))
+    return _classify(float(_objective_mat(w, params)), gnorm, params)
+
+
+def _classify(value: float, gnorm: float, params: LandscapeParams):
+    """The label of :func:`classify_critical` from J and the gradient norm."""
     if gnorm >= 1e-6:
         return "non-critical"
-    value = float(_objective_mat(w, params))
     candidates: list[tuple[float, ManifoldTag]] = [
         (0.0, ManifoldTag.GLOBAL_MIN),
         (1.0, ManifoldTag.GLOBAL_MAX),

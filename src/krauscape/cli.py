@@ -12,6 +12,7 @@ numerical-verification failure, 4 tracer or flow failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,25 +65,7 @@ from .stiefel import (
     real_inner,
 )
 
-__all__ = ["main", "RunConfig", "GridSpec"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation settings shared by every subcommand."""
-
-    command: str
-    w: LandscapeParams | None
-    seed: int | None
-    tolerances: dict
-    output_path: str | None
-    format: str
-
-    def __post_init__(self):
-        if not self.command:
-            raise ValueError("command must be non-empty")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be 'json' or 'csv'")
+__all__ = ["main", "GridSpec"]
 
 
 @dataclass(frozen=True)
@@ -301,25 +284,12 @@ def _pick_tols(tols: dict, allowed: dict) -> dict:
     return out
 
 
-def _run_config(args, command: str) -> RunConfig:
-    params = _parse_w(args.w) if getattr(args, "w", None) else None
-    return RunConfig(
-        command=command,
-        w=params,
-        seed=getattr(args, "seed", None),
-        tolerances=_parse_tols(getattr(args, "tol", None)),
-        output_path=getattr(args, "out", None),
-        format=getattr(args, "format", "json"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _run_config(args, "evaluate")
-    params = cfg.w
+    params = _parse_w(args.w)
     k = kraus_from_dict(_load_json(args.infile))
     theta = theta_from_dict(_load_json(args.theta)) if args.theta else THETA0
     scale, offset, basis = reduce_target(theta)
@@ -341,7 +311,7 @@ def _cmd_evaluate(args) -> int:
         "grad_norm": grad_norm,
         "constraints": {"phi1": phi1, "phi2": phi2, "phi3": _pair(phi3)},
     }
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [
             ("case", params.case),
             ("j_trace", j_trace),
@@ -355,9 +325,9 @@ def _cmd_evaluate(args) -> int:
             ("phi3_re", phi3.real),
             ("phi3_im", phi3.imag),
         ]
-        _write_text(csv_lines(("key", "value"), rows), cfg.output_path)
+        _write_text(csv_lines(("key", "value"), rows), args.out)
     else:
-        _write_text(dumps_json(report), cfg.output_path)
+        _write_text(dumps_json(report), args.out)
     return 0
 
 
@@ -379,10 +349,9 @@ def _direction(name: str) -> str:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = _run_config(args, "optimize")
-    params = cfg.w
-    tols = _pick_tols(cfg.tolerances, _OPT_TOL_DEFAULTS)
-    ocfg = OptimizerConfig(
+    params = _parse_w(args.w)
+    tols = _pick_tols(args.tol, _OPT_TOL_DEFAULTS)
+    cfg = OptimizerConfig(
         direction=_direction(args.direction),
         max_iters=int(tols["max_iters"]),
         grad_tol=tols["grad_tol"],
@@ -394,13 +363,13 @@ def _cmd_optimize(args) -> int:
     start = None
     if args.start_file:
         start = point_from_dict(_load_json(args.start_file))
-    seed = cfg.seed
+    seed = args.seed
     if seed is None:
         if start is None:
             raise ValueError("--seed is required unless --start-file is given")
         seed = 0
     report = multi_start(
-        params, args.starts, seed, ocfg, workers=args.workers, start=start
+        params, args.starts, seed, cfg, workers=args.workers, start=start
     )
     payload = {
         "starts": report.starts,
@@ -414,14 +383,14 @@ def _cmd_optimize(args) -> int:
         "best_index": report.best_index,
         "best_value": report.final_values[report.best_index],
     }
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = list(enumerate(report.final_values))
-        _write_text(csv_lines(("index", "final_value"), rows), cfg.output_path)
+        _write_text(csv_lines(("index", "final_value"), rows), args.out)
     else:
-        _write_text(dumps_json(payload), cfg.output_path)
+        _write_text(dumps_json(payload), args.out)
     traj_path = args.traj_out
-    if traj_path is None and cfg.output_path is not None:
-        traj_path = cfg.output_path + ".traj.csv"
+    if traj_path is None and args.out is not None:
+        traj_path = args.out + ".traj.csv"
     if traj_path is not None:
         rows = [(i, value, gnorm) for i, (value, gnorm) in enumerate(report.best_rows)]
         _write_text(csv_lines(("iter", "value", "grad_norm"), rows), traj_path)
@@ -432,12 +401,11 @@ _MORSE_TOL_DEFAULTS = {"zero_tol": 1e-12}
 
 
 def _cmd_morse(args) -> int:
-    cfg = _run_config(args, "morse")
-    params = cfg.w
-    tols = _pick_tols(cfg.tolerances, _MORSE_TOL_DEFAULTS)
+    params = _parse_w(args.w)
+    tols = _pick_tols(args.tol, _MORSE_TOL_DEFAULTS)
     mid = _parse_manifold(args.manifold, args.z)
     predicted = predicted_morse(mid, params)
-    point = critical_point(mid, params, seed=cfg.seed)
+    point = critical_point(mid, params, seed=args.seed)
     hess = hessian_form(point, params)
     computed = morse_signature(hess, zero_tol=tols["zero_tol"])
     match = computed == predicted
@@ -446,13 +414,13 @@ def _cmd_morse(args) -> int:
         "manifold": mid.tag.value,
         "w": [params.w.alpha, params.w.beta, params.w.gamma],
         "z": None if mid.z is None else _pair(mid.z),
-        "seed": cfg.seed,
+        "seed": args.seed,
         "predicted": [predicted.nu_plus, predicted.nu_minus, predicted.nu_zero],
         "computed": [computed.nu_plus, computed.nu_minus, computed.nu_zero],
         "match": match,
         "grad_norm": grad_norm,
     }
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [
             ("manifold", mid.tag.value),
             ("predicted_positive", predicted.nu_plus),
@@ -464,9 +432,9 @@ def _cmd_morse(args) -> int:
             ("match", str(match).lower()),
             ("grad_norm", grad_norm),
         ]
-        _write_text(csv_lines(("key", "value"), rows), cfg.output_path)
+        _write_text(csv_lines(("key", "value"), rows), args.out)
     else:
-        _write_text(dumps_json(report), cfg.output_path)
+        _write_text(dumps_json(report), args.out)
     if not match:
         print(
             f"morse: computed signature {report['computed']} does not match "
@@ -491,10 +459,9 @@ def _levelset_endpoints(params: LandscapeParams, mu: float, seed: int):
 
 
 def _cmd_levelset(args) -> int:
-    cfg = _run_config(args, "levelset")
-    params = cfg.w
+    params = _parse_w(args.w)
     mu = args.mu
-    a, b = _levelset_endpoints(params, mu, cfg.seed)
+    a, b = _levelset_endpoints(params, mu, args.seed)
     path = levelset_connect(a, b, params, mu)
     values = [objective_uv(p, params) for p in path.waypoints]
     rows = []
@@ -506,7 +473,7 @@ def _cmd_levelset(args) -> int:
     rows.append(
         ("status", path.status, path.max_value_deviation, path.max_step_length)
     )
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "mu": path.mu,
             "status": path.status,
@@ -515,11 +482,11 @@ def _cmd_levelset(args) -> int:
             "max_step_length": path.max_step_length,
             "detail": path.detail,
         }
-        _write_text(dumps_json(payload), cfg.output_path)
+        _write_text(dumps_json(payload), args.out)
     else:
         _write_text(
             csv_lines(("index", "value", "deviation", "step"), rows),
-            cfg.output_path,
+            args.out,
         )
     if path.status != "connected":
         print(f"levelset: tracer failed: {path.detail}", file=sys.stderr)
@@ -537,7 +504,6 @@ _DILATE_PROBES = (
 
 
 def _cmd_dilate(args) -> int:
-    cfg = _run_config(args, "dilate")
     k = kraus_from_dict(_load_json(args.infile))
     u = dilate(k)
     residual = max(
@@ -548,31 +514,30 @@ def _cmd_dilate(args) -> int:
     report = unitary_to_dict(u)
     report["partial_trace_residual"] = residual
     report["unitarity_residual"] = unitarity
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [
             (i, j, u.entries[i, j].real, u.entries[i, j].imag)
             for i in range(u.dim)
             for j in range(u.dim)
         ]
-        _write_text(csv_lines(("row", "col", "re", "im"), rows), cfg.output_path)
+        _write_text(csv_lines(("row", "col", "re", "im"), rows), args.out)
     else:
-        _write_text(dumps_json(report), cfg.output_path)
+        _write_text(dumps_json(report), args.out)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    cfg = _run_config(args, "scan")
-    params = cfg.w
+    params = _parse_w(args.w)
     grid = GridSpec(
         count1=args.grid, count2=args.grid, range1=args.range, range2=args.range
     )
     if args.manifold:
         mid = _parse_manifold(args.manifold, args.z)
-        base = critical_point(mid, params, seed=2 * cfg.seed)
+        base = critical_point(mid, params, seed=2 * args.seed)
     else:
-        base = KrausPoint.from_matrix(_haar_frame(8, 2, _child_rng(cfg.seed, 0)))
+        base = KrausPoint.from_matrix(_haar_frame(8, 2, _child_rng(args.seed, 0)))
     w0 = base.matrix
-    rng = _child_rng(cfg.seed, 1)
+    rng = _child_rng(args.seed, 1)
     dirs = []
     for _ in range(2):
         raw = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
@@ -597,17 +562,17 @@ def _cmd_scan(args) -> int:
         for i in range(grid.count1)
         for j in range(grid.count2)
     ]
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "w": [params.w.alpha, params.w.beta, params.w.gamma],
-            "seed": cfg.seed,
+            "seed": args.seed,
             "grid": [grid.count1, grid.count2],
             "range": [grid.range1, grid.range2],
             "rows": [[float(a), float(b), float(c)] for a, b, c in rows],
         }
-        _write_text(dumps_json(payload), cfg.output_path)
+        _write_text(dumps_json(payload), args.out)
     else:
-        _write_text(csv_lines(("s1", "s2", "J"), rows), cfg.output_path)
+        _write_text(csv_lines(("s1", "s2", "J"), rows), args.out)
     return 0
 
 
@@ -687,11 +652,18 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
+        # Every subcommand takes --tol; those with tolerances read the dict.
+        args.tol = _parse_tols(args.tol)
         return handler(args)
     except FlowStallError as exc:
         print(f"krauscape {args.command}: {exc}", file=sys.stderr)

@@ -236,9 +236,9 @@ def _objective_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
     """Yield on raw 8x2 frames; broadcasts over leading axes."""
     u1 = w[..., 0:4, 0]
     u2 = w[..., 0:4, 1]
-    n1 = np.sum(u1.real**2 + u1.imag**2, axis=-1)
-    n2 = np.sum(u2.real**2 + u2.imag**2, axis=-1)
-    cross = np.sum(u1 * np.conj(u2), axis=-1)
+    n1 = (u1.real**2 + u1.imag**2).sum(axis=-1)
+    n2 = (u2.real**2 + u2.imag**2).sum(axis=-1)
+    cross = (u1 * u2.conj()).sum(axis=-1)
     gamma = params.gamma
     val = 0.5 * ((1.0 + gamma) * n1 + (1.0 - gamma) * n2) + (params.z0 * cross).real
     return val

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ComplexScalar",
     "CompletenessError",
     "BlochVector",
     "DensityMatrix",
@@ -32,10 +31,6 @@ __all__ = [
     "dilate",
     "verify_dilation",
 ]
-
-# Complex scalars use the native type; every constructor taking one
-# rejects non-finite components.
-ComplexScalar = complex
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

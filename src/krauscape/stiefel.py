@@ -155,7 +155,11 @@ class TangentVector:
 
 @dataclass(frozen=True, eq=False)
 class TangentBasis:
-    """Orthonormal basis of the tangent space at a frame, real dimension 2nk-k^2."""
+    """Orthonormal basis of the tangent space at a frame, real dimension 2nk-k^2.
+
+    The vectors are checked together: every delta tangent at ``base``
+    and the Gram matrix the identity, each within 1e-10.
+    """
 
     base: StiefelPoint
     vectors: tuple
@@ -167,15 +171,20 @@ class TangentBasis:
         if len(vecs) != expected:
             raise ValueError(f"expected {expected} basis vectors, got {len(vecs)}")
         stack = np.stack([v.delta for v in vecs])
+        stack.setflags(write=False)
+        sym = np.swapaxes(self.base.frame.conj(), -1, -2) @ stack
+        if np.abs(sym + np.swapaxes(sym.conj(), -1, -2)).max() > 1e-10:
+            raise ValueError("basis vector is not tangent at the base point within 1e-10")
         flat = stack.reshape(len(vecs), -1)
         gram = (flat.conj() @ flat.T).real
         if np.abs(gram - np.eye(len(vecs))).max() > 1e-10:
             raise ValueError("tangent basis is not orthonormal within 1e-10")
         object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "_stack", stack)
 
     def as_array(self) -> np.ndarray:
-        """Stack of basis deltas, shape (dim, n, k)."""
-        return np.stack([v.delta for v in self.vectors])
+        """Read-only stack of basis deltas, shape (dim, n, k)."""
+        return self._stack
 
 
 def constraint_residuals(u1, u2, v1, v2) -> tuple[float, float, complex]:
@@ -225,7 +234,7 @@ def _qf(w: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(w)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
-    if np.any(mags < 1e-12):
+    if (mags < 1e-12).any():
         raise RuntimeError("rank collapse during QR retraction")
     return q * (d / mags)[..., None, :]
 
@@ -247,8 +256,9 @@ def project_tangent(x: StiefelPoint, ambient: np.ndarray) -> TangentVector:
 
 
 def _project_mat(frame: np.ndarray, z: np.ndarray) -> np.ndarray:
-    s = frame.conj().T @ z
-    return z - frame @ (0.5 * (s + s.conj().T))
+    """Tangent part z - X sym(X^H z); broadcasts over leading axes."""
+    s = np.swapaxes(frame.conj(), -1, -2) @ z
+    return z - frame @ (0.5 * (s + np.swapaxes(s.conj(), -1, -2)))
 
 
 def retract(x: StiefelPoint, t: TangentVector, kind: str = "qr") -> StiefelPoint:
@@ -271,9 +281,13 @@ def retract(x: StiefelPoint, t: TangentVector, kind: str = "qr") -> StiefelPoint
     return StiefelPoint(x.n, x.k, new)
 
 
+def _ginibre(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian n x k matrix, the raw draw of a Haar frame."""
+    return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+
+
 def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    return _qf(g)
+    return _qf(_ginibre(n, k, rng))
 
 
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
@@ -292,38 +306,38 @@ def orthonormal_tangent_basis(x: StiefelPoint) -> TangentBasis:
 
     Combines the k^2 rotations W*A for an orthonormal anti-Hermitian basis
     A with the 2(n-k)k complement directions W_perp*E and i*W_perp*E, where
-    W_perp spans the orthogonal complement of the frame.
+    W_perp spans the orthogonal complement of the frame.  The deltas are
+    built as one (dim, n, k) stack; :class:`TangentBasis` checks their
+    tangency and orthonormality together, not vector by vector.
     """
     n, k = x.n, x.k
     w = x.frame
-    deltas = []
     # Anti-Hermitian block: diagonal phases then paired off-diagonals.
-    for j in range(k):
-        a = np.zeros((k, k), dtype=complex)
-        a[j, j] = 1j
-        deltas.append(w @ a)
+    gens = np.zeros((k * k, k, k), dtype=complex)
+    diag = np.arange(k)
+    gens[diag, diag, diag] = 1j
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    m = k
     for j in range(k):
         for l in range(j + 1, k):
-            a = np.zeros((k, k), dtype=complex)
-            a[j, l] = inv_sqrt2
-            a[l, j] = -inv_sqrt2
-            deltas.append(w @ a)
-            a = np.zeros((k, k), dtype=complex)
-            a[j, l] = 1j * inv_sqrt2
-            a[l, j] = 1j * inv_sqrt2
-            deltas.append(w @ a)
-    # Complement block: real and imaginary unit injections.
-    q = np.linalg.qr(w, mode="complete")[0]
-    perp = q[:, k:]
-    for c in range(n - k):
-        col = perp[:, c]
-        for j in range(k):
-            d = np.zeros((n, k), dtype=complex)
-            d[:, j] = col
-            deltas.append(d)
-            d = np.zeros((n, k), dtype=complex)
-            d[:, j] = 1j * col
-            deltas.append(d)
-    vectors = tuple(TangentVector(base=x, delta=d) for d in deltas)
+            gens[m, j, l] = inv_sqrt2
+            gens[m, l, j] = -inv_sqrt2
+            gens[m + 1, j, l] = 1j * inv_sqrt2
+            gens[m + 1, l, j] = 1j * inv_sqrt2
+            m += 2
+    # Complement block: real and imaginary unit injections, column by column.
+    perp = np.linalg.qr(w, mode="complete")[0][:, k:]
+    comp = np.zeros((n - k, k, 2, n, k), dtype=complex)
+    for j in range(k):
+        comp[:, j, 0, :, j] = perp.T
+        comp[:, j, 1, :, j] = 1j * perp.T
+    stack = np.concatenate([w @ gens, comp.reshape(-1, n, k)])
+    stack.setflags(write=False)
+    vectors = []
+    for d in stack:
+        # Tangency is checked for the whole stack by TangentBasis.
+        v = object.__new__(TangentVector)
+        object.__setattr__(v, "base", x)
+        object.__setattr__(v, "delta", d)
+        vectors.append(v)
     return TangentBasis(base=x, vectors=vectors)

@@ -129,6 +129,63 @@ class TestOptimize:
         assert len(traj.iterates) == 1
 
 
+def descend_alone(w0, params, cfg):
+    """Each row of ``w0`` run as a batch of one."""
+    runs = [analysis._descend(w0[i:i + 1], params, cfg, keep_frames=True)
+            for i in range(len(w0))]
+    return [(r[0][0], r[1][0], r[2][0], r[3][0]) for r in runs]
+
+
+class TestEngine:
+    @pytest.mark.parametrize("w, direction", [
+        ((0.0, 0.0, 0.5), "maximize"),
+        ((0.0, 0.0, 0.999), "minimize"),
+        ((0.3, -0.4, 0.2), "minimize"),
+    ])
+    def test_rows_equal_batch_of_one(self, w, direction):
+        params = LandscapeParams(w=w)
+        cfg = OptimizerConfig(direction=direction)
+        w0 = analysis._haar_starts(5, 0, 8)
+        rows, converged, stalled, frames = analysis._descend(
+            w0, params, cfg, keep_frames=True)
+        assert len({len(r) for r in rows}) > 1  # runs end at different iterations
+        for i, (r1, c1, s1, f1) in enumerate(descend_alone(w0, params, cfg)):
+            assert np.array_equal(rows[i], r1)
+            assert np.array_equal(frames[i], f1)
+            assert converged[i] == c1 and stalled[i] == s1
+
+    def test_mixed_endings_in_one_batch(self):
+        # At |w| = 0.9 with max_iters 20: start 1 reaches grad_tol after 13
+        # iterations, start 9 ends at the precision floor after 15, and
+        # start 7 is still running after 20.
+        params = LandscapeParams(w=(0.0, 0.0, 0.9))
+        cfg = OptimizerConfig(max_iters=20)
+        w0 = np.stack([random_kraus_point(seed=s).matrix for s in (1, 9, 7)])
+        rows, converged, stalled, _ = analysis._descend(w0, params, cfg)
+        assert [len(r) - 1 for r in rows] == [13, 15, 20]
+        assert rows[0][-1, 1] < cfg.grad_tol
+        assert rows[1][-1, 1] >= cfg.grad_tol
+        assert converged.tolist() == [True, True, False]
+        assert not stalled.any()
+        for i, (r1, c1, s1, _) in enumerate(descend_alone(w0, params, cfg)):
+            assert np.array_equal(rows[i], r1)
+            assert converged[i] == c1 and stalled[i] == s1
+
+    def test_stalled_batch(self, monkeypatch):
+        rgrad = analysis._rgrad_mat
+        monkeypatch.setattr(analysis, "_rgrad_mat", lambda w, p: -rgrad(w, p))
+        w0 = analysis._haar_starts(2, 0, 4)
+        rows, converged, stalled, _ = analysis._descend(w0, PARAMS05, OptimizerConfig())
+        assert stalled.all() and not converged.any()
+        assert [len(r) for r in rows] == [1, 1, 1, 1]
+
+    def test_haar_starts_equal_haar_frames(self):
+        stack = analysis._haar_starts(17, 3, 43)
+        for i in range(3, 43):
+            frame = analysis._haar_frame(8, 2, analysis._child_rng(17, i))
+            assert np.array_equal(stack[i - 3], frame)
+
+
 class TestMultiStart:
     def test_deterministic(self):
         r1 = multi_start(PARAMS05, n_starts=10, seed=42)
@@ -145,6 +202,11 @@ class TestMultiStart:
         assert r1.reached_global == r2.reached_global
         assert r1.converged == r2.converged == 12
         assert r1.best_rows == r2.best_rows
+
+    def test_workers_must_be_positive(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                multi_start(PARAMS05, n_starts=2, seed=0, workers=bad)
 
     def test_rerun_matches_report(self):
         cfg = OptimizerConfig()

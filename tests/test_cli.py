@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import krauscape.cli as cli
 from krauscape.analysis import OptimizerConfig, rerun_start
 from krauscape.cli import csv_lines, kraus_to_dict, main, point_to_dict
 from krauscape.landscape import (
@@ -180,6 +181,28 @@ class TestOptimize:
         assert lines[0] == "index,final_value"
         assert len(lines) == 5
         assert all(float(line.split(",")[1]) < 1e-6 for line in lines[1:])
+
+    def test_workers_must_be_positive(self, capsys):
+        for bad in ("0", "-1"):
+            code = main(["optimize", "--w", "0,0,0.5", "--seed", "1", "--direction",
+                         "max", "--starts", "2", "--workers", bad])
+            assert code == 2
+            assert "workers" in capsys.readouterr().err
+
+    def test_repeated_calls_share_no_settings(self, tmp_path):
+        # One parser serves every call in the process; a --tol given to one
+        # call must not reach the next.
+        base = ["optimize", "--w", "0,0,0.5", "--seed", "4", "--direction", "max",
+                "--starts", "3"]
+        tol = ["--tol", "max_iters=2", "--tol", "grad_tol=1e-3"]
+        first = {}
+        for i, extra in enumerate([[], tol, [], tol, [], []]):
+            out = tmp_path / f"run{i}.json"
+            assert main(base + extra + ["--out", str(out)]) == 0
+            blobs = (out.read_bytes(), (tmp_path / f"run{i}.json.traj.csv").read_bytes())
+            assert first.setdefault(bool(extra), blobs) == blobs
+        assert first[True] != first[False]
+        assert cli._parser() is cli._parser()
 
     def test_bad_direction(self, capsys):
         code = main(

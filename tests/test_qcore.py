@@ -118,11 +118,6 @@ class TestDensityMatrixInvariants:
 
 
 class TestScalarConventions:
-    def test_complex_scalar_is_native(self):
-        from krauscape import ComplexScalar
-
-        assert ComplexScalar is complex
-
     def test_bloch_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             BlochVector(np.inf, 0.0, 0.0)

@@ -240,6 +240,12 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             TangentVector(base=x, delta=x.frame)
 
+    def test_tangent_basis_rejects_vectors_of_another_frame(self):
+        x = random_point(8, 2, seed=26)
+        other = orthonormal_tangent_basis(random_point(8, 2, seed=27))
+        with pytest.raises(ValueError, match="not tangent"):
+            TangentBasis(base=x, vectors=other.vectors)
+
     def test_tangent_basis_rejects_wrong_count(self):
         x = random_point(8, 2, seed=26)
         basis = orthonormal_tangent_basis(x)
