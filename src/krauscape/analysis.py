@@ -57,6 +57,13 @@ _TINY = 5e-324  # smallest subnormal: a positive divisor stays unchanged
 _CHORD_LIMIT = 0.05
 _SADDLE_GUARD = 1e-3
 _STALL_GRAD = 1e-6
+# Step-doubling control of level_transfer, in J units.
+_FLOW_TOL = 1e-10
+_FLOW_STEP_START = 1e-2
+_FLOW_STEP_MAX = 0.1
+_FLOW_STEP_FLOOR = 1e-8
+_FLOW_STEP_GROW = 5.0
+_FLOW_STEP_SHRINK = 0.1
 
 
 class FlowStallError(RuntimeError):
@@ -503,16 +510,49 @@ def _classify(value: float, gnorm: float, params: LandscapeParams):
     return CriticalManifoldId(best_tag)
 
 
+def _flow_field(frame: np.ndarray, params: LandscapeParams) -> np.ndarray | None:
+    """grad J / |grad J|^2 at an 8x2 frame, or None where the gradient vanishes.
+
+    The projected gradient is defined for any frame, on the manifold or
+    off it, and is tangent at frames on it.
+    """
+    grad = _rgrad_mat(frame, params)
+    gnorm2 = float(np.vdot(grad, grad).real)
+    if gnorm2 < _STALL_GRAD**2:
+        return None
+    return grad / gnorm2
+
+
+def _flow_step(
+    w: np.ndarray, k1: np.ndarray, h: float, params: LandscapeParams
+) -> np.ndarray | None:
+    """One classical RK4 step of the normalized gradient flow in the ambient space.
+
+    ``k1`` is the field at ``w``.  No stage is retracted, so the step has
+    the fourth order of the ambient method; the caller maps the result
+    back onto the manifold.  Returns None when a stage stalls.
+    """
+    k2 = _flow_field(w + 0.5 * h * k1, params)
+    k3 = None if k2 is None else _flow_field(w + 0.5 * h * k2, params)
+    k4 = None if k3 is None else _flow_field(w + h * k3, params)
+    return None if k4 is None else w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def level_transfer(
     p: KrausPoint, params: LandscapeParams, target_mu: float
 ) -> KrausPoint:
     """Carry a point to another level along the normalized gradient flow.
 
     Integrates d/dt x = grad J / |grad J|^2, along which J advances one
-    unit per unit t, with fourth-order Runge-Kutta stages (step 1e-3 in J
-    units), a retraction after every stage, and a Newton corrector that
-    pins J to the expected level after each step.  Raises
-    :class:`FlowStallError` when the gradient vanishes en route.
+    unit per unit t, by the projection method (Hairer, Lubich & Wanner,
+    Geometric Numerical Integration, sec. IV.4): classical fourth-order
+    Runge-Kutta stages in the ambient 8x2 space, one QR retraction per
+    accepted step, and a Newton corrector that pins J to the expected
+    level after each step.  Step doubling chooses the step: one step of h
+    and two of h/2 give a local error |full - half| / 15, held below
+    1e-10, and the half-step result is kept.  Raises
+    :class:`FlowStallError` when the gradient vanishes en route, with the
+    value J at the last frame reached on the manifold.
     """
     if not 0.0 < target_mu < 1.0:
         raise ValueError("target level must lie strictly inside (0, 1)")
@@ -521,23 +561,32 @@ def level_transfer(
     if abs(target_mu - value) <= 1e-14:
         return p
     expected = value
-    h_max = 1e-3
+    h_next = _FLOW_STEP_START
     while abs(target_mu - expected) > 1e-14:
-        h = math.copysign(min(h_max, abs(target_mu - expected)), target_mu - expected)
-
-        def field_at(frame: np.ndarray) -> np.ndarray:
-            grad = _rgrad_mat(frame, params)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < _STALL_GRAD:
-                raise FlowStallError(float(_objective_mat(frame, params)))
-            return grad / gnorm**2
-
-        k1 = field_at(w)
-        k2 = field_at(_qf(w + 0.5 * h * k1))
-        k3 = field_at(_qf(w + 0.5 * h * k2))
-        k4 = field_at(_qf(w + h * k3))
-        inc = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        w = _qf(w + h * _project_mat(w, inc))
+        k1 = _flow_field(w, params)
+        if k1 is None:
+            raise FlowStallError(value)
+        while True:
+            h = math.copysign(
+                min(h_next, abs(target_mu - expected)), target_mu - expected)
+            full = _flow_step(w, k1, h, params)
+            mid = _flow_step(w, k1, 0.5 * h, params)
+            k1_mid = None if mid is None else _flow_field(mid, params)
+            half = None if k1_mid is None else _flow_step(mid, k1_mid, 0.5 * h, params)
+            if full is None or half is None:
+                raise FlowStallError(value)
+            local_err = float(np.linalg.norm(full - half)) / 15.0
+            if not math.isfinite(local_err):
+                raise FlowStallError(value)
+            factor = 0.9 * (_FLOW_TOL / max(local_err, _TINY)) ** 0.2
+            # A step at the floor is taken whatever its error; the corrector
+            # and the level check below still guard it.
+            if local_err <= _FLOW_TOL or abs(h) <= _FLOW_STEP_FLOOR:
+                break
+            h_next = max(abs(h) * max(factor, _FLOW_STEP_SHRINK), _FLOW_STEP_FLOOR)
+        h_next = min(max(abs(h) * min(factor, _FLOW_STEP_GROW), _FLOW_STEP_FLOOR),
+                     _FLOW_STEP_MAX)
+        w = _qf(half)
         expected += h
         # Newton corrector along the gradient pins the level exactly.
         for _ in range(8):
@@ -557,7 +606,11 @@ def level_transfer(
 
 
 def _slerp_columns(a: np.ndarray, b: np.ndarray, tau: float) -> np.ndarray:
-    """Column-wise great-circle interpolation of two frames, then polar."""
+    """Column-wise great-circle interpolation of two frames.
+
+    The columns of the result are not orthogonal to each other;
+    :func:`_frame_interp` maps it back onto the manifold.
+    """
     cols = []
     for j in range(a.shape[1]):
         x = a[:, j]
@@ -744,16 +797,18 @@ def _connect_extreme(
             raise ValueError(f"endpoint {name} is off the level by {dev:.3e}")
     da, db = to_diag(a, params), to_diag(b, params)
     case3 = params.case == 3
-
-    def diag_node(tau: float) -> DiagCoords:
+    if not case3:
         if at_max:
             live_a = np.column_stack([da.ut1, da.ut2])
             live_b = np.column_stack([db.ut1, db.ut2])
         else:
             live_a = np.column_stack([da.vt1, da.vt2])
             live_b = np.column_stack([db.vt1, db.vt2])
+        end_a, end_b = _polar(live_a), _polar(live_b)
+
+    def diag_node(tau: float) -> DiagCoords:
         if not case3:
-            frame = _frame_interp(_polar(live_a), _polar(live_b), tau)
+            frame = _frame_interp(end_a, end_b, tau)
             zero = np.zeros(4, dtype=complex)
             if at_max:
                 return DiagCoords(ut1=frame[:, 0], ut2=frame[:, 1], vt1=zero, vt2=zero)
@@ -798,12 +853,14 @@ def _connect_extreme(
         gaps = [_chord(frames[i], frames[i + 1]) for i in range(len(frames) - 1)]
         if max(gaps) <= _CHORD_LIMIT * 0.95 or len(frames) > 4096:
             break
-        # Reseed the whole path at double density; nodes are cheap here.
+        # Reseed the whole path at double density.  Node 2j sits at
+        # 2j/(2m) == j/m exactly, so it is old node j and is kept.
         n = 2 * (len(frames) - 1) + 1
-        frames = [a.matrix]
-        for i in range(1, n - 1):
-            frames.append(from_diag(diag_node(i / (n - 1)), params).matrix)
-        frames.append(b.matrix)
+        frames = [
+            frames[i // 2] if i % 2 == 0
+            else from_diag(diag_node(i / (n - 1)), params).matrix
+            for i in range(n)
+        ]
 
     gaps = [_chord(frames[i], frames[i + 1]) for i in range(len(frames) - 1)]
     devs = [abs(float(_objective_mat(f, params)) - mu) for f in frames]

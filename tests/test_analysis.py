@@ -22,11 +22,19 @@ from krauscape.landscape import (
     CriticalManifoldId,
     LandscapeParams,
     ManifoldTag,
+    _objective_mat,
+    _rgrad_mat,
     critical_point,
     duality_map,
     objective_uv,
 )
-from krauscape.stiefel import constraint_residuals, random_kraus_point
+from krauscape.stiefel import (
+    KrausPoint,
+    _project_mat,
+    _qf,
+    constraint_residuals,
+    random_kraus_point,
+)
 
 PARAMS05 = LandscapeParams(w=(0.0, 0.0, 0.5))
 NEARPURE_W = ((0.0, 0.0, 0.999), (0.0, 0.0, 1.0 - 1e-6), (0.6, 0.0, 0.8))
@@ -34,6 +42,78 @@ NEARPURE_W = ((0.0, 0.0, 0.999), (0.0, 0.0, 1.0 - 1e-6), (0.6, 0.0, 0.8))
 
 def feasibility(p):
     return max(abs(r) for r in constraint_residuals(p.u1, p.u2, p.v1, p.v2))
+
+
+def _brockett(params):
+    """The Hermitian 2x2 weight N of J(X) = Re tr(X^H P X N), P the u-row projector."""
+    g, z0 = params.gamma, params.z0
+    return 0.5 * np.array([[1.0 + g, z0], [np.conj(z0), 1.0 - g]])
+
+
+def _oracle_value(x, weights):
+    u = x[:, :4]
+    return (u.conj() * (u @ weights)).real.sum(axis=(1, 2))
+
+
+def _oracle_rgrad(x, weights):
+    e = np.zeros_like(x)
+    e[:, :4] = 2.0 * (x[:, :4] @ weights)
+    return _project_mat(x, e)
+
+
+def _oracle_transfer(frames, weights, targets, h_max=1e-4):
+    """Fixed-step reference for level_transfer on an (N, 8, 2) stack.
+
+    Row i follows d/dt x = grad J_i / |grad J_i|^2 for the objective with
+    weight ``weights[i]`` from ``frames[i]`` to ``targets[i]``, in equal
+    steps of at most ``h_max`` J units: classical RK4 in the ambient 8x2
+    space, one ``_qf`` per step, then the Newton corrector of
+    level_transfer.  Batching the rows of several states keeps its ~10^4
+    steps affordable.
+    """
+    w = np.array(frames, dtype=complex)
+    start = _oracle_value(w, weights)
+    n = int(np.ceil(np.abs(targets - start).max() / h_max))
+    h = ((targets - start) / n)[:, None, None]
+
+    def field(x):
+        g = _oracle_rgrad(x, weights)
+        return g / (g.real**2 + g.imag**2).sum(axis=(1, 2))[:, None, None]
+
+    for i in range(1, n + 1):
+        k1 = field(w)
+        k2 = field(w + 0.5 * h * k1)
+        k3 = field(w + 0.5 * h * k2)
+        k4 = field(w + h * k3)
+        w = _qf(w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        expected = start + i * h[:, 0, 0]
+        for _ in range(8):
+            err = expected - _oracle_value(w, weights)
+            if (np.abs(err) <= 1e-12).all():
+                break
+            g = _oracle_rgrad(w, weights)
+            step = np.where(np.abs(err) > 1e-12, err, 0.0) / (
+                g.real**2 + g.imag**2).sum(axis=(1, 2))
+            w = _qf(w + step[:, None, None] * g)
+    return w
+
+
+def _fixed_stage_steps(w, params, target, h):
+    """level_transfer's stage step at a fixed step near h, one _qf per step."""
+    j0 = float(_objective_mat(w, params))
+    n = round(abs(target - j0) / h)
+    for _ in range(n):
+        k1 = analysis._flow_field(w, params)
+        w = _qf(analysis._flow_step(w, k1, (target - j0) / n, params))
+    return w
+
+
+def _off_saddle(tag, eps):
+    """A point eps off a seed-5 saddle of PARAMS05, along a seeded tangent."""
+    s = critical_point(CriticalManifoldId(tag), PARAMS05, seed=5).matrix
+    rng = np.random.default_rng(5)
+    d = _project_mat(s, rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+    return KrausPoint.from_matrix(_qf(s + eps * d / np.linalg.norm(d)))
 
 
 class TestOptimizerConfig:
@@ -342,6 +422,68 @@ class TestLevelTransfer:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 level_transfer(p, PARAMS05, bad)
+
+    def test_matches_fine_step_oracle(self):
+        # Targets 0.03 and 0.97 lie beyond the saddle values 0.05 and 0.95
+        # of |w| = 0.9, so those flows pass close to a saddle.
+        states = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.3, -0.4, 0.2),
+                  (0.0, 0.0, 0.9), (0.0, 0.0, 1.0 - 1e-6), (0.6, 0.0, 0.8)]
+        targets = (0.03, 0.26, 0.4, 0.6, 0.74, 0.97)
+        cases = [(LandscapeParams(w=w), random_kraus_point(seed=60 + k), mu)
+                 for k, w in enumerate(states) for mu in targets]
+        frames = np.stack([p.matrix for _, p, _ in cases])
+        weights = np.stack([_brockett(params) for params, _, _ in cases])
+        for params, p, _ in cases[::len(targets)]:
+            w = p.matrix[None]
+            np.testing.assert_allclose(
+                _oracle_value(w, _brockett(params)[None]), _objective_mat(w, params),
+                atol=1e-15)
+            np.testing.assert_allclose(
+                _oracle_rgrad(w, _brockett(params)[None]), _rgrad_mat(w, params),
+                atol=1e-15)
+        ref = _oracle_transfer(frames, weights, np.array([mu for _, _, mu in cases]))
+        for (params, p, mu), expected in zip(cases, ref):
+            q = level_transfer(p, params, mu)
+            assert _chord(q.matrix, expected) < 1e-8, (params.w, mu)
+
+    def test_stage_step_is_fourth_order(self):
+        # A tenfold smaller step must cut the endpoint error by 10^3 or
+        # more; QR-retracted stages are first order and cut it by ~10.
+        p = random_kraus_point(seed=23)
+        j0 = objective_uv(p, PARAMS05)
+        target = j0 + 0.3 if j0 < 0.5 else j0 - 0.3
+        ref = _oracle_transfer(
+            p.matrix[None], _brockett(PARAMS05)[None], np.array([target]))[0]
+        coarse, fine = (_chord(_fixed_stage_steps(p.matrix, PARAMS05, target, h), ref)
+                        for h in (1e-2, 1e-3))
+        assert coarse >= 1e3 * fine
+
+    @pytest.mark.parametrize("tag", [ManifoldTag.SADDLE_MINUS, ManifoldTag.SADDLE_PLUS])
+    def test_leaves_a_saddle_neighbourhood(self, tag, monkeypatch):
+        # The field grad/|grad|^2 is ~1e5 at 1e-5 off a saddle, so the
+        # step control must reject its way down from the start step and
+        # still end in a bounded number of steps.
+        calls = []
+        rgrad = analysis._rgrad_mat
+        monkeypatch.setattr(
+            analysis, "_rgrad_mat", lambda w, p: calls.append(1) or rgrad(w, p))
+        for eps in (1e-3, 1e-5):
+            p = _off_saddle(tag, eps)
+            for mu in (0.1, 0.6, 0.9):
+                calls.clear()
+                q = level_transfer(p, PARAMS05, mu)
+                assert abs(objective_uv(q, PARAMS05) - mu) < 1e-10
+                assert len(calls) <= 5000, (eps, mu, len(calls))
+
+    @pytest.mark.parametrize("tag", [ManifoldTag.SADDLE_MINUS, ManifoldTag.SADDLE_PLUS])
+    def test_stalls_next_to_a_saddle(self, tag):
+        p = _off_saddle(tag, 1e-7)
+        saddle = (PARAMS05.lambda_minus if tag == ManifoldTag.SADDLE_MINUS
+                  else PARAMS05.lambda_plus)
+        for mu in (0.1, 0.6, 0.9):
+            with pytest.raises(FlowStallError) as err:
+                level_transfer(p, PARAMS05, mu)
+            assert err.value.value_reached == pytest.approx(saddle, abs=1e-6)
 
 
 class TestLevelsetConnect:
