@@ -11,7 +11,9 @@ One engine runs the optimizer: it carries a whole campaign as an
 (N, 8, 2) stack of raw frames and keeps, per run, only the objective and
 gradient norm of each iterate.  :func:`optimize` is that engine on a
 single frame; validated :class:`KrausPoint` objects are built only where
-a caller receives them.
+a caller receives them.  The level-set tracer works the same way: each
+round of path nodes is one stack through a masked Newton corrector, and
+the finished path is validated once, as a stack of waypoints.
 """
 
 from __future__ import annotations
@@ -24,16 +26,23 @@ import numpy as np
 
 from .landscape import (
     CriticalManifoldId,
-    DiagCoords,
     LandscapeParams,
     ManifoldTag,
+    _from_diag_mat,
     _objective_mat,
     _rgrad_mat,
-    from_diag,
     saddle_values,
     to_diag,
 )
-from .stiefel import KrausPoint, _ginibre, _haar_frame, _polar, _project_mat, _qf
+from .stiefel import (
+    KrausPoint,
+    _ginibre,
+    _haar_frame,
+    _kraus_points,
+    _polar,
+    _project_mat,
+    _qf,
+)
 
 __all__ = [
     "FlowStallError",
@@ -605,70 +614,108 @@ def level_transfer(
     return KrausPoint.from_matrix(w)
 
 
-def _slerp_columns(a: np.ndarray, b: np.ndarray, tau: float) -> np.ndarray:
-    """Column-wise great-circle interpolation of two frames.
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every frame of a stack.
 
-    The columns of the result are not orthogonal to each other;
-    :func:`_frame_interp` maps it back onto the manifold.
+    Each norm is taken from the two BLAS dot products (real parts, then
+    imaginary parts) that ``np.linalg.norm`` uses for one frame, so it
+    equals ``np.linalg.norm(x[i])`` bitwise and does not depend on the
+    other rows.
     """
-    cols = []
-    for j in range(a.shape[1]):
-        x = a[:, j]
-        y = b[:, j]
-        c = float(np.vdot(x, y).real)
-        c = max(-1.0, min(1.0, c))
-        theta = math.acos(c)
-        if theta < 1e-9:
-            col = (1.0 - tau) * x + tau * y
-        else:
-            s = math.sin(theta)
-            col = (math.sin((1.0 - tau) * theta) / s) * x + (
-                math.sin(tau * theta) / s
-            ) * y
-        cols.append(col)
-    return np.column_stack(cols)
+    flat = x.reshape(len(x), int(np.prod(x.shape[1:])))
+    re, im = flat.real, flat.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
 
 
-def _frame_interp(a: np.ndarray, b: np.ndarray, tau: float) -> np.ndarray:
-    """On-manifold interpolant between two frames, robust to rank loss."""
-    raw = _slerp_columns(a, b, tau)
+def _slerp(a: np.ndarray, b: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Column-wise great-circle interpolation of frames, one ``tau`` per row.
+
+    ``a`` and ``b`` are (M, n, k) stacks, or (n, k) frames shared by all M
+    rows of ``tau``.  Columns less than 1e-9 rad apart are interpolated
+    linearly.  The columns of the result are not orthogonal to each
+    other; :func:`_frame_interp` maps it back onto the manifold.
+    """
+    # Re<a_j, b_j> per column, each summed over its own 2n contiguous reals.
+    at = np.ascontiguousarray(np.swapaxes(a, -1, -2)).view(np.float64)
+    bt = np.ascontiguousarray(np.swapaxes(b, -1, -2)).view(np.float64)
+    theta = np.arccos(np.clip((at * bt).sum(axis=-1), -1.0, 1.0))[..., None, :]
+    t = tau[:, None, None]
+    lin = theta < 1e-9
+    s = np.where(lin, 1.0, np.sin(theta))
+    ca = np.where(lin, 1.0 - t, np.sin((1.0 - t) * theta) / s)
+    cb = np.where(lin, t, np.sin(t * theta) / s)
+    return ca * a + cb * b
+
+
+def _frame_interp(a: np.ndarray, b: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """On-manifold interpolants between frames: polar factors of :func:`_slerp`.
+
+    A row whose interpolant loses rank gets the fixed jitter of
+    ``default_rng(1234567)`` before its polar factor is taken.
+    """
+    raw = _slerp(a, b, tau)
     try:
         return _polar(raw)
     except RuntimeError:
-        jitter = _haar_frame(a.shape[0], a.shape[1], np.random.default_rng(1234567))
-        return _polar(raw + 1e-6 * jitter)
+        collapsed = np.linalg.svd(raw, full_matrices=False)[1].min(axis=-1) < 1e-12
+        jitter = _haar_frame(raw.shape[-2], raw.shape[-1], np.random.default_rng(1234567))
+        raw[collapsed] += 1e-6 * jitter
+        return _polar(raw)
 
 
 def _correct_to_level(
-    w: np.ndarray, mu: float, params: LandscapeParams, node_key: int
+    w: np.ndarray, mu: float, params: LandscapeParams, keys: np.ndarray
 ):
-    """Newton-correct a frame onto the level, perturbing away from stalls."""
+    """Newton-correct every frame of an (M, 8, 2) stack onto the level ``mu``.
+
+    Each row runs as on its own: per attempt at most 60 Newton steps
+    along the gradient, success at |J - mu| <= 1e-10, a stall where
+    |grad J| < 1e-6.  A row that fails an attempt is kicked by 1e-2 along
+    projected noise seeded by (``keys[i]``, attempt) and retried, up to 9
+    attempts.  Rows leave the stack as they succeed or stall and share no
+    arithmetic, so each row is bitwise its batch-of-one run.
+
+    Returns ``(frames, ok)``; ``frames[i]`` is meaningful where ``ok[i]``.
+    """
+    keys = np.asarray(keys)
+    out = np.empty_like(w)
+    ok = np.zeros(len(w), dtype=bool)
+    todo, starts = np.arange(len(w)), w
     for attempt in range(9):
-        frame = w
-        ok = True
+        idx, frame = todo, starts
         for _ in range(60):
-            value = float(_objective_mat(frame, params))
-            if abs(value - mu) <= 1e-10:
-                break
+            value = _objective_mat(frame, params)
+            hit = np.abs(value - mu) <= 1e-10
+            if hit.any():
+                out[idx[hit]], ok[idx[hit]] = frame[hit], True
+                idx, frame, value = idx[~hit], frame[~hit], value[~hit]
+                if not len(idx):
+                    break
             grad = _rgrad_mat(frame, params)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < _STALL_GRAD:
-                ok = False
-                break
-            step = (mu - value) / gnorm**2
-            frame = _qf(frame + step * grad)
-        else:
-            ok = False
-        if ok and abs(float(_objective_mat(frame, params)) - mu) <= 1e-10:
-            return frame
-        # Deterministic tangent kick away from the stall, then retry.
-        ss = np.random.SeedSequence(entropy=0x5EED, spawn_key=(node_key, attempt))
-        rng = np.random.default_rng(ss)
-        noise = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-        kick = _project_mat(w, noise)
-        kick = kick / max(np.linalg.norm(kick), 1e-300) * 1e-2
-        w = _qf(w + kick)
-    return None
+            gnorm = _norms(grad)
+            stalled = gnorm < _STALL_GRAD
+            if stalled.any():
+                go = ~stalled
+                idx, frame, value, grad, gnorm = (
+                    idx[go], frame[go], value[go], grad[go], gnorm[go])
+                if not len(idx):
+                    break
+            frame = _qf(frame + ((mu - value) / gnorm**2)[:, None, None] * grad)
+        failed = ~ok[todo]
+        if attempt == 8 or not failed.any():
+            break
+        # Deterministic tangent kick of each failed start, then retry.
+        todo, base = todo[failed], starts[failed]
+        noise = []
+        for key in keys[todo]:
+            ss = np.random.SeedSequence(entropy=0x5EED, spawn_key=(int(key), attempt))
+            rng = np.random.default_rng(ss)
+            noise.append(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+        kick = _project_mat(base, np.stack(noise))
+        kick = kick / np.maximum(_norms(kick), 1e-300)[:, None, None] * 1e-2
+        starts = _qf(base + kick)
+    return out, ok
 
 
 def _chord(a: np.ndarray, b: np.ndarray) -> float:
@@ -690,16 +737,43 @@ def _failed_path(
     )
 
 
+def _finished_path(
+    a: KrausPoint, b: KrausPoint, mu: float, frames: np.ndarray,
+    params: LandscapeParams, detail: str,
+) -> LevelSetPath:
+    """The witness of a refined (M, 8, 2) path, or a failure with ``detail``.
+
+    The waypoints are validated once, as one stack.
+    """
+    step = float(_norms(frames[1:] - frames[:-1]).max())
+    deviation = float(np.abs(_objective_mat(frames, params) - mu).max())
+    if step > _CHORD_LIMIT or deviation > 1e-6:
+        return _failed_path(a, b, mu, detail, deviation, step)
+    return LevelSetPath(
+        mu=mu,
+        waypoints=_kraus_points(frames),
+        max_value_deviation=deviation,
+        max_step_length=step,
+        status="connected",
+    )
+
+
 def levelset_connect(
     a: KrausPoint, b: KrausPoint, params: LandscapeParams, mu: float
 ) -> LevelSetPath:
     """Trace a same-level path between two points as a connectivity witness.
 
-    For interior levels: geodesic-style seeding at 64 nodes, per-node
-    Newton correction back to the level, and adaptive bisection until
-    consecutive chordal steps fall under 0.05.  Levels 0 and 1 are traced
-    inside the extremal manifolds directly.  Levels within 1e-3 of a
-    saddle value are refused.
+    For interior levels: geodesic-style seeding at 64 nodes, Newton
+    correction back to the level, and adaptive bisection of every chordal
+    step above 0.0475 until all fall under 0.05.  The 62 interior seeds
+    run as one (M, 8, 2) stack through the masked corrector, and so do
+    the midpoints of each bisection round.  Seed i corrects with node key
+    i; midpoints take the keys 64, 65, ... in segment order, round after
+    round, so each node is bitwise what a one-node-at-a-time tracer gives
+    and a failure names the first failing seed or segment.  At most 16
+    rounds and 4096 nodes.  Levels 0 and 1 are traced inside the
+    extremal manifolds directly.  Levels within 1e-3 of a saddle value
+    are refused.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError("level must lie in [0, 1]")
@@ -729,56 +803,33 @@ def levelset_connect(
             raise ValueError(f"endpoint {name} is off the level by {dev:.3e}")
 
     n_seed = 64
-    frames = []
-    for i in range(n_seed):
-        tau = i / (n_seed - 1)
-        if i == 0:
-            frames.append(wa)
-            continue
-        if i == n_seed - 1:
-            frames.append(wb)
-            continue
-        node = _correct_to_level(_frame_interp(wa, wb, tau), mu, params, i)
-        if node is None:
-            return _failed_path(a, b, mu, f"corrector stalled while seeding node {i}")
-        frames.append(node)
+    keys = np.arange(1, n_seed - 1)
+    nodes, ok = _correct_to_level(
+        _frame_interp(wa, wb, keys / (n_seed - 1)), mu, params, keys)
+    if not ok.all():
+        return _failed_path(
+            a, b, mu, f"corrector stalled while seeding node {keys[~ok][0]}")
+    frames = np.concatenate([wa[None], nodes, wb[None]])
 
     key = n_seed
     for _round in range(16):
-        gaps = [_chord(frames[i], frames[i + 1]) for i in range(len(frames) - 1)]
-        if max(gaps) <= _CHORD_LIMIT * 0.95:
+        seg = np.flatnonzero(_norms(frames[1:] - frames[:-1]) > _CHORD_LIMIT * 0.95)
+        if not len(seg):
             break
-        refined = [frames[0]]
-        for i in range(len(frames) - 1):
-            if gaps[i] > _CHORD_LIMIT * 0.95:
-                mid = _frame_interp(frames[i], frames[i + 1], 0.5)
-                node = _correct_to_level(mid, mu, params, key)
-                key += 1
-                if node is None:
-                    return _failed_path(
-                        a, b, mu, f"corrector stalled while bisecting segment {i}"
-                    )
-                refined.append(node)
-            refined.append(frames[i + 1])
-        frames = refined
+        mids = _frame_interp(frames[seg], frames[seg + 1], np.full(len(seg), 0.5))
+        nodes, ok = _correct_to_level(mids, mu, params, key + np.arange(len(seg)))
+        key += len(seg)
+        if not ok.all():
+            return _failed_path(
+                a, b, mu, f"corrector stalled while bisecting segment {seg[~ok][0]}")
+        frames = np.insert(frames, seg + 1, nodes, axis=0)
         if len(frames) > 4096:
             return _failed_path(
                 a, b, mu, "node budget exhausted before reaching the step limit"
             )
-    gaps = [_chord(frames[i], frames[i + 1]) for i in range(len(frames) - 1)]
-    devs = [abs(float(_objective_mat(f, params)) - mu) for f in frames]
-    if max(gaps) > _CHORD_LIMIT or max(devs) > 1e-6:
-        return _failed_path(
-            a, b, mu, "refinement finished above the step or level tolerance",
-            max(devs), max(gaps),
-        )
-    return LevelSetPath(
-        mu=mu,
-        waypoints=tuple(KrausPoint.from_matrix(f) for f in frames),
-        max_value_deviation=max(devs),
-        max_step_length=max(gaps),
-        status="connected",
-    )
+    return _finished_path(
+        a, b, mu, frames, params,
+        "refinement finished above the step or level tolerance")
 
 
 def _connect_extreme(
@@ -788,7 +839,11 @@ def _connect_extreme(
 
     The extremal sets are themselves manifolds (vanishing tilde blocks),
     so interior waypoints are constructed exactly on them and hit the
-    level with no correction.
+    level with no correction.  All new nodes of a round are built as one
+    stack of diagonal coordinates, pure states included, and mapped back
+    with one coordinate change of the stack.  The path starts at 64
+    nodes and is reseeded at double density, keeping the old nodes, until
+    every chordal step is at most 0.0475 or it has more than 4096 nodes.
     """
     at_max = mu >= 0.5
     for name, point in (("a", a), ("b", b)):
@@ -796,83 +851,56 @@ def _connect_extreme(
         if dev > 1e-8:
             raise ValueError(f"endpoint {name} is off the level by {dev:.3e}")
     da, db = to_diag(a, params), to_diag(b, params)
-    case3 = params.case == 3
-    if not case3:
-        if at_max:
-            live_a = np.column_stack([da.ut1, da.ut2])
-            live_b = np.column_stack([db.ut1, db.ut2])
-        else:
-            live_a = np.column_stack([da.vt1, da.vt2])
-            live_b = np.column_stack([db.vt1, db.vt2])
-        end_a, end_b = _polar(live_a), _polar(live_b)
+    # The tilde rows that stay live on the level: ut at the top, vt at the bottom.
+    live = slice(0, 4) if at_max else slice(4, 8)
+    if params.case != 3:
+        end_a, end_b = _polar(np.stack([
+            np.column_stack([d.ut1, d.ut2] if at_max else [d.vt1, d.vt2])
+            for d in (da, db)
+        ]))
 
-    def diag_node(tau: float) -> DiagCoords:
-        if not case3:
-            frame = _frame_interp(end_a, end_b, tau)
-            zero = np.zeros(4, dtype=complex)
-            if at_max:
-                return DiagCoords(ut1=frame[:, 0], ut2=frame[:, 1], vt1=zero, vt2=zero)
-            return DiagCoords(ut1=zero, ut2=zero, vt1=frame[:, 0], vt2=frame[:, 1])
+        def diag_nodes(tau: np.ndarray) -> np.ndarray:
+            t = np.zeros((len(tau), 8, 2), dtype=complex)
+            t[:, live] = _frame_interp(end_a, end_b, tau)
+            return t
+    else:
         # Pure state: only the first tilde block vanishes on the extreme set.
-        if at_max:
-            lead_a, lead_b = da.ut1, db.ut1
-            pair_a = np.concatenate([da.ut2, da.vt2])
-            pair_b = np.concatenate([db.ut2, db.vt2])
-        else:
-            lead_a, lead_b = da.vt1, db.vt1
-            pair_a = np.concatenate([da.ut2, da.vt2])
-            pair_b = np.concatenate([db.ut2, db.vt2])
-        lead = _slerp_columns(lead_a[:, None] / np.linalg.norm(lead_a),
-                              lead_b[:, None] / np.linalg.norm(lead_b), tau)[:, 0]
-        lead = lead / np.linalg.norm(lead)
-        pair = _slerp_columns(pair_a[:, None] / np.linalg.norm(pair_a),
-                              pair_b[:, None] / np.linalg.norm(pair_b), tau)[:, 0]
-        u_part, v_part = pair[:4], pair[4:]
-        zero = np.zeros(4, dtype=complex)
-        if at_max:
-            u_part = u_part - lead * np.vdot(lead, u_part)
-        else:
-            v_part = v_part - lead * np.vdot(lead, v_part)
-        scale = math.sqrt(np.vdot(u_part, u_part).real + np.vdot(v_part, v_part).real)
-        if scale < 1e-12:
-            raise RuntimeError("degenerate interpolation between antipodal frames")
-        if at_max:
-            return DiagCoords(
-                ut1=lead, ut2=u_part / scale, vt1=zero, vt2=v_part / scale
-            )
-        return DiagCoords(ut1=zero, ut2=u_part / scale, vt1=lead, vt2=v_part / scale)
+        lead_a, lead_b = (da.ut1, db.ut1) if at_max else (da.vt1, db.vt1)
+        pair_a = np.concatenate([da.ut2, da.vt2])
+        pair_b = np.concatenate([db.ut2, db.vt2])
+
+        def diag_nodes(tau: np.ndarray) -> np.ndarray:
+            lead = _slerp((lead_a / np.linalg.norm(lead_a))[:, None],
+                          (lead_b / np.linalg.norm(lead_b))[:, None], tau)[..., 0]
+            lead = lead / _norms(lead)[:, None]
+            pair = _slerp((pair_a / np.linalg.norm(pair_a))[:, None],
+                          (pair_b / np.linalg.norm(pair_b))[:, None], tau)[..., 0]
+            # The second column must stay orthogonal to the lead in its half.
+            half = pair[:, live]
+            overlap = (lead.conj()[:, None, :] @ half[:, :, None])[:, :, 0]
+            pair[:, live] = half - lead * overlap
+            scale = _norms(pair)
+            if (scale < 1e-12).any():
+                raise RuntimeError("degenerate interpolation between antipodal frames")
+            t = np.zeros((len(tau), 8, 2), dtype=complex)
+            t[:, live, 0] = lead
+            t[:, :, 1] = pair / scale[:, None]
+            return t
 
     n_seed = 64
-    frames = [a.matrix]
-    for i in range(1, n_seed - 1):
-        tau = i / (n_seed - 1)
-        frames.append(from_diag(diag_node(tau), params).matrix)
-    frames.append(b.matrix)
-
+    inner = np.arange(1, n_seed - 1) / (n_seed - 1)
+    frames = np.concatenate([
+        a.matrix[None], _from_diag_mat(diag_nodes(inner), params), b.matrix[None]])
     for _round in range(16):
-        gaps = [_chord(frames[i], frames[i + 1]) for i in range(len(frames) - 1)]
-        if max(gaps) <= _CHORD_LIMIT * 0.95 or len(frames) > 4096:
+        steps = _norms(frames[1:] - frames[:-1])
+        if not (steps > _CHORD_LIMIT * 0.95).any() or len(frames) > 4096:
             break
         # Reseed the whole path at double density.  Node 2j sits at
         # 2j/(2m) == j/m exactly, so it is old node j and is kept.
         n = 2 * (len(frames) - 1) + 1
-        frames = [
-            frames[i // 2] if i % 2 == 0
-            else from_diag(diag_node(i / (n - 1)), params).matrix
-            for i in range(n)
-        ]
-
-    gaps = [_chord(frames[i], frames[i + 1]) for i in range(len(frames) - 1)]
-    devs = [abs(float(_objective_mat(f, params)) - mu) for f in frames]
-    if max(gaps) > _CHORD_LIMIT or max(devs) > 1e-6:
-        return _failed_path(
-            a, b, mu, "extreme-level interpolation exceeded tolerances",
-            max(devs), max(gaps),
-        )
-    return LevelSetPath(
-        mu=mu,
-        waypoints=tuple(KrausPoint.from_matrix(f) for f in frames),
-        max_value_deviation=max(devs),
-        max_step_length=max(gaps),
-        status="connected",
-    )
+        refined = np.empty((n, 8, 2), dtype=complex)
+        refined[0::2] = frames
+        refined[1::2] = _from_diag_mat(diag_nodes(np.arange(1, n, 2) / (n - 1)), params)
+        frames = refined
+    return _finished_path(
+        a, b, mu, frames, params, "extreme-level interpolation exceeded tolerances")

@@ -27,6 +27,7 @@ from .analysis import (
     levelset_connect,
     level_transfer,
     _child_rng,
+    _norms,
 )
 from .landscape import (
     CriticalManifoldId,
@@ -463,13 +464,11 @@ def _cmd_levelset(args) -> int:
     mu = args.mu
     a, b = _levelset_endpoints(params, mu, args.seed)
     path = levelset_connect(a, b, params, mu)
-    values = [objective_uv(p, params) for p in path.waypoints]
-    rows = []
-    prev = None
-    for i, (point, value) in enumerate(zip(path.waypoints, values)):
-        step = 0.0 if prev is None else float(np.linalg.norm(point.matrix - prev))
-        rows.append((i, value, abs(value - mu), step))
-        prev = point.matrix
+    frames = np.stack([p.matrix for p in path.waypoints])
+    values = _objective_mat(frames, params).tolist()
+    steps = [0.0] + _norms(frames[1:] - frames[:-1]).tolist()
+    rows = [(i, value, abs(value - mu), step)
+            for i, (value, step) in enumerate(zip(values, steps))]
     rows.append(
         ("status", path.status, path.max_value_deviation, path.max_step_length)
     )

@@ -268,9 +268,11 @@ def objective_uv(p: KrausPoint, params: LandscapeParams) -> float:
     """Yield in channel coordinates.
 
     Equals ((1+gamma)|u1|^2 + (1-gamma)|u2|^2)/2 + Re(z0 <u2, u1>) and
-    agrees with the trace form on the channel output state.
+    agrees with the trace form on the channel output state.  The frame is
+    evaluated as a stack of one, so the value equals, bitwise, the row of
+    any stacked evaluation of the same frame.
     """
-    return float(_objective_mat(p.matrix, params))
+    return float(_objective_mat(p.matrix[None], params)[0])
 
 
 def objective_diag(d: DiagCoords, params: LandscapeParams) -> float:
@@ -316,6 +318,16 @@ def from_diag(d: DiagCoords, params: LandscapeParams) -> KrausPoint:
     u1, u2 = _backward_blocks(cc, d.ut1, d.ut2)
     v1, v2 = _backward_blocks(cc, d.vt1, d.vt2)
     return KrausPoint(u1=u1, u2=u2, v1=v1, v2=v2)
+
+
+def _from_diag_mat(t: np.ndarray, params: LandscapeParams) -> np.ndarray:
+    """:func:`from_diag` on raw frames; broadcasts over leading axes.
+
+    Column j of ``t`` holds utj over vtj, as column j of a frame holds uj
+    over vj; the mixing acts entrywise, as on the blocks.
+    """
+    b1, b2 = _backward_blocks(coord_change(params), t[..., 0], t[..., 1])
+    return np.stack([b1, b2], axis=-1)
 
 
 def euclidean_gradient(p: KrausPoint, params: LandscapeParams):

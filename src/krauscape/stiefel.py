@@ -123,12 +123,6 @@ class KrausPoint:
     def to_stiefel(self) -> StiefelPoint:
         return StiefelPoint(8, 2, self.matrix)
 
-    @classmethod
-    def from_stiefel(cls, p: StiefelPoint) -> "KrausPoint":
-        if (p.n, p.k) != (8, 2):
-            raise ValueError("channel coordinates require a 2-frame in C^8")
-        return cls.from_matrix(p.frame)
-
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
@@ -217,6 +211,40 @@ def kraus_to_point(k: KrausSet) -> KrausPoint:
         raise CompletenessError(_worst_residual(*res), k.tol) from None
 
 
+def _kraus_points(frames: np.ndarray) -> tuple:
+    """Read-only :class:`KrausPoint` objects of an (M, 8, 2) stack of frames.
+
+    The stack is checked once against the rule of ``KrausPoint``, with
+    its error text: finite entries, and constraint residuals (the
+    entries of X^H X - I) within 1e-10.  The points are then built
+    without validating each one again; their blocks are read-only views
+    of one array.
+    """
+    frames = np.asarray(frames, dtype=complex)
+    names = ("u1", "u2", "v1", "v2")
+    # Row j of blocks[i] is block j of point i, in (u1, u2, v1, v2) order.
+    blocks = np.ascontiguousarray(
+        frames.reshape(-1, 2, 4, 2).transpose(0, 1, 3, 2)).reshape(-1, 4, 4)
+    finite = np.isfinite(blocks.view(np.float64)).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"{names[np.argwhere(~finite)[0][1]]} contains non-finite entries")
+    gram = np.swapaxes(frames.conj(), -1, -2) @ frames
+    worst = np.abs(gram - np.eye(2)).max(axis=(-2, -1))
+    bad = worst > 1e-10
+    if bad.any():
+        raise ValueError(
+            f"infeasible channel coordinates: constraint residual {worst[bad][0]:.3e}"
+        )
+    blocks.setflags(write=False)
+    points = []
+    for row in blocks:
+        p = object.__new__(KrausPoint)
+        for name, block in zip(names, row):
+            object.__setattr__(p, name, block)
+        points.append(p)
+    return tuple(points)
+
+
 def point_to_kraus(p: KrausPoint) -> KrausSet:
     """Reassemble the four 2x2 operators from frame coordinates."""
     ops = []
@@ -298,7 +326,7 @@ def random_point(n: int, k: int, seed: int) -> StiefelPoint:
 
 def random_kraus_point(seed: int) -> KrausPoint:
     """Haar-distributed feasible channel coordinates."""
-    return KrausPoint.from_stiefel(random_point(8, 2, seed))
+    return KrausPoint.from_matrix(_haar_frame(8, 2, np.random.default_rng(seed)))
 
 
 def orthonormal_tangent_basis(x: StiefelPoint) -> TangentBasis:

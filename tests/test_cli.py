@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import krauscape.cli as cli
-from krauscape.analysis import OptimizerConfig, rerun_start
+from krauscape.analysis import OptimizerConfig, _chord, levelset_connect, rerun_start
 from krauscape.cli import csv_lines, kraus_to_dict, main, point_to_dict
 from krauscape.landscape import (
     CriticalManifoldId,
     LandscapeParams,
     ManifoldTag,
     critical_point,
+    objective_uv,
 )
 from krauscape.qcore import KrausSet
 
@@ -328,6 +329,42 @@ class TestLevelset:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "connected"
         assert report["max_value_deviation"] < 1e-6
+
+    @pytest.mark.parametrize("w, mu", [
+        ("0,0,0.5", "0.4"), ("0.3,-0.4,0.2", "0.3"), ("0.3,-0.4,0.2", "0.7"),
+        ("0,0,0.5", "1.0"), ("0.6,0,0.8", "0.0"),
+    ])
+    def test_cells_are_the_waypoints(self, tmp_path, w, mu):
+        # Every value cell is objective_uv of its waypoint and every step
+        # cell the chord to the previous one, to the last bit.
+        out, report = tmp_path / "path.csv", tmp_path / "path.json"
+        argv = ["levelset", "--w", w, "--seed", "3", "--mu", mu]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(report)]) == 0
+        params = cli._parse_w(w)
+        level = float(mu)
+        path = levelset_connect(*cli._levelset_endpoints(params, level, 3), params, level)
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(path.waypoints) + 2
+        prev = None
+        for i, (line, p) in enumerate(zip(lines[1:-1], path.waypoints)):
+            index, value, dev, step = line.split(",")
+            assert int(index) == i
+            assert float(value) == objective_uv(p, params)
+            assert float(dev) == abs(objective_uv(p, params) - level)
+            assert float(step) == (0.0 if prev is None else _chord(p.matrix, prev))
+            prev = p.matrix
+        assert lines[-1].split(",") == [
+            "status", "connected", cli._g17(path.max_value_deviation),
+            cli._g17(path.max_step_length)]
+        assert json.loads(report.read_text()) == {
+            "mu": level,
+            "status": "connected",
+            "waypoints": len(path.waypoints),
+            "max_value_deviation": path.max_value_deviation,
+            "max_step_length": path.max_step_length,
+            "detail": "",
+        }
 
     def test_saddle_guard(self, capsys):
         code = main(["levelset", "--w", "0,0,0.5", "--seed", "5", "--mu", "0.2504"])

@@ -9,6 +9,7 @@ from krauscape.stiefel import (
     StiefelPoint,
     TangentBasis,
     TangentVector,
+    _kraus_points,
     constraint_residuals,
     kraus_to_point,
     orthonormal_tangent_basis,
@@ -203,6 +204,14 @@ class TestSampling:
             total += float(np.vdot(p.u1, p.u1).real)
         assert abs(total / 1000 - 0.5) < 0.0158
 
+    def test_kraus_point_is_the_stiefel_haar_frame(self):
+        # The construction through a validated StiefelPoint, written out.
+        for seed in range(20):
+            old = KrausPoint.from_matrix(random_point(8, 2, seed).frame)
+            new = random_kraus_point(seed)
+            for name in ("u1", "u2", "v1", "v2"):
+                assert np.array_equal(getattr(new, name), getattr(old, name))
+
 
 class TestTangentBasis:
     def test_count(self):
@@ -251,3 +260,38 @@ class TestTypeInvariants:
         basis = orthonormal_tangent_basis(x)
         with pytest.raises(ValueError):
             TangentBasis(base=x, vectors=basis.vectors[:27])
+
+
+class TestKrausPointStack:
+    def test_points_equal_validated_points(self):
+        frames = np.stack([random_point(8, 2, seed=s).frame for s in range(6)])
+        points = _kraus_points(frames)
+        assert len(points) == 6
+        for p, f in zip(points, frames):
+            q = KrausPoint.from_matrix(f)
+            for name in ("u1", "u2", "v1", "v2"):
+                block = getattr(p, name)
+                assert np.array_equal(block, getattr(q, name))
+                assert not block.flags.writeable
+            assert np.array_equal(p.matrix, f)
+
+    def test_infeasible_row_rejected_with_the_point_error(self):
+        frames = np.stack([random_point(8, 2, seed=s).frame for s in range(4)])
+        frames[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError) as single:
+            KrausPoint.from_matrix(frames[2])
+        with pytest.raises(ValueError) as stack:
+            _kraus_points(frames)
+        prefix = "infeasible channel coordinates: constraint residual "
+        assert str(single.value).startswith(prefix)
+        assert str(stack.value).startswith(prefix)
+
+    def test_non_finite_row_rejected_with_the_point_error(self):
+        frames = np.stack([random_point(8, 2, seed=s).frame for s in range(4)])
+        frames[1, 5, 1] = np.nan
+        frames[3, 0, 0] = np.inf
+        with pytest.raises(ValueError) as single:
+            KrausPoint.from_matrix(frames[1])
+        with pytest.raises(ValueError) as stack:
+            _kraus_points(frames)
+        assert str(stack.value) == str(single.value) == "v2 contains non-finite entries"
