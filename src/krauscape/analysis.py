@@ -7,19 +7,19 @@ against the known critical sub-manifolds, transfer of points between
 level sets along the normalized gradient flow, and a numerical
 connectivity witness that traces a path inside a single level set.
 
-One engine runs the optimizer: it carries a whole campaign as an
-(N, 8, 2) stack of raw frames and keeps, per run, only the objective and
-gradient norm of each iterate.  :func:`optimize` is that engine on a
-single frame; validated :class:`KrausPoint` objects are built only where
-a caller receives them.  The level-set tracer works the same way: each
-round of path nodes is one stack through a masked Newton corrector, and
-the finished path is validated once, as a stack of waypoints.
+One engine runs the optimizer: every campaign is one call on an
+(N, 8, 2) stack of raw frames, retracted by QR, that keeps, per run,
+only the objective and gradient norm of each iterate.  :func:`optimize`
+is that engine on a single frame; validated :class:`KrausPoint` objects
+are built only where a caller receives them.  The level-set tracer works
+the same way: each round of path nodes is one stack through a masked
+Newton corrector, and the finished path is validated once, as a stack of
+waypoints.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +92,7 @@ class OptimizerConfig:
     ``initial_step`` is the trial step of the first iteration only; later
     iterations start from the Barzilai-Borwein step.  ``armijo_shrink``
     and ``armijo_slope`` set the backtracking safeguard applied to every
-    trial step.
+    trial step.  Every trial point is retracted to the manifold by QR.
     """
 
     direction: str = "maximize"
@@ -101,7 +101,6 @@ class OptimizerConfig:
     initial_step: float = 1.0
     armijo_shrink: float = 0.5
     armijo_slope: float = 1e-4
-    retraction: str = "qr"
 
     def __post_init__(self):
         if self.direction not in ("maximize", "minimize"):
@@ -112,8 +111,6 @@ class OptimizerConfig:
             raise ValueError("tolerances and steps must be positive")
         if not (0 < self.armijo_shrink < 1 and 0 < self.armijo_slope < 1):
             raise ValueError("Armijo parameters must lie in (0, 1)")
-        if self.retraction not in ("qr", "polar"):
-            raise ValueError("retraction must be 'qr' or 'polar'")
 
 
 @dataclass(frozen=True)
@@ -168,6 +165,8 @@ class Trajectory:
 class MultiStartReport:
     """Aggregate of a seeded multi-start campaign.
 
+    The campaign's runs come from one batched engine call and are listed
+    in start order: ``final_values[i]`` is run i's final objective.
     ``converged`` counts the runs that ended with terminated ==
     "converged"; ``best_rows`` holds the (objective, gradient norm) pair
     of every iterate of the best run.
@@ -248,7 +247,6 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     stack of frames when ``keep_frames`` is set, else ``frames`` is None.
     """
     sgn = 1.0 if cfg.direction == "maximize" else -1.0
-    retract = _qf if cfg.retraction == "qr" else _polar
     n = len(w0)
     ids = np.arange(n)
     w = np.ascontiguousarray(w0, dtype=complex)
@@ -273,7 +271,7 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
             if not len(ids):
                 break
         t = step
-        w_new = retract(w + t[:, None, None] * d)
+        w_new = _qf(w + t[:, None, None] * d)
         v_new = _objective_mat(w_new, params)
         ok = sgn * (v_new - value) >= cfg.armijo_slope * t * gnorm2
         if not ok.all():
@@ -291,7 +289,7 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
                 if not len(search):
                     break
                 ts = ts * cfg.armijo_shrink
-                trial = retract(ws + ts[:, None, None] * ds)
+                trial = _qf(ws + ts[:, None, None] * ds)
                 v_trial = _objective_mat(trial, params)
                 accept = sgn * (v_trial - vs) >= cfg.armijo_slope * ts * g2s
                 if accept.all():
@@ -386,13 +384,13 @@ def _child_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _haar_starts(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Haar frames of starts lo..hi-1, each drawn from its own child generator.
+def _haar_starts(seed: int, n: int) -> np.ndarray:
+    """Haar frames of starts 0..n-1, each drawn from its own child generator.
 
     The Gaussian draws are stacked and finished with one batched QR;
     frame i equals ``_haar_frame(8, 2, _child_rng(seed, i))`` bitwise.
     """
-    return _qf(np.stack([_ginibre(8, 2, _child_rng(seed, i)) for i in range(lo, hi)]))
+    return _qf(np.stack([_ginibre(8, 2, _child_rng(seed, i)) for i in range(n)]))
 
 
 def rerun_start(
@@ -403,54 +401,30 @@ def rerun_start(
     return optimize(start, params, cfg)
 
 
-def _run_range(params, seed, lo, hi, cfg):
-    """Runs of starts lo..hi-1 as one batch: (rows, converged)."""
-    rows, converged, _, _ = _descend(_haar_starts(seed, lo, hi), params, cfg)
-    return rows, converged
-
-
 def multi_start(
     params: LandscapeParams,
     n_starts: int,
     seed: int,
     cfg: OptimizerConfig = OptimizerConfig(),
-    workers: int = 1,
     start: KrausPoint | None = None,
 ) -> MultiStartReport:
     """Seeded Haar multi-start campaign with deterministic aggregation.
 
     Start i uses the child generator spawned from (seed, i).  All starts
     run as one (N, 8, 2) batch of the optimizer engine, whose rows do not
-    depend on each other, so reports are identical for any batch split
-    and any worker count.  ``workers`` > 1 splits the starts into one
-    batch per worker, runs the batches in a process pool and merges them
-    in start order; ``workers`` must be at least 1.  Saddle hits are
-    classified from each run's final objective and gradient norm.  An
-    explicit ``start`` replaces the Haar draw and requires
-    ``n_starts == 1``; it documents the behavior of runs launched exactly
-    on a critical manifold.
+    depend on each other, so each run is bitwise the run of that start
+    alone (:func:`rerun_start`).  Saddle hits are classified from each
+    run's final objective and gradient norm.  An explicit ``start``
+    replaces the Haar draw and requires ``n_starts == 1``; it documents
+    the behavior of runs launched exactly on a critical manifold.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if start is not None and n_starts != 1:
         raise ValueError("an explicit start point requires n_starts == 1")
     target = 1.0 if cfg.direction == "maximize" else 0.0
-    if start is not None:
-        rows, converged, _, _ = _descend(start.matrix[None], params, cfg)
-    elif workers > 1:
-        chunk = math.ceil(n_starts / workers)
-        bounds = [(lo, min(lo + chunk, n_starts)) for lo in range(0, n_starts, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_run_range, params, seed, lo, hi, cfg) for lo, hi in bounds
-            ]
-            blocks = [fut.result() for fut in futs]
-        rows = [r for block, _ in blocks for r in block]
-        converged = np.concatenate([conv for _, conv in blocks])
-    else:
-        rows, converged = _run_range(params, seed, 0, n_starts, cfg)
+    w0 = start.matrix[None] if start is not None else _haar_starts(seed, n_starts)
+    rows, converged, _, _ = _descend(w0, params, cfg)
 
     saddle_tags = (
         ManifoldTag.SADDLE_MINUS,

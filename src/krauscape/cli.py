@@ -359,7 +359,6 @@ def _cmd_optimize(args) -> int:
         initial_step=tols["initial_step"],
         armijo_shrink=tols["armijo_shrink"],
         armijo_slope=tols["armijo_slope"],
-        retraction=args.retraction,
     )
     start = None
     if args.start_file:
@@ -369,9 +368,7 @@ def _cmd_optimize(args) -> int:
         if start is None:
             raise ValueError("--seed is required unless --start-file is given")
         seed = 0
-    report = multi_start(
-        params, args.starts, seed, cfg, workers=args.workers, start=start
-    )
+    report = multi_start(params, args.starts, seed, cfg, start=start)
     payload = {
         "starts": report.starts,
         "seed": report.seed,
@@ -608,8 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_opt)
     p_opt.add_argument("--direction", required=True, help="max or min")
     p_opt.add_argument("--starts", type=int, default=1)
-    p_opt.add_argument("--workers", type=int, default=1)
-    p_opt.add_argument("--retraction", choices=("qr", "polar"), default="qr")
     p_opt.add_argument("--start-file", dest="start_file", help="start-point JSON")
     p_opt.add_argument("--traj-out", dest="traj_out", help="best-trajectory CSV path")
     p_opt.add_argument("--format", choices=("json", "csv"), default="json")

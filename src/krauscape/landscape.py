@@ -233,14 +233,22 @@ class CriticalPointCertificate:
 
 
 def _objective_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
-    """Yield on raw 8x2 frames; broadcasts over leading axes."""
+    """Yield on raw 8x2 frames; broadcasts over leading axes.
+
+    Only real elementwise products and sums over the last axis are used,
+    so a frame's value is bitwise the same alone and in any stack (numpy's
+    complex product loops differ between small and large arrays).
+    """
     u1 = w[..., 0:4, 0]
     u2 = w[..., 0:4, 1]
-    n1 = (u1.real**2 + u1.imag**2).sum(axis=-1)
-    n2 = (u2.real**2 + u2.imag**2).sum(axis=-1)
-    cross = (u1 * u2.conj()).sum(axis=-1)
+    r1, i1, r2, i2 = u1.real, u1.imag, u2.real, u2.imag
+    n1 = (r1**2 + i1**2).sum(axis=-1)
+    n2 = (r2**2 + i2**2).sum(axis=-1)
+    # Re(z0 <u2, u1>) = Re sum(u1 * conj(s)) with s = conj(z0) * u2.
+    a, b = params.z0.real, params.z0.imag
+    cross = (r1 * (a * r2 + b * i2) + i1 * (a * i2 - b * r2)).sum(axis=-1)
     gamma = params.gamma
-    val = 0.5 * ((1.0 + gamma) * n1 + (1.0 - gamma) * n2) + (params.z0 * cross).real
+    val = 0.5 * ((1.0 + gamma) * n1 + (1.0 - gamma) * n2) + cross
     return val
 
 
@@ -268,11 +276,9 @@ def objective_uv(p: KrausPoint, params: LandscapeParams) -> float:
     """Yield in channel coordinates.
 
     Equals ((1+gamma)|u1|^2 + (1-gamma)|u2|^2)/2 + Re(z0 <u2, u1>) and
-    agrees with the trace form on the channel output state.  The frame is
-    evaluated as a stack of one, so the value equals, bitwise, the row of
-    any stacked evaluation of the same frame.
+    agrees with the trace form on the channel output state.
     """
-    return float(_objective_mat(p.matrix[None], params)[0])
+    return float(_objective_mat(p.matrix, params))
 
 
 def objective_diag(d: DiagCoords, params: LandscapeParams) -> float:

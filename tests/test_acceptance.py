@@ -153,9 +153,7 @@ def test_criterion_04_no_false_traps():
             params = LandscapeParams(w=w)
             for direction in ("maximize", "minimize"):
                 cfg = OptimizerConfig(direction=direction)
-                report = multi_start(
-                    params, n_starts=200, seed=404, cfg=cfg, workers=2
-                )
+                report = multi_start(params, n_starts=200, seed=404, cfg=cfg)
                 assert report.reached_global == 200, (
                     f"direction={direction} w={tuple(w)} "
                     f"worst_gap={report.worst_gap:.3e}"

@@ -183,12 +183,13 @@ class TestOptimize:
         assert len(lines) == 5
         assert all(float(line.split(",")[1]) < 1e-6 for line in lines[1:])
 
-    def test_workers_must_be_positive(self, capsys):
-        for bad in ("0", "-1"):
-            code = main(["optimize", "--w", "0,0,0.5", "--seed", "1", "--direction",
-                         "max", "--starts", "2", "--workers", bad])
-            assert code == 2
-            assert "workers" in capsys.readouterr().err
+    def test_removed_flags_are_usage_errors(self, capsys):
+        for extra in (["--workers", "2"], ["--retraction", "polar"]):
+            with pytest.raises(SystemExit) as err:
+                main(["optimize", "--w", "0,0,0.5", "--seed", "1", "--direction",
+                      "max", "--starts", "2", *extra])
+            assert err.value.code == 2
+            assert extra[0] in capsys.readouterr().err
 
     def test_repeated_calls_share_no_settings(self, tmp_path):
         # One parser serves every call in the process; a --tol given to one

@@ -144,6 +144,16 @@ class TestObjectiveUV:
             params = LandscapeParams(w=seeded_w(rng_w))
             assert -1e-12 <= objective_uv(p, params) <= 1.0 + 1e-12
 
+    def test_stack_rows_equal_single_frames(self):
+        # Large stacks run numpy's vectorised loops and single frames its
+        # scalar ones; a frame's value must not depend on which (z0 != 0).
+        params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((4096, 8, 2)) + 1j * rng.standard_normal((4096, 8, 2))
+        stack = _objective_mat(w, params)
+        alone = np.array([_objective_mat(frame, params) for frame in w])
+        assert np.array_equal(stack, alone)
+
 
 class TestCoordChange:
     def test_z0_zero_nonneg_is_identity(self):
