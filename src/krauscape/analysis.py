@@ -1,8 +1,9 @@
 """Optimization and level-set exploration of the control landscape.
 
-Riemannian gradient ascent/descent with an alternating Barzilai-Borwein
-trial step under a monotone Armijo safeguard (Wen & Yin, Math. Program.
-2013), seeded multi-start campaigns, classification of converged points
+A monotone Riemannian trust-region optimizer whose steps solve the
+quadratic model of the closed-form Hessian by truncated conjugate
+gradients (Absil, Baker & Gallivan, Found. Comput. Math. 7, 2007),
+seeded multi-start campaigns, classification of converged points
 against the known critical sub-manifolds, transfer of points between
 level sets along the normalized gradient flow, and a numerical
 connectivity witness that traces a path inside a single level set.
@@ -29,6 +30,8 @@ from .landscape import (
     LandscapeParams,
     ManifoldTag,
     _from_diag_mat,
+    _grad_sym_mat,
+    _hess_ambient_mat,
     _objective_mat,
     _rgrad_mat,
     saddle_values,
@@ -58,9 +61,15 @@ __all__ = [
     "levelset_connect",
 ]
 
-_LINE_SEARCH_MAX_SHRINKS = 60
-_BB_STEP_MIN = 1e-10
-_BB_STEP_MAX = 1e10
+# Trust-region control of the optimizer: radii in the Frobenius norm of
+# a tangent step, the acceptance threshold on rho = actual / model gain,
+# the CG residual factor and step cap (the real tangent dimension, 28).
+_TR_RADIUS_START = 1.0
+_TR_RADIUS_MAX = 2.0
+_TR_RHO_ACCEPT = 0.1
+_TR_CG_KAPPA = 0.1
+_TR_CG_MAX = 28
+_TR_MAX_SHRINKS = 60
 _FLOOR_ULPS = 4
 _TINY = 5e-324  # smallest subnormal: a positive divisor stays unchanged
 _CHORD_LIMIT = 0.05
@@ -87,38 +96,34 @@ class FlowStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of the manifold gradient iteration.
+    """Settings of the trust-region iteration.
 
-    ``initial_step`` is the trial step of the first iteration only; later
-    iterations start from the Barzilai-Borwein step.  ``armijo_shrink``
-    and ``armijo_slope`` set the backtracking safeguard applied to every
-    trial step.  Every trial point is retracted to the manifold by QR.
+    The run direction and its two stopping counts are the only settings.
+    The radii, the acceptance threshold and the CG stopping rule of the
+    step are module constants (``_TR_*``); every trial point is retracted
+    to the manifold by QR.
     """
 
     direction: str = "maximize"
     max_iters: int = 5000
     grad_tol: float = 1e-8
-    initial_step: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
 
     def __post_init__(self):
         if self.direction not in ("maximize", "minimize"):
             raise ValueError("direction must be 'maximize' or 'minimize'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (self.grad_tol > 0 and self.initial_step > 0):
-            raise ValueError("tolerances and steps must be positive")
-        if not (0 < self.armijo_shrink < 1 and 0 < self.armijo_slope < 1):
-            raise ValueError("Armijo parameters must lie in (0, 1)")
+        if not self.grad_tol > 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """One optimizer run: per-iterate records and the termination reason.
 
-    ``iterates`` holds (point, objective, gradient norm) triples; the
-    objective sequence is monotone in the run direction.  ``terminated``
+    ``iterates`` holds (point, objective, gradient norm) triples: the
+    start, then one per accepted trust-region step, so the objective
+    sequence is monotone in the run direction.  ``terminated``
     is "converged" or "max_iters".  Only :func:`optimize` and
     :func:`rerun_start` build a Trajectory; a campaign keeps raw frames
     and (objective, gradient norm) rows instead.
@@ -126,17 +131,18 @@ class Trajectory:
     A run converges when the gradient norm drops below ``grad_tol``, or
     when it reaches the precision floor of J.  Near J = 1 a gradient norm
     of 1e-8 leaves every value difference a step could make below one
-    ulp, so no trial passes the Armijo test although the run sits at the
-    optimum.  The line search therefore stops at the first failed trial
-    whose predicted gain ``t * |grad|^2`` is below the float resolution
-    of J (4 ulps of max(1, |J|)).  The failure counts as the floor when
-    even the first trial asked for a gain, ``armijo_slope * t * |grad|^2``,
-    below that resolution, with t capped at ``initial_step``: a longer
-    Barzilai-Borwein trial can fail by overshooting along a stiff
-    direction, while steps up to ``initial_step`` are short on the scale
-    of the curvature of J (Hessian norm at most 2).  The run then ends as
-    "converged" with ``stalled`` False.  A line-search failure above the
-    floor sets ``stalled`` and counts as max_iters.
+    ulp, so no trial is accepted although the run sits at the optimum.
+    An iteration therefore gives up once a rejected trial's model gain
+    is below the float resolution of J (4 ulps of max(1, |J|)), since
+    smaller radii predict smaller gains.  The run then ends at the floor
+    when the Cauchy step, the model's best step along the gradient,
+    gains less than that resolution within the iteration's starting
+    radius capped at the initial radius 1: a larger radius remembered
+    from long steps along a flat direction could promise a gain that
+    only the quadratic model, not J on the manifold, supports.  The run
+    ends as "converged" with ``stalled`` False.  A run whose radius
+    collapses while that Cauchy gain is above the floor sets ``stalled``
+    and counts as max_iters.
     """
 
     iterates: tuple
@@ -169,7 +175,8 @@ class MultiStartReport:
     in start order: ``final_values[i]`` is run i's final objective.
     ``converged`` counts the runs that ended with terminated ==
     "converged"; ``best_rows`` holds the (objective, gradient norm) pair
-    of every iterate of the best run.
+    of every iterate of the best run, and ``iterations[i]`` is the number
+    of accepted steps of run i.
     """
 
     starts: int
@@ -182,6 +189,7 @@ class MultiStartReport:
     best_index: int
     converged: int = 0
     best_rows: tuple = ()
+    iterations: tuple = ()
 
     def __post_init__(self):
         if not 0 <= self.reached_global <= self.starts:
@@ -192,6 +200,7 @@ class MultiStartReport:
             raise ValueError("worst_gap must be non-negative")
         object.__setattr__(self, "final_values", tuple(self.final_values))
         object.__setattr__(self, "best_rows", tuple(self.best_rows))
+        object.__setattr__(self, "iterations", tuple(self.iterations))
 
 
 @dataclass(frozen=True)
@@ -231,15 +240,80 @@ def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(len(prod), -1).sum(axis=1)
 
 
+def _tcg(w, d, sym, radius, sgn, params):
+    """Steihaug-Toint truncated CG on the quadratic model of every row.
+
+    Row i maximizes m(eta) = <d, eta> + <eta, A eta> / 2 over tangent
+    steps with |eta| <= radius[i], where d is the ascent direction
+    sgn * grad J and A = sgn * Hess J, applied in closed form.  CG stops
+    at the boundary (on a step that leaves the region or along a
+    direction of non-negative curvature), when the residual falls to
+    |d| * min(|d|, _TR_CG_KAPPA), or after _TR_CG_MAX steps.  The model
+    gain and the inner products <eta, eta>, <eta, p>, <p, p> of the
+    iterate and the search direction p follow the CG recurrences (Conn,
+    Gould & Toint, *Trust-Region Methods*, 2000).  Rows leave the stack
+    as they stop and share no arithmetic.
+
+    Returns ``(eta, gain, boundary, curv)``: the steps, their model gains
+    m(eta), whether each stopped on the boundary, and the curvature
+    <d, A d> met by the first CG step.
+    """
+    n = len(w)
+    eta = np.empty_like(d)
+    gain = np.empty(n)
+    boundary = np.empty(n, dtype=bool)
+    rr = _re_inner(d, d)
+    r0 = np.sqrt(rr)
+    stop = (r0 * np.minimum(r0, _TR_CG_KAPPA)) ** 2
+    act = np.arange(n)
+    wa, sa, r2, e, r, p = w, sym, radius * radius, np.zeros_like(d), d, d
+    m, ee, ep, pp = np.zeros(n), np.zeros(n), np.zeros(n), rr
+    for j in range(_TR_CG_MAX):
+        hp = _project_mat(wa, _hess_ambient_mat(p, sa, params))
+        kappa = sgn * _re_inner(p, hp)
+        if j == 0:
+            curv = kappa
+        alpha = rr / np.where(kappa < 0.0, -kappa, 1.0)
+        ee_new = ee + alpha * (2.0 * ep + alpha * pp)
+        out = (kappa >= 0.0) | (ee_new >= r2)
+        step = alpha
+        if out.any():
+            # The positive root tau of |e + tau p| = radius.
+            tau = (np.sqrt(ep * ep + pp * (r2 - ee)) - ep) / pp
+            step = np.where(out, tau, alpha)
+        m = m + step * (rr + 0.5 * step * kappa)
+        e = e + step[:, None, None] * p
+        r = r + (sgn * step)[:, None, None] * hp
+        rr_new = _re_inner(r, r)
+        fin = out | (rr_new <= stop)
+        if j == _TR_CG_MAX - 1:
+            fin[:] = True
+        if fin.any():
+            done = act[fin]
+            eta[done], gain[done], boundary[done] = e[fin], m[fin], out[fin]
+            live = ~fin
+            if not live.any():
+                break
+            act, wa, sa, r2, e, r, p, m, ee_new, ep, pp, rr, rr_new, alpha, stop = (
+                act[live], wa[live], sa[live], r2[live], e[live], r[live], p[live],
+                m[live], ee_new[live], ep[live], pp[live], rr[live], rr_new[live],
+                alpha[live], stop[live])
+        beta = rr_new / rr
+        ee, ep, pp = ee_new, beta * (ep + alpha * pp), rr_new + beta * beta * pp
+        p = r + beta[:, None, None] * p
+        rr = rr_new
+    return eta, gain, boundary, curv
+
+
 def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
              keep_frames: bool = False):
     """Run the optimizer of :func:`optimize` on every frame of an (N, 8, 2) stack.
 
     Rows share no arithmetic, so each row's run is bitwise the run of a
     batch of one.  Rows advance in lockstep: every row still running
-    accepts one step per iteration, so the Barzilai-Borwein parity is the
-    iteration's.  A line search retracts only the rows still searching,
-    and the running set is compacted only when a run ends.
+    accepts one step per iteration.  The trust-region trials of an
+    iteration retract only the rows still without an accepted step, and
+    the running set is compacted only when a run ends.
 
     Returns ``(rows, converged, stalled, frames)``: ``rows[i]`` is run i's
     (iterates, 2) float array of (objective, gradient norm), the flags
@@ -251,86 +325,76 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     ids = np.arange(n)
     w = np.ascontiguousarray(w0, dtype=complex)
     value = _objective_mat(w, params)
-    # d is the ascent direction sgn * grad J; y and the BB steps are the
-    # same for d as for grad J.
+    # d is the ascent direction sgn * grad J.
     d = sgn * _rgrad_mat(w, params)
-    gnorm2 = _re_inner(d, d)
-    gnorm = np.sqrt(gnorm2)
-    step = np.full(n, cfg.initial_step)
+    gnorm = np.sqrt(_re_inner(d, d))
+    radius = np.full(n, _TR_RADIUS_START)
     history = [(ids, value, gnorm, w if keep_frames else None)]
     converged = np.zeros(n, dtype=bool)
     stalled = np.zeros(n, dtype=bool)
-    for it in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         done = gnorm < cfg.grad_tol
         if done.any():
             converged[ids[done]] = True
             live = ~done
-            # gnorm is recomputed before its next use.
-            ids, w, value, d, gnorm2, step = (
-                ids[live], w[live], value[live], d[live], gnorm2[live], step[live])
+            ids, w, value, d, gnorm, radius = (
+                ids[live], w[live], value[live], d[live], gnorm[live], radius[live])
             if not len(ids):
                 break
-        t = step
-        w_new = _qf(w + t[:, None, None] * d)
-        v_new = _objective_mat(w_new, params)
-        ok = sgn * (v_new - value) >= cfg.armijo_slope * t * gnorm2
-        if not ok.all():
-            # Smaller trials than t * |grad|^2 < floor predict gains below
-            # the resolution of J.
-            floor = _FLOOR_ULPS * np.spacing(np.maximum(1.0, np.abs(value)))
-            # The rows still searching, compacted only when one leaves.
-            search = np.flatnonzero(~ok & (t * gnorm2 >= floor))
-            ws, ds, vs, g2s, ts, fs = w, d, value, gnorm2, t, floor
-            if len(search) < len(ids):
-                ws, ds, vs, g2s, ts, fs = (
-                    w[search], d[search], value[search], gnorm2[search], t[search],
-                    floor[search])
-            for _shrink in range(_LINE_SEARCH_MAX_SHRINKS):
-                if not len(search):
-                    break
-                ts = ts * cfg.armijo_shrink
-                trial = _qf(ws + ts[:, None, None] * ds)
-                v_trial = _objective_mat(trial, params)
-                accept = sgn * (v_trial - vs) >= cfg.armijo_slope * ts * g2s
-                if accept.all():
-                    w_new[search], v_new[search], ok[search] = trial, v_trial, True
-                    break
-                if accept.any():
-                    hit = search[accept]
-                    w_new[hit], v_new[hit], ok[hit] = trial[accept], v_trial[accept], True
-                more = ~accept & (ts * g2s >= fs)
-                if not more.all():
-                    search, ws, ds, vs, g2s, ts, fs = (
-                        search[more], ws[more], ds[more], vs[more], g2s[more], ts[more],
-                        fs[more])
-            failed = ~ok
-            if failed.any():
-                at_floor = (
-                    cfg.armijo_slope * np.minimum(step, cfg.initial_step) * gnorm2
-                    < floor
-                )
-                converged[ids[failed & at_floor]] = True
-                stalled[ids[failed & ~at_floor]] = True
-                # value, gnorm and step are replaced below before any use.
-                ids, w, d, w_new, v_new = ids[ok], w[ok], d[ok], w_new[ok], v_new[ok]
-                if not len(ids):
-                    break
-        d_new = sgn * _rgrad_mat(w_new, params)
-        s = w_new - w
-        y = d_new - d
-        sy = np.abs(_re_inner(s, y))
-        # After an odd count of iterates <s,s>/|<s,y>|, else |<s,y>|/<y,y>;
-        # sy > 0 implies <y,y> > 0, and sy = 0 falls back to initial_step.
-        if it % 2 == 0:
-            bb = _re_inner(s, s) / np.maximum(sy, _TINY)
-        else:
-            bb = sy / np.maximum(_re_inner(y, y), _TINY)
-        if not sy.all():
-            bb = np.where(sy == 0.0, cfg.initial_step, bb)
-        step = np.minimum(np.maximum(bb, _BB_STEP_MIN), _BB_STEP_MAX)
-        w, value, d = w_new, v_new, d_new
-        gnorm2 = _re_inner(d, d)
-        gnorm = np.sqrt(gnorm2)
+        sym = _grad_sym_mat(w, params)
+        # Gains below 4 ulps of J are beyond the resolution of J.
+        floor = _FLOOR_ULPS * np.spacing(np.maximum(1.0, np.abs(value)))
+        # Each accepted row sets its radius for the next iteration.
+        start_radius, radius = radius, np.empty_like(radius)
+        w_new, v_new = np.empty_like(w), np.empty_like(value)
+        ok = np.zeros(len(ids), dtype=bool)
+        # The rows still without an accepted step, compacted when one leaves.
+        trial = np.arange(len(ids))
+        tw, td, ts, tv, tr, tf = w, d, sym, value, start_radius, floor
+        for shrink in range(_TR_MAX_SHRINKS):
+            eta, gain, boundary, curv = _tcg(tw, td, ts, tr, sgn, params)
+            if shrink == 0:
+                curv0 = curv
+            cand = _qf(tw + eta)
+            v_cand = _objective_mat(cand, params)
+            # rho = actual / gain is compared through products: gain > 0.
+            actual = sgn * (v_cand - tv)
+            accept = (actual >= 0.0) & (actual > _TR_RHO_ACCEPT * gain)
+            if accept.any():
+                hit = trial[accept]
+                w_new[hit], v_new[hit], ok[hit] = cand[accept], v_cand[accept], True
+                ra, got, gn = tr[accept], actual[accept], gain[accept]
+                grow = (got > 0.75 * gn) & boundary[accept]
+                radius[hit] = np.where(
+                    got < 0.25 * gn, 0.25 * ra,
+                    np.where(grow, np.minimum(2.0 * ra, _TR_RADIUS_MAX), ra))
+            # A rejected trial is retried at a quarter of its radius unless
+            # its model gain is already below the resolution of J.
+            more = ~accept & (gain >= tf)
+            if not more.any():
+                break
+            if not more.all():
+                trial, tw, td, ts, tv, tr, tf = (
+                    trial[more], tw[more], td[more], ts[more], tv[more], tr[more],
+                    tf[more])
+            tr = 0.25 * tr
+        failed = ~ok
+        if failed.any():
+            # The Cauchy step's model gain at the starting radius, capped
+            # at _TR_RADIUS_START, decides between the floor and a stall.
+            dd = gnorm * gnorm
+            t = np.minimum(start_radius, _TR_RADIUS_START) / gnorm
+            concave = curv0 < 0.0
+            t = np.where(concave, np.minimum(t, dd / np.where(concave, -curv0, 1.0)), t)
+            at_floor = t * dd + 0.5 * t * t * curv0 < floor
+            converged[ids[failed & at_floor]] = True
+            stalled[ids[failed & ~at_floor]] = True
+            ids, w_new, v_new, radius = ids[ok], w_new[ok], v_new[ok], radius[ok]
+            if not len(ids):
+                break
+        w, value = w_new, v_new
+        d = sgn * _rgrad_mat(w, params)
+        gnorm = np.sqrt(_re_inner(d, d))
         history.append((ids, value, gnorm, w if keep_frames else None))
     else:
         converged[ids[gnorm < cfg.grad_tol]] = True
@@ -352,18 +416,21 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
 def optimize(
     start: KrausPoint, params: LandscapeParams, cfg: OptimizerConfig = OptimizerConfig()
 ) -> Trajectory:
-    """Barzilai-Borwein gradient iteration with an Armijo safeguard.
+    """Riemannian trust-region iteration with truncated-CG steps.
 
-    The first trial step is ``cfg.initial_step``.  After each accepted
-    step, with s and y the changes of the raw 8x2 frame and of the
-    Riemannian gradient, the next trial step alternates between
-    <s,s>/|Re<s,y>| (after odd steps) and |Re<s,y>|/<y,y> (after even
-    steps), clamped to [1e-10, 1e10]; it falls back to ``initial_step``
-    when Re<s,y> = 0.  A trial is accepted only when it improves the
-    objective by the Armijo fraction of the predicted gain, so the value
-    sequence is monotone.  Terminates at ``grad_tol``, at ``max_iters``,
-    at the precision floor of J, or when the line search fails above it
-    (``stalled``); see :class:`Trajectory`.
+    Each iteration models J around the current frame by its gradient and
+    closed-form Hessian, Hess J[xi] = Proj_X(2 P xi N - xi sym(X^H grad J)),
+    and solves the model inside a trust region of radius 1 at the start
+    (at most 2) by Steihaug-Toint truncated conjugate gradients.  A trial
+    costs one QR retraction and one objective.  It is accepted when J
+    moves in the run direction by more than 0.1 of the model's gain
+    (rho > 0.1), so the value sequence is monotone; a rejected trial is
+    retried within the iteration at a quarter of the radius, so every
+    recorded iterate is an accepted step.  After an accepted step the
+    radius shrinks fourfold when rho < 0.25 and doubles when rho > 0.75
+    on the region's boundary.  Terminates at ``grad_tol``, at
+    ``max_iters``, at the precision floor of J, or when the radius
+    collapses above it (``stalled``); see :class:`Trajectory`.
 
     This is the campaign engine of :func:`multi_start` on a batch of one
     frame, so a run here is bitwise the same run inside any campaign.
@@ -453,6 +520,7 @@ def multi_start(
         best_index=best_index,
         converged=int(converged.sum()),
         best_rows=map(tuple, rows[best_index].tolist()),
+        iterations=[len(r) - 1 for r in rows],
     )
 
 

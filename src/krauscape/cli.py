@@ -334,9 +334,6 @@ def _cmd_evaluate(args) -> int:
 
 _OPT_TOL_DEFAULTS = {
     "grad_tol": 1e-8,
-    "initial_step": 1.0,
-    "armijo_shrink": 0.5,
-    "armijo_slope": 1e-4,
     "max_iters": 5000,
 }
 
@@ -352,13 +349,13 @@ def _direction(name: str) -> str:
 def _cmd_optimize(args) -> int:
     params = _parse_w(args.w)
     tols = _pick_tols(args.tol, _OPT_TOL_DEFAULTS)
+    max_iters = tols["max_iters"]
+    if not float(max_iters).is_integer():
+        raise ValueError(f"max_iters must be a whole number, got {max_iters}")
     cfg = OptimizerConfig(
         direction=_direction(args.direction),
-        max_iters=int(tols["max_iters"]),
+        max_iters=int(max_iters),
         grad_tol=tols["grad_tol"],
-        initial_step=tols["initial_step"],
-        armijo_shrink=tols["armijo_shrink"],
-        armijo_slope=tols["armijo_slope"],
     )
     start = None
     if args.start_file:
@@ -380,6 +377,10 @@ def _cmd_optimize(args) -> int:
         "classified_saddle_hits": report.classified_saddle_hits,
         "best_index": report.best_index,
         "best_value": report.final_values[report.best_index],
+        "iterations": {
+            "p50": float(np.median(report.iterations)),
+            "max": max(report.iterations),
+        },
     }
     if args.format == "csv":
         rows = list(enumerate(report.final_values))

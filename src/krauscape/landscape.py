@@ -272,6 +272,24 @@ def _rgrad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
     return _project_mat(w, 2.0 * _grad_mat(w, params))
 
 
+def _grad_sym_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
+    """sym(X^H grad J) of the Euclidean gradient grad J = 2 P X N; broadcasts."""
+    s = np.swapaxes(w.conj(), -1, -2) @ (2.0 * _grad_mat(w, params))
+    return 0.5 * (s + np.swapaxes(s.conj(), -1, -2))
+
+
+def _hess_ambient_mat(
+    xi: np.ndarray, sym: np.ndarray, params: LandscapeParams
+) -> np.ndarray:
+    """Ambient Hessian term 2 P xi N - xi sym(X^H grad J); broadcasts.
+
+    ``sym`` is :func:`_grad_sym_mat` at the base frame X.  Projected onto
+    the tangent space at X, the result is the Riemannian Hessian
+    Hess J[xi] of a tangent ``xi`` (see :func:`hessian_form`).
+    """
+    return 2.0 * _grad_mat(xi, params) - xi @ sym
+
+
 def objective_uv(p: KrausPoint, params: LandscapeParams) -> float:
     """Yield in channel coordinates.
 
@@ -503,18 +521,18 @@ def hessian_form(
     matrix, so the Riemannian Hessian for the real trace metric on the
     Stiefel manifold is Hess J[xi] = Proj_X(2 P xi N - xi sym(X^H grad J))
     with grad J = 2 P X N the Euclidean gradient (Absil, Mahony and
-    Sepulchre, *Optimization
-    Algorithms on Matrix Manifolds*, 2008).  The returned symmetric matrix
-    is H_ij = Re<t_i, Hess J[t_j]>; the projection drops out because
-    every t_i is tangent.  At a critical point it equals the second
+    Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008).  The
+    ambient term is :func:`_hess_ambient_mat`, the one the optimizer's
+    Hessian-vector products use.  The returned symmetric matrix is
+    H_ij = Re<t_i, Hess J[t_j]>; the projection drops out because every
+    t_i is tangent.  At a critical point it equals the second
     derivative of J(retract(p, s.t)) for any retraction, so its inertia is
     the Morse signature; a warning is issued when the gradient norm
     exceeds 1e-6.
     """
     base = p.to_stiefel()
     w = base.frame
-    egrad = 2.0 * _grad_mat(w, params)
-    grad_norm = float(np.linalg.norm(_project_mat(w, egrad)))
+    grad_norm = float(np.linalg.norm(_rgrad_mat(w, params)))
     if grad_norm > 1e-6:
         warnings.warn(
             f"Hessian requested at a point with gradient norm {grad_norm:.3e}; "
@@ -526,8 +544,7 @@ def hessian_form(
     elif not np.array_equal(basis.base.frame, w):
         raise ValueError("tangent basis is not based at the given point")
     t = basis.as_array()
-    s = w.conj().T @ egrad
-    hess_t = 2.0 * _grad_mat(t, params) - t @ (0.5 * (s + s.conj().T))
+    hess_t = _hess_ambient_mat(t, _grad_sym_mat(w, params), params)
     out = np.einsum("inj,mnj->im", t.conj(), hess_t).real
     return 0.5 * (out + out.T)
 

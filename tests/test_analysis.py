@@ -1,5 +1,6 @@
 """Optimizer, multi-start, classification, level transfer, connectivity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -110,12 +111,17 @@ def _fixed_stage_steps(w, params, target, h):
     return w
 
 
+def _nudged(frame, eps):
+    """The frame eps away from ``frame`` along a seed-5 tangent."""
+    rng = np.random.default_rng(5)
+    d = _project_mat(frame, rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+    return _qf(frame + eps * d / np.linalg.norm(d))
+
+
 def _off_saddle(tag, eps):
     """A point eps off a seed-5 saddle of PARAMS05, along a seeded tangent."""
     s = critical_point(CriticalManifoldId(tag), PARAMS05, seed=5).matrix
-    rng = np.random.default_rng(5)
-    d = _project_mat(s, rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
-    return KrausPoint.from_matrix(_qf(s + eps * d / np.linalg.norm(d)))
+    return KrausPoint.from_matrix(_nudged(s, eps))
 
 
 class TestOptimizerConfig:
@@ -124,13 +130,16 @@ class TestOptimizerConfig:
         assert cfg.direction == "maximize"
         assert cfg.max_iters == 5000
         assert cfg.grad_tol == 1e-8
-        assert cfg.initial_step == 1.0
+        # The trust-region constants are not settings.
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "direction", "max_iters", "grad_tol"]
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             OptimizerConfig(direction="up")
-        with pytest.raises(ValueError):
-            OptimizerConfig(armijo_shrink=1.5)
+        for tol in (0.0, -1e-8, math.nan):
+            with pytest.raises(ValueError):
+                OptimizerConfig(grad_tol=tol)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
 
@@ -173,11 +182,11 @@ class TestOptimize:
 
     def test_precision_floor_is_converged(self):
         # Near J = 1 at |w| = 0.9 this run ends with a gradient norm above
-        # grad_tol that no step can reduce measurably; the fixed unit
-        # trial step labelled it a stall after 150 iterations.
+        # grad_tol (1.6e-8) that no step can raise J by measurably: the
+        # Cauchy step predicts a gain below 4 ulps of J.
         params = LandscapeParams(w=(0.0, 0.0, 0.9))
         cfg = OptimizerConfig(direction="maximize")
-        traj = optimize(random_kraus_point(seed=9), params, cfg)
+        traj = optimize(random_kraus_point(seed=35), params, cfg)
         assert traj.final_grad_norm >= cfg.grad_tol
         assert traj.terminated == "converged"
         assert not traj.stalled
@@ -193,6 +202,34 @@ class TestOptimize:
         assert traj.stalled
         assert traj.terminated == "max_iters"
         assert len(traj.iterates) == 1
+
+
+class TestTrustRegionStep:
+    def _near_max(self, eps):
+        params = LandscapeParams(w=(0.3, -0.4, 0.2))
+        top = critical_point(CriticalManifoldId(ManifoldTag.GLOBAL_MAX), params, seed=4)
+        x = _nudged(top.matrix, eps)
+        d = _rgrad_mat(x, params)[None]
+        return params, x[None], d, analysis._grad_sym_mat(x[None], params)
+
+    def test_interior_step_solves_the_newton_system(self):
+        params, x, d, sym = self._near_max(1e-3)
+        eta, gain, boundary, curv = analysis._tcg(x, d, sym, np.array([2.0]), 1.0, params)
+        assert not boundary[0] and curv[0] < 0.0
+        hvp = _project_mat(x, analysis._hess_ambient_mat(eta, sym, params))
+        r0 = np.linalg.norm(d)
+        assert np.linalg.norm(d + hvp) <= r0 * min(r0, analysis._TR_CG_KAPPA)
+        # Near the top J is the quadratic model to third order.
+        actual = float(_objective_mat(_qf(x + eta), params)[0] - _objective_mat(x, params)[0])
+        assert actual == pytest.approx(gain[0], rel=1e-2)
+
+    def test_boundary_step_has_the_radius(self):
+        params, x, d, sym = self._near_max(1e-1)
+        radius = np.array([1e-4])
+        eta, gain, boundary, _ = analysis._tcg(x, d, sym, radius, 1.0, params)
+        assert boundary[0]
+        assert np.linalg.norm(eta) == pytest.approx(1e-4, rel=1e-12)
+        assert gain[0] > 0.0
 
 
 def descend_alone(w0, params, cfg):
@@ -221,14 +258,14 @@ class TestEngine:
             assert converged[i] == c1 and stalled[i] == s1
 
     def test_mixed_endings_in_one_batch(self):
-        # At |w| = 0.9 with max_iters 20: start 1 reaches grad_tol after 13
-        # iterations, start 9 ends at the precision floor after 15, and
-        # start 7 is still running after 20.
+        # At |w| = 0.9 with max_iters 6: start 0 reaches grad_tol after 5
+        # iterations, start 35 ends at the precision floor after 5, and
+        # start 5 is still running after 6.
         params = LandscapeParams(w=(0.0, 0.0, 0.9))
-        cfg = OptimizerConfig(max_iters=20)
-        w0 = np.stack([random_kraus_point(seed=s).matrix for s in (1, 9, 7)])
+        cfg = OptimizerConfig(max_iters=6)
+        w0 = np.stack([random_kraus_point(seed=s).matrix for s in (0, 35, 5)])
         rows, converged, stalled, _ = analysis._descend(w0, params, cfg)
-        assert [len(r) - 1 for r in rows] == [13, 15, 20]
+        assert [len(r) - 1 for r in rows] == [5, 5, 6]
         assert rows[0][-1, 1] < cfg.grad_tol
         assert rows[1][-1, 1] >= cfg.grad_tol
         assert converged.tolist() == [True, True, False]
@@ -244,6 +281,23 @@ class TestEngine:
         rows, converged, stalled, _ = analysis._descend(w0, PARAMS05, OptimizerConfig())
         assert stalled.all() and not converged.any()
         assert [len(r) for r in rows] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("norm", [1.0 - 1e-6, 0.0, 0.5, 0.999, 1.0])
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_short_runs_everywhere(self, norm, direction):
+        # Near a pure state the slow direction has curvature (1 - |w|) / 2;
+        # the trust-region step takes it in one Newton step, so no run has
+        # a long tail there or at any other norm.
+        params = LandscapeParams(w=(0.0, 0.0, norm))
+        cfg = OptimizerConfig(direction=direction)
+        rows, converged, stalled, _ = analysis._descend(
+            analysis._haar_starts(7, 60), params, cfg)
+        assert converged.all() and not stalled.any()
+        target, sgn = (1.0, 1.0) if direction == "maximize" else (0.0, -1.0)
+        for r in rows:
+            assert len(r) - 1 <= 25
+            assert abs(r[-1, 0] - target) <= 1e-6
+            assert (sgn * np.diff(r[:, 0]) >= 0).all()
 
     def test_haar_starts_equal_haar_frames(self):
         stack = analysis._haar_starts(17, 40)
@@ -267,6 +321,13 @@ class TestMultiStart:
         traj = rerun_start(PARAMS05, 11, report.best_index, cfg)
         assert traj.final_value == report.final_values[report.best_index]
         assert report.best_rows == tuple((v, g) for _, v, g in traj.iterates)
+
+    def test_iterations_count_accepted_steps(self):
+        cfg = OptimizerConfig(direction="minimize")
+        report = multi_start(PARAMS05, n_starts=5, seed=11, cfg=cfg)
+        assert report.iterations == tuple(
+            len(rerun_start(PARAMS05, 11, i, cfg).iterates) - 1 for i in range(5))
+        assert report.iterations[report.best_index] == len(report.best_rows) - 1
 
     def test_explicit_start_trapped_at_minimum(self):
         p = critical_point(CriticalManifoldId(ManifoldTag.GLOBAL_MIN), PARAMS05, seed=2)

@@ -212,6 +212,36 @@ class TestOptimize:
         )
         assert code == 2
 
+    def test_max_iters_must_be_whole(self, capsys):
+        for value in ("inf", "2.9"):
+            code = main(["optimize", "--w", "0,0,0.5", "--seed", "1", "--direction",
+                         "max", "--tol", f"max_iters={value}"])
+            assert code == 2
+            assert "max_iters must be a whole number" in capsys.readouterr().err
+
+    def test_removed_tolerances_are_unknown(self, capsys):
+        for name in ("initial_step", "armijo_shrink", "armijo_slope"):
+            code = main(["optimize", "--w", "0,0,0.5", "--seed", "1", "--direction",
+                         "max", "--tol", f"{name}=0.5"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"unknown tolerance '{name}'" in err
+            assert "['grad_tol', 'max_iters']" in err
+
+    def test_iterations_summary(self, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["optimize", "--w", "0,0,0.999", "--seed", "5", "--direction", "max",
+                "--starts", "3", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        cfg = OptimizerConfig(direction="maximize")
+        params = LandscapeParams(w=(0.0, 0.0, 0.999))
+        counts = [len(rerun_start(params, 5, i, cfg).iterates) - 1 for i in range(3)]
+        assert report["iterations"] == {"p50": float(np.median(counts)),
+                                        "max": max(counts)}
+        best_rows = (tmp_path / "r.json.traj.csv").read_text().splitlines()[1:]
+        assert len(best_rows) - 1 == counts[report["best_index"]]
+
 
 class TestMorse:
     def test_saddle_minus_match(self, capsys):

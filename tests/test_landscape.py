@@ -5,7 +5,10 @@ import pytest
 
 from krauscape.landscape import (
     _grad_mat,
+    _grad_sym_mat,
+    _hess_ambient_mat,
     _objective_mat,
+    _rgrad_mat,
     CoordChange,
     CriticalManifoldId,
     CriticalPointCertificate,
@@ -32,6 +35,7 @@ from krauscape.landscape import (
 )
 from krauscape.qcore import THETA0, BlochVector, bloch_to_density, objective_trace
 from krauscape.stiefel import (
+    _project_mat,
     _qf,
     constraint_residuals,
     orthonormal_tangent_basis,
@@ -474,6 +478,26 @@ class TestMorse:
         for frame, g in zip(stack, batched):
             assert np.array_equal(_grad_mat(frame, params), g)
 
+    def test_hessian_form_keeps_its_arithmetic(self):
+        # The ambient term now comes from the optimizer's helper; the matrix
+        # is bitwise the one of the inline formula it replaced.
+        cases = (
+            ((0.0, 0.0, 0.5), ManifoldTag.SADDLE_MINUS),
+            ((0.3, -0.4, 0.2), ManifoldTag.SADDLE_PLUS),
+            ((0.0, 0.0, 0.0), ManifoldTag.MIXED_SADDLE),
+            ((0.6, 0.0, 0.8), ManifoldTag.GLOBAL_MAX),
+        )
+        for w, tag in cases:
+            params = LandscapeParams(w=BlochVector(*w))
+            for seed in range(3):
+                p = critical_point(CriticalManifoldId(tag), params, seed=seed)
+                x = p.to_stiefel().frame
+                t = orthonormal_tangent_basis(p.to_stiefel()).as_array()
+                s = x.conj().T @ (2.0 * _grad_mat(x, params))
+                hess_t = 2.0 * _grad_mat(t, params) - t @ (0.5 * (s + s.conj().T))
+                out = np.einsum("inj,mnj->im", t.conj(), hess_t).real
+                assert np.array_equal(hessian_form(p, params), 0.5 * (out + out.T))
+
     def test_signature_sums_to_dimension(self):
         with pytest.raises(ValueError):
             MorseSignature(8, 6, 13)
@@ -533,3 +557,42 @@ class TestDuality:
             p = random_kraus_point(seed=seed)
             total = objective_uv(p, params) + objective_uv(duality_map(p), params)
             assert abs(total - 1.0) < 1e-12
+
+
+def _hvp(x, xi, params):
+    """Hess J[xi] at each frame of a stack, as the optimizer applies it."""
+    return _project_mat(x, _hess_ambient_mat(xi, _grad_sym_mat(x, params), params))
+
+
+def _tangent_stack():
+    """Six Haar frames and a seeded tangent at each."""
+    x = np.stack([random_kraus_point(seed=s).matrix for s in range(6)])
+    rng = np.random.default_rng(1)
+    return x, _project_mat(x, rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+
+
+class TestHessianVector:
+    @pytest.mark.parametrize("w", [(0.3, -0.4, 0.2), (0.0, 0.0, 0.999999), (0.0, 0.0, 0.0)])
+    def test_matches_gradient_differences(self, w):
+        # Hess J[xi] = Proj_X(D rgrad[xi]) for any smooth extension of the
+        # Riemannian gradient; _rgrad_mat is one off the manifold.
+        params = LandscapeParams(w=BlochVector(*w))
+        x, xi = _tangent_stack()
+        h = 1e-5
+        diff = (_rgrad_mat(x + h * xi, params) - _rgrad_mat(x - h * xi, params)) / (2 * h)
+        assert np.abs(_hvp(x, xi, params) - _project_mat(x, diff)).max() <= 1e-8
+
+    def test_self_adjoint_on_tangents(self):
+        params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
+        x, xi = _tangent_stack()
+        eta = _project_mat(x, np.roll(xi, 1, axis=0))
+        a = (xi.conj() * _hvp(x, eta, params)).real.sum(axis=(1, 2))
+        b = (_hvp(x, xi, params).conj() * eta).real.sum(axis=(1, 2))
+        assert np.abs(a - b).max() <= 1e-13
+
+    def test_rows_equal_single_frames(self):
+        params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
+        x, xi = _tangent_stack()
+        batched = _hvp(x, xi, params)
+        for i in range(len(x)):
+            assert np.array_equal(_hvp(x[i], xi[i], params), batched[i])
