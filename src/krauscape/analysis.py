@@ -15,13 +15,14 @@ is that engine on a single frame; validated :class:`KrausPoint` objects
 are built only where a caller receives them.  The level-set tracer works
 the same way: each round of path nodes is one stack through a masked
 Newton corrector, and the finished path is validated once, as a stack of
-waypoints.
+waypoints.  One seed-bisect-correct loop traces every level, the
+extremes 0 and 1 included, in the raw frame coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +30,11 @@ from .landscape import (
     CriticalManifoldId,
     LandscapeParams,
     ManifoldTag,
-    _from_diag_mat,
     _grad_sym_mat,
     _hess_ambient_mat,
     _objective_mat,
     _rgrad_mat,
     saddle_values,
-    to_diag,
 )
 from .stiefel import (
     KrausPoint,
@@ -99,6 +98,8 @@ class OptimizerConfig:
     """Settings of the trust-region iteration.
 
     The run direction and its two stopping counts are the only settings.
+    ``max_iters`` must be a whole number (an integral float is stored as
+    int) and ``grad_tol`` positive and finite.
     The radii, the acceptance threshold and the CG stopping rule of the
     step are module constants (``_TR_*``); every trial point is retracted
     to the manifold by QR.
@@ -111,10 +112,13 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.direction not in ("maximize", "minimize"):
             raise ValueError("direction must be 'maximize' or 'minimize'")
+        if not float(self.max_iters).is_integer():
+            raise ValueError(f"max_iters must be a whole number, got {self.max_iters}")
+        object.__setattr__(self, "max_iters", int(self.max_iters))
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -805,17 +809,24 @@ def levelset_connect(
 ) -> LevelSetPath:
     """Trace a same-level path between two points as a connectivity witness.
 
-    For interior levels: geodesic-style seeding at 64 nodes, Newton
-    correction back to the level, and adaptive bisection of every chordal
-    step above 0.0475 until all fall under 0.05.  The 62 interior seeds
-    run as one (M, 8, 2) stack through the masked corrector, and so do
-    the midpoints of each bisection round.  Seed i corrects with node key
-    i; midpoints take the keys 64, 65, ... in segment order, round after
+    Geodesic-style seeding at 64 nodes, Newton correction back to the
+    level, and adaptive bisection of every chordal step above 0.0475
+    until all fall under 0.05.  The 62 interior seeds run as one
+    (M, 8, 2) stack through the masked corrector, and so do the
+    midpoints of each bisection round.  Seed i corrects with node key i;
+    midpoints take the keys 64, 65, ... in segment order, round after
     round, so each node is bitwise what a one-node-at-a-time tracer gives
     and a failure names the first failing seed or segment.  At most 16
-    rounds and 4096 nodes.  Levels 0 and 1 are traced inside the
-    extremal manifolds directly.  Levels within 1e-3 of a saddle value
-    are refused.
+    rounds and 4096 nodes.
+
+    Every level in [0, 1] runs through this one loop.  On an extreme set
+    of a mixed state the interpolants keep the vanishing rows zero, so
+    nodes land on the level to rounding; at a pure state they drift off
+    it slightly and the corrector brings them back.  A level within 1e-9
+    of 0 or 1 is traced on that extreme set, which stays traceable
+    however close a saddle value sits (near a pure state the lambda_-
+    saddle lies within 1e-3 of 0).  Only interior levels within 1e-3 of
+    a saddle value are refused.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError("level must lie in [0, 1]")
@@ -830,9 +841,9 @@ def levelset_connect(
             max_step_length=0.0,
             status="connected",
         )
-    if mu >= 1.0 - 1e-9 or mu <= 1e-9:
-        return _connect_extreme(a, b, params, mu)
-    for sv in saddle_values(params):
+    interior = 1e-9 < mu < 1.0 - 1e-9
+    level = mu if interior else float(round(mu))
+    for sv in saddle_values(params) if interior else ():
         if abs(mu - sv) <= _SADDLE_GUARD:
             raise ValueError(
                 f"level {mu:g} sits within {_SADDLE_GUARD:g} of the saddle value "
@@ -847,7 +858,7 @@ def levelset_connect(
     n_seed = 64
     keys = np.arange(1, n_seed - 1)
     nodes, ok = _correct_to_level(
-        _frame_interp(wa, wb, keys / (n_seed - 1)), mu, params, keys)
+        _frame_interp(wa, wb, keys / (n_seed - 1)), level, params, keys)
     if not ok.all():
         return _failed_path(
             a, b, mu, f"corrector stalled while seeding node {keys[~ok][0]}")
@@ -859,7 +870,7 @@ def levelset_connect(
         if not len(seg):
             break
         mids = _frame_interp(frames[seg], frames[seg + 1], np.full(len(seg), 0.5))
-        nodes, ok = _correct_to_level(mids, mu, params, key + np.arange(len(seg)))
+        nodes, ok = _correct_to_level(mids, level, params, key + np.arange(len(seg)))
         key += len(seg)
         if not ok.all():
             return _failed_path(
@@ -873,76 +884,3 @@ def levelset_connect(
         a, b, mu, frames, params,
         "refinement finished above the step or level tolerance")
 
-
-def _connect_extreme(
-    a: KrausPoint, b: KrausPoint, params: LandscapeParams, mu: float
-) -> LevelSetPath:
-    """Path inside an extremal level set, built in diagonal coordinates.
-
-    The extremal sets are themselves manifolds (vanishing tilde blocks),
-    so interior waypoints are constructed exactly on them and hit the
-    level with no correction.  All new nodes of a round are built as one
-    stack of diagonal coordinates, pure states included, and mapped back
-    with one coordinate change of the stack.  The path starts at 64
-    nodes and is reseeded at double density, keeping the old nodes, until
-    every chordal step is at most 0.0475 or it has more than 4096 nodes.
-    """
-    at_max = mu >= 0.5
-    for name, point in (("a", a), ("b", b)):
-        dev = abs(float(_objective_mat(point.matrix, params)) - mu)
-        if dev > 1e-8:
-            raise ValueError(f"endpoint {name} is off the level by {dev:.3e}")
-    da, db = to_diag(a, params), to_diag(b, params)
-    # The tilde rows that stay live on the level: ut at the top, vt at the bottom.
-    live = slice(0, 4) if at_max else slice(4, 8)
-    if params.case != 3:
-        end_a, end_b = _polar(np.stack([
-            np.column_stack([d.ut1, d.ut2] if at_max else [d.vt1, d.vt2])
-            for d in (da, db)
-        ]))
-
-        def diag_nodes(tau: np.ndarray) -> np.ndarray:
-            t = np.zeros((len(tau), 8, 2), dtype=complex)
-            t[:, live] = _frame_interp(end_a, end_b, tau)
-            return t
-    else:
-        # Pure state: only the first tilde block vanishes on the extreme set.
-        lead_a, lead_b = (da.ut1, db.ut1) if at_max else (da.vt1, db.vt1)
-        pair_a = np.concatenate([da.ut2, da.vt2])
-        pair_b = np.concatenate([db.ut2, db.vt2])
-
-        def diag_nodes(tau: np.ndarray) -> np.ndarray:
-            lead = _slerp((lead_a / np.linalg.norm(lead_a))[:, None],
-                          (lead_b / np.linalg.norm(lead_b))[:, None], tau)[..., 0]
-            lead = lead / _norms(lead)[:, None]
-            pair = _slerp((pair_a / np.linalg.norm(pair_a))[:, None],
-                          (pair_b / np.linalg.norm(pair_b))[:, None], tau)[..., 0]
-            # The second column must stay orthogonal to the lead in its half.
-            half = pair[:, live]
-            overlap = (lead.conj()[:, None, :] @ half[:, :, None])[:, :, 0]
-            pair[:, live] = half - lead * overlap
-            scale = _norms(pair)
-            if (scale < 1e-12).any():
-                raise RuntimeError("degenerate interpolation between antipodal frames")
-            t = np.zeros((len(tau), 8, 2), dtype=complex)
-            t[:, live, 0] = lead
-            t[:, :, 1] = pair / scale[:, None]
-            return t
-
-    n_seed = 64
-    inner = np.arange(1, n_seed - 1) / (n_seed - 1)
-    frames = np.concatenate([
-        a.matrix[None], _from_diag_mat(diag_nodes(inner), params), b.matrix[None]])
-    for _round in range(16):
-        steps = _norms(frames[1:] - frames[:-1])
-        if not (steps > _CHORD_LIMIT * 0.95).any() or len(frames) > 4096:
-            break
-        # Reseed the whole path at double density.  Node 2j sits at
-        # 2j/(2m) == j/m exactly, so it is old node j and is kept.
-        n = 2 * (len(frames) - 1) + 1
-        refined = np.empty((n, 8, 2), dtype=complex)
-        refined[0::2] = frames
-        refined[1::2] = _from_diag_mat(diag_nodes(np.arange(1, n, 2) / (n - 1)), params)
-        frames = refined
-    return _finished_path(
-        a, b, mu, frames, params, "extreme-level interpolation exceeded tolerances")

@@ -349,12 +349,9 @@ def _direction(name: str) -> str:
 def _cmd_optimize(args) -> int:
     params = _parse_w(args.w)
     tols = _pick_tols(args.tol, _OPT_TOL_DEFAULTS)
-    max_iters = tols["max_iters"]
-    if not float(max_iters).is_integer():
-        raise ValueError(f"max_iters must be a whole number, got {max_iters}")
     cfg = OptimizerConfig(
         direction=_direction(args.direction),
-        max_iters=int(max_iters),
+        max_iters=tols["max_iters"],
         grad_tol=tols["grad_tol"],
     )
     start = None

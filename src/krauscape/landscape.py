@@ -20,7 +20,6 @@ import numpy as np
 from .qcore import BlochVector
 from .stiefel import (
     KrausPoint,
-    StiefelPoint,
     TangentBasis,
     TangentVector,
     orthonormal_tangent_basis,
@@ -342,16 +341,6 @@ def from_diag(d: DiagCoords, params: LandscapeParams) -> KrausPoint:
     u1, u2 = _backward_blocks(cc, d.ut1, d.ut2)
     v1, v2 = _backward_blocks(cc, d.vt1, d.vt2)
     return KrausPoint(u1=u1, u2=u2, v1=v1, v2=v2)
-
-
-def _from_diag_mat(t: np.ndarray, params: LandscapeParams) -> np.ndarray:
-    """:func:`from_diag` on raw frames; broadcasts over leading axes.
-
-    Column j of ``t`` holds utj over vtj, as column j of a frame holds uj
-    over vj; the mixing acts entrywise, as on the blocks.
-    """
-    b1, b2 = _backward_blocks(coord_change(params), t[..., 0], t[..., 1])
-    return np.stack([b1, b2], axis=-1)
 
 
 def euclidean_gradient(p: KrausPoint, params: LandscapeParams):

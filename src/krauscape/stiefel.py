@@ -33,12 +33,9 @@ __all__ = [
 
 
 def _as_c4(a, what: str) -> np.ndarray:
-    v = np.array(a, dtype=complex).reshape(-1)
+    v = np.asarray(a, dtype=complex).reshape(-1)
     if v.shape != (4,):
         raise ValueError(f"{what} must be a length-4 complex vector")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError(f"{what} contains non-finite entries")
-    v.setflags(write=False)
     return v
 
 
@@ -47,20 +44,46 @@ def _worst_residual(u1, u2, v1, v2) -> float:
     return max(abs(phi1), abs(phi2), abs(phi3))
 
 
-def _validate_blocks(obj, names: tuple, what: str) -> None:
-    """Freeze the four C^4 blocks of a frozen dataclass and check feasibility.
+def _check_frames(frames: np.ndarray, names: tuple, what: str) -> None:
+    """Check every frame of a C-contiguous (M, 8, 2) stack as channel coordinates.
 
-    The blocks, in (u1, u2, v1, v2) order, must satisfy the channel
-    constraints within 1e-10; ``what`` names the coordinates in the error.
+    The one feasibility rule of the frame types: finite entries, and the
+    entries of X^H X - I (the constraint residuals) within 1e-10.  The
+    error names the first failing frame's first non-finite block, in
+    (u1, u2, v1, v2) order as called by ``names``, or its worst residual;
+    ``what`` names the coordinates.
+    """
+    finite = np.isfinite(frames.view(np.float64))
+    if not finite.all():
+        # Axes: frame, row half, row, column, real/imaginary part.
+        block_ok = finite.reshape(-1, 2, 4, 2, 2).all(axis=(2, 4)).reshape(-1, 4)
+        name = names[np.argwhere(~block_ok)[0][1]]
+        raise ValueError(f"{name} contains non-finite entries")
+    gram = np.swapaxes(frames.conj(), -1, -2) @ frames
+    worst = np.abs(gram - np.eye(2)).max(axis=(-2, -1))
+    bad = worst > 1e-10
+    if bad.any():
+        raise ValueError(
+            f"infeasible {what} coordinates: constraint residual {worst[bad][0]:.3e}"
+        )
+
+
+def _validate_blocks(obj, names: tuple, what: str) -> np.ndarray:
+    """Check the four C^4 blocks of a frozen dataclass as one 8x2 frame.
+
+    The blocks, in (u1, u2, v1, v2) order, are copied into a frame that
+    must pass :func:`_check_frames`.  The frame is made read-only, each
+    block attribute becomes a view of it, and it is returned.
     """
     blocks = [_as_c4(getattr(obj, name), name) for name in names]
-    for name, block in zip(names, blocks):
+    frame = np.empty((8, 2), dtype=complex)
+    frame[:4, 0], frame[:4, 1], frame[4:, 0], frame[4:, 1] = blocks
+    _check_frames(frame[None], names, what)
+    frame.setflags(write=False)
+    views = (frame[:4, 0], frame[:4, 1], frame[4:, 0], frame[4:, 1])
+    for name, block in zip(names, views):
         object.__setattr__(obj, name, block)
-    worst = _worst_residual(*blocks)
-    if worst > 1e-10:
-        raise ValueError(
-            f"infeasible {what} coordinates: constraint residual {worst:.3e}"
-        )
+    return frame
 
 
 def real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -105,15 +128,16 @@ class KrausPoint:
     v2: np.ndarray
 
     def __post_init__(self):
-        _validate_blocks(self, ("u1", "u2", "v1", "v2"), "channel")
+        frame = _validate_blocks(self, ("u1", "u2", "v1", "v2"), "channel")
+        object.__setattr__(self, "_frame", frame)
 
     @property
     def matrix(self) -> np.ndarray:
-        """8x2 frame: column 0 is u1 over v1, column 1 is u2 over v2."""
-        return np.column_stack([
-            np.concatenate([self.u1, self.v1]),
-            np.concatenate([self.u2, self.v2]),
-        ])
+        """Read-only 8x2 frame: column 0 is u1 over v1, column 1 is u2 over v2.
+
+        The blocks are views of it.
+        """
+        return self._frame
 
     @classmethod
     def from_matrix(cls, w: np.ndarray) -> "KrausPoint":
@@ -214,33 +238,23 @@ def kraus_to_point(k: KrausSet) -> KrausPoint:
 def _kraus_points(frames: np.ndarray) -> tuple:
     """Read-only :class:`KrausPoint` objects of an (M, 8, 2) stack of frames.
 
-    The stack is checked once against the rule of ``KrausPoint``, with
-    its error text: finite entries, and constraint residuals (the
-    entries of X^H X - I) within 1e-10.  The points are then built
-    without validating each one again; their blocks are read-only views
-    of one array.
+    The stack is checked once by the rule of ``KrausPoint``
+    (:func:`_check_frames`), with its error text.  The points are then
+    built without validating each one again: each frame is a row of one
+    read-only copy of the stack, and its blocks are views of that row.
     """
-    frames = np.asarray(frames, dtype=complex)
-    names = ("u1", "u2", "v1", "v2")
-    # Row j of blocks[i] is block j of point i, in (u1, u2, v1, v2) order.
-    blocks = np.ascontiguousarray(
-        frames.reshape(-1, 2, 4, 2).transpose(0, 1, 3, 2)).reshape(-1, 4, 4)
-    finite = np.isfinite(blocks.view(np.float64)).all(axis=-1)
-    if not finite.all():
-        raise ValueError(f"{names[np.argwhere(~finite)[0][1]]} contains non-finite entries")
-    gram = np.swapaxes(frames.conj(), -1, -2) @ frames
-    worst = np.abs(gram - np.eye(2)).max(axis=(-2, -1))
-    bad = worst > 1e-10
-    if bad.any():
-        raise ValueError(
-            f"infeasible channel coordinates: constraint residual {worst[bad][0]:.3e}"
-        )
-    blocks.setflags(write=False)
+    frames = np.array(frames, dtype=complex)
+    _check_frames(frames, ("u1", "u2", "v1", "v2"), "channel")
+    frames.setflags(write=False)
+    # Axes: frame, row half, row, column; the blocks of every frame at once.
+    halves = frames.reshape(-1, 2, 4, 2)
+    blocks = (halves[:, 0, :, 0], halves[:, 0, :, 1], halves[:, 1, :, 0],
+              halves[:, 1, :, 1])
     points = []
-    for row in blocks:
+    for frame, u1, u2, v1, v2 in zip(frames, *blocks):
         p = object.__new__(KrausPoint)
-        for name, block in zip(names, row):
-            object.__setattr__(p, name, block)
+        # The fields of the frozen point are filled in without validation.
+        p.__dict__.update(_frame=frame, u1=u1, u2=u2, v1=v1, v2=v2)
         points.append(p)
     return tuple(points)
 

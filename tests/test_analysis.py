@@ -137,11 +137,18 @@ class TestOptimizerConfig:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             OptimizerConfig(direction="up")
-        for tol in (0.0, -1e-8, math.nan):
+        for tol in (0.0, -1e-8, math.nan, math.inf):
             with pytest.raises(ValueError):
                 OptimizerConfig(grad_tol=tol)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
+        for iters in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="max_iters must be a whole number"):
+                OptimizerConfig(max_iters=iters)
+
+    def test_integral_float_max_iters_stored_as_int(self):
+        cfg = OptimizerConfig(max_iters=40.0)
+        assert cfg.max_iters == 40 and type(cfg.max_iters) is int
 
 
 class TestOptimize:
@@ -561,12 +568,15 @@ class TestLevelsetConnect:
         assert path.status == "connected"
         assert path.max_step_length < 0.05
 
-    @pytest.mark.parametrize("w", [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
+    @pytest.mark.parametrize("w", [
+        (0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, 0.0, 0.0), (0.3, -0.4, 0.2),
+        (0.0, 0.0, 0.9995), (0.0, 0.0, 1.0 - 1e-6)])
     @pytest.mark.parametrize("mu", [0.0, 1.0])
-    def test_pure_state_extreme_levels(self, w, mu):
-        # Case 3: only the first tilde block vanishes on the extreme sets.
+    def test_extreme_levels(self, w, mu):
+        # The pure states (first two) leave the interpolants slightly off the
+        # extreme set; the last two put the lambda_- saddle within the 1e-3
+        # guard of mu = 0, which must not refuse an extreme level.
         params = LandscapeParams(w=w)
-        assert params.case == 3
         tag = ManifoldTag.GLOBAL_MAX if mu == 1.0 else ManifoldTag.GLOBAL_MIN
         for seed in (0, 2, 4):
             a = critical_point(CriticalManifoldId(tag), params, seed=seed)
@@ -575,6 +585,24 @@ class TestLevelsetConnect:
             assert path.status == "connected", (seed, path.detail)
             for p in path.waypoints:
                 assert feasibility(p) < 1e-10
+                assert abs(objective_uv(p, params) - mu) <= 1e-10
+
+    @pytest.mark.parametrize("mu", [5e-10, 1.0 - 5e-10])
+    def test_level_inside_the_extreme_band(self, mu):
+        # Within 1e-9 of an extreme the path is traced on the extreme set,
+        # here next to the lambda_+ / lambda_- saddle at |w| = 0.9995.
+        params = LandscapeParams(w=(0.0, 0.0, 0.9995))
+        extreme = float(round(mu))
+        tag = ManifoldTag.GLOBAL_MAX if extreme == 1.0 else ManifoldTag.GLOBAL_MIN
+        for seed in (0, 2):
+            a = critical_point(CriticalManifoldId(tag), params, seed=seed)
+            b = critical_point(CriticalManifoldId(tag), params, seed=seed + 1)
+            path = levelset_connect(a, b, params, mu)
+            assert path.status == "connected", (seed, path.detail)
+            assert path.max_value_deviation <= 5e-10 + 1e-10
+            for p in path.waypoints:
+                assert feasibility(p) < 1e-10
+                assert abs(objective_uv(p, params) - extreme) <= 1e-10
 
     @pytest.mark.parametrize("w", [(0.0, 0.0, 1e-5), (0.0, 0.0, 1.0 - 1e-6)])
     @pytest.mark.parametrize("mu", [0.3, 0.7])

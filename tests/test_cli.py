@@ -219,6 +219,13 @@ class TestOptimize:
             assert code == 2
             assert "max_iters must be a whole number" in capsys.readouterr().err
 
+    def test_grad_tol_must_be_finite(self, capsys):
+        # An infinite tolerance would report every run as converged at its start.
+        code = main(["optimize", "--w", "0,0,0.5", "--seed", "0", "--direction", "max",
+                     "--starts", "4", "--tol", "grad_tol=inf"])
+        assert code == 2
+        assert "grad_tol must be positive and finite" in capsys.readouterr().err
+
     def test_removed_tolerances_are_unknown(self, capsys):
         for name in ("initial_step", "armijo_shrink", "armijo_slope"):
             code = main(["optimize", "--w", "0,0,0.5", "--seed", "1", "--direction",

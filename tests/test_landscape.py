@@ -9,7 +9,6 @@ from krauscape.landscape import (
     _hess_ambient_mat,
     _objective_mat,
     _rgrad_mat,
-    CoordChange,
     CriticalManifoldId,
     CriticalPointCertificate,
     DiagCoords,

@@ -284,7 +284,16 @@ class TestKrausPointStack:
             _kraus_points(frames)
         prefix = "infeasible channel coordinates: constraint residual "
         assert str(single.value).startswith(prefix)
-        assert str(stack.value).startswith(prefix)
+        assert str(stack.value) == str(single.value)
+
+    def test_point_keeps_one_read_only_frame(self):
+        f = random_point(8, 2, seed=7).frame
+        for p in (KrausPoint.from_matrix(f), _kraus_points(f[None])[0]):
+            assert p.matrix is p.matrix
+            assert np.array_equal(p.matrix, f)
+            assert not p.matrix.flags.writeable
+            for name in ("u1", "u2", "v1", "v2"):
+                assert np.shares_memory(getattr(p, name), p.matrix)
 
     def test_non_finite_row_rejected_with_the_point_error(self):
         frames = np.stack([random_point(8, 2, seed=s).frame for s in range(4)])
