@@ -17,6 +17,14 @@ the same way: each round of path nodes is one stack through a masked
 Newton corrector, and the finished path is validated once, as a stack of
 waypoints.  One seed-bisect-correct loop traces every level, the
 extremes 0 and 1 included, in the raw frame coordinates.
+
+The level transfer alone leaves the 8x2 frame.  J depends on a frame
+[U; V] only through the 2x2 Gram matrix M = U^H U, so the gradient flow
+stays in the orbit [U0 A; V0 B] of its start and is integrated on the
+2x2 right factors A and B in Python complex scalars: Dormand-Prince
+5(4) steps with the error measured in the 8x2 Frobenius norm through
+the Gram matrices of U0 and V0, a Cholesky form of the QR retraction,
+and one lift to an 8x2 frame at the end.
 """
 
 from __future__ import annotations
@@ -74,13 +82,26 @@ _TINY = 5e-324  # smallest subnormal: a positive divisor stays unchanged
 _CHORD_LIMIT = 0.05
 _SADDLE_GUARD = 1e-3
 _STALL_GRAD = 1e-6
-# Step-doubling control of level_transfer, in J units.
+# Step control of level_transfer, in J units.
 _FLOW_TOL = 1e-10
 _FLOW_STEP_START = 1e-2
 _FLOW_STEP_MAX = 0.1
 _FLOW_STEP_FLOOR = 1e-8
 _FLOW_STEP_GROW = 5.0
 _FLOW_STEP_SHRINK = 0.1
+# The Dormand-Prince 5(4) pair: the rows a_i of stages 2-7, the last
+# being the weights of the fifth-order solution, and the error weights
+# b5 - b4 of the embedded fourth-order solution over all seven stages.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+         -1 / 40)
 
 
 class FlowStallError(RuntimeError):
@@ -565,32 +586,157 @@ def _classify(value: float, gnorm: float, params: LandscapeParams):
     return CriticalManifoldId(best_tag)
 
 
-def _flow_field(frame: np.ndarray, params: LandscapeParams) -> np.ndarray | None:
-    """grad J / |grad J|^2 at an 8x2 frame, or None where the gradient vanishes.
+# The right factors A = B = I, which lift to the start frame itself.
+_GRAM_START = (1 + 0j, 0j, 0j, 1 + 0j, 1 + 0j, 0j, 0j, 1 + 0j)
 
-    The projected gradient is defined for any frame, on the manifold or
-    off it, and is tangent at frames on it.
+
+class _Stalled(Exception):
+    """:func:`_gram_field` met a vanishing gradient; level_transfer adds J."""
+
+
+def _congruence(x11, x12, x21, x22, g):
+    """X^H G X of a 2x2 X and a Hermitian 2x2 G, as Hermitian triples.
+
+    A Hermitian 2x2 matrix is the triple (h11, h12, h22) of its real
+    diagonal and its upper off-diagonal entry.
     """
-    grad = _rgrad_mat(frame, params)
-    gnorm2 = float(np.vdot(grad, grad).real)
-    if gnorm2 < _STALL_GRAD**2:
-        return None
-    return grad / gnorm2
+    g11, g12, g22 = g
+    g21 = g12.conjugate()
+    p11 = g11 * x11 + g12 * x21
+    p12 = g11 * x12 + g12 * x22
+    p21 = g21 * x11 + g22 * x21
+    p22 = g21 * x12 + g22 * x22
+    c11, c21 = x11.conjugate(), x21.conjugate()
+    return ((c11 * p11 + c21 * p21).real,
+            c11 * p12 + c21 * p22,
+            (x12.conjugate() * p12 + x22.conjugate() * p22).real)
 
 
-def _flow_step(
-    w: np.ndarray, k1: np.ndarray, h: float, params: LandscapeParams
-) -> np.ndarray | None:
-    """One classical RK4 step of the normalized gradient flow in the ambient space.
+def _gram_data(w: np.ndarray, params: LandscapeParams):
+    """The Hermitian triples ``(gu, gv, n)`` of the quotient flow from a frame.
 
-    ``k1`` is the field at ``w``.  No stage is retracted, so the step has
-    the fourth order of the ambient method; the caller maps the result
-    back onto the manifold.  Returns None when a stage stalls.
+    ``gu`` and ``gv`` are the Gram matrices U0^H U0 and V0^H V0 of the
+    u- and v-rows of the 8x2 frame ``w``, and ``n`` is the weight
+    N = [[1 + gamma, z0], [conj z0, 1 - gamma]] of J = tr(M N) / 2.
     """
-    k2 = _flow_field(w + 0.5 * h * k1, params)
-    k3 = None if k2 is None else _flow_field(w + 0.5 * h * k2, params)
-    k4 = None if k3 is None else _flow_field(w + h * k3, params)
-    return None if k4 is None else w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    gu = (w[:4].conj().T @ w[:4]).tolist()
+    gv = (w[4:].conj().T @ w[4:]).tolist()
+    return ((gu[0][0].real, gu[0][1], gu[1][1].real),
+            (gv[0][0].real, gv[0][1], gv[1][1].real),
+            (1.0 + params.gamma, params.z0, 1.0 - params.gamma))
+
+
+def _gram_value(y, gu, n) -> float:
+    """J = tr(M N) / 2 of the right factors ``y``, with M = A^H (U0^H U0) A."""
+    m11, m12, m22 = _congruence(*y[:4], gu)
+    n11, n12, n22 = n
+    return 0.5 * (m11 * n11 + m22 * n22) + (m12.real * n12.real + m12.imag * n12.imag)
+
+
+def _gram_field(y, gu, gv, n):
+    """grad J / |grad J|^2 of the lifted frame [U0 A; V0 B], as (A', B').
+
+    ``y`` holds the entries (a11, a12, a21, a22, b11, b12, b21, b22) of
+    the right factors and ``gu``, ``gv``, ``n`` come from
+    :func:`_gram_data`.  The projected gradient of the lifted frame is
+    [U (N - S); -V S] with S = (M N + N M) / 2, on the manifold or off it,
+    so A' = A (N - S) / g and B' = -B S / g, where
+    g = tr((N - S) M (N - S)) + tr(S Mv S) is |grad J|^2 and
+    Mv = B^H (V0^H V0) B.  Raises :class:`_Stalled` where the gradient
+    norm is below the stall threshold.
+    """
+    a11, a12, a21, a22, b11, b12, b21, b22 = y
+    m11, m12, m22 = _congruence(a11, a12, a21, a22, gu)
+    v11, v12, v22 = _congruence(b11, b12, b21, b22, gv)
+    n11, n12, n22 = n
+    c = m12.real * n12.real + m12.imag * n12.imag
+    s11, s22 = m11 * n11 + c, m22 * n22 + c
+    s12 = 0.5 * ((m11 + m22) * n12 + (n11 + n22) * m12)
+    t11, t12, t22 = n11 - s11, n12 - s12, n22 - s22
+    # tr(M Q) of Hermitian M, Q is m11 q11 + m22 q22 + 2 Re(m12 conj q12).
+    tt = t12.real * t12.real + t12.imag * t12.imag
+    ss = s12.real * s12.real + s12.imag * s12.imag
+    q12, r12 = (t11 + t22) * t12, (s11 + s22) * s12
+    g = (m11 * (t11 * t11 + tt) + m22 * (t22 * t22 + tt)
+         + 2.0 * (m12.real * q12.real + m12.imag * q12.imag)
+         + v11 * (s11 * s11 + ss) + v22 * (s22 * s22 + ss)
+         + 2.0 * (v12.real * r12.real + v12.imag * r12.imag))
+    if g < _STALL_GRAD**2:
+        raise _Stalled
+    r = 1.0 / g
+    t21, s21 = t12.conjugate() * r, s12.conjugate() * -r
+    t11, t12, t22 = t11 * r, t12 * r, t22 * r
+    s11, s12, s22 = s11 * -r, s12 * -r, s22 * -r
+    return (a11 * t11 + a12 * t21, a11 * t12 + a12 * t22,
+            a21 * t11 + a22 * t21, a21 * t12 + a22 * t22,
+            b11 * s11 + b12 * s21, b11 * s12 + b12 * s22,
+            b21 * s11 + b22 * s21, b21 * s12 + b22 * s22)
+
+
+def _gram_norm(d, gu, gv) -> float:
+    """Frobenius norm of the 8x2 frame [U0 dA; V0 dB] of right factors ``d``."""
+    m11, _, m22 = _congruence(*d[:4], gu)
+    v11, _, v22 = _congruence(*d[4:], gv)
+    return math.sqrt(max(m11 + m22 + v11 + v22, 0.0))
+
+
+def _gram_retract(y, gu, gv):
+    """Right factors of the Q factor X R^-1 of the lifted frame X = [U0 A; V0 B].
+
+    R is the Cholesky factor of X^H X = M + Mv, upper triangular with a
+    positive diagonal, so X R^-1 is the Q of the thin QR that ``_qf``
+    takes; its two columns follow by Gram-Schmidt.
+    """
+    a11, a12, a21, a22, b11, b12, b21, b22 = y
+    m11, m12, m22 = _congruence(a11, a12, a21, a22, gu)
+    v11, v12, v22 = _congruence(b11, b12, b21, b22, gv)
+    h11 = m11 + v11
+    if not h11 >= 1e-24:
+        raise RuntimeError("rank collapse during QR retraction")
+    r11 = math.sqrt(h11)
+    r12 = (m12 + v12) / r11
+    h22 = m22 + v22 - (r12.real * r12.real + r12.imag * r12.imag)
+    if not h22 >= 1e-24:
+        raise RuntimeError("rank collapse during QR retraction")
+    i11, i22 = 1.0 / r11, 1.0 / math.sqrt(h22)
+    a11, a21, b11, b21 = a11 * i11, a21 * i11, b11 * i11, b21 * i11
+    return (a11, (a12 - a11 * r12) * i22, a21, (a22 - a21 * r12) * i22,
+            b11, (b12 - b11 * r12) * i22, b21, (b22 - b21 * r12) * i22)
+
+
+def _gram_lift(w: np.ndarray, y) -> np.ndarray:
+    """The 8x2 frame [U0 A; V0 B] of the right factors ``y`` of the frame ``w``."""
+    a = np.array(y[:4]).reshape(2, 2)
+    b = np.array(y[4:]).reshape(2, 2)
+    return np.concatenate([w[:4] @ a, w[4:] @ b])
+
+
+def _dp_step(y, k1, h, gu, gv, n):
+    """One Dormand-Prince 5(4) step of :func:`_gram_field` from ``y``.
+
+    ``k1`` is the field at ``y``.  Returns the fifth-order solution and
+    the 8x2 Frobenius norm of its difference from the embedded
+    fourth-order solution, the local error estimate.
+    """
+    f = _gram_field
+    (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (
+        c61, c62, c63, c64, c65), (c71, _, c73, c74, c75, c76) = (
+        [h * a for a in row] for row in _DP_A)
+    k2 = f([x + c21 * p for x, p in zip(y, k1)], gu, gv, n)
+    k3 = f([x + c31 * p + c32 * q for x, p, q in zip(y, k1, k2)], gu, gv, n)
+    k4 = f([x + c41 * p + c42 * q + c43 * r
+            for x, p, q, r in zip(y, k1, k2, k3)], gu, gv, n)
+    k5 = f([x + c51 * p + c52 * q + c53 * r + c54 * s
+            for x, p, q, r, s in zip(y, k1, k2, k3, k4)], gu, gv, n)
+    k6 = f([x + c61 * p + c62 * q + c63 * r + c64 * s + c65 * t
+            for x, p, q, r, s, t in zip(y, k1, k2, k3, k4, k5)], gu, gv, n)
+    y5 = [x + c71 * p + c73 * r + c74 * s + c75 * t + c76 * u
+          for x, p, r, s, t, u in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(y5, gu, gv, n)
+    e1, _, e3, e4, e5, e6, e7 = (h * e for e in _DP_E)
+    d = [e1 * p + e3 * r + e4 * s + e5 * t + e6 * u + e7 * v
+         for p, r, s, t, u, v in zip(k1, k3, k4, k5, k6, k7)]
+    return y5, _gram_norm(d, gu, gv)
 
 
 def level_transfer(
@@ -600,14 +746,20 @@ def level_transfer(
 
     Integrates d/dt x = grad J / |grad J|^2, along which J advances one
     unit per unit t, by the projection method (Hairer, Lubich & Wanner,
-    Geometric Numerical Integration, sec. IV.4): classical fourth-order
-    Runge-Kutta stages in the ambient 8x2 space, one QR retraction per
-    accepted step, and a Newton corrector that pins J to the expected
-    level after each step.  Step doubling chooses the step: one step of h
-    and two of h/2 give a local error |full - half| / 15, held below
-    1e-10, and the half-step result is kept.  Raises
-    :class:`FlowStallError` when the gradient vanishes en route, with the
-    value J at the last frame reached on the manifold.
+    Geometric Numerical Integration, sec. IV.4).  The flow never leaves
+    the orbit [U0 A; V0 B] of its start frame [U0; V0], since J depends
+    on the frame only through M = U^H U, so it is integrated on the 2x2
+    right factors A and B with A(0) = B(0) = I (:func:`_gram_field`), in
+    Python complex scalars.  Each step is a Dormand-Prince 5(4) step
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-II.5) that
+    keeps the fifth-order solution and holds the 8x2 Frobenius norm of
+    its embedded error estimate below 1e-10.  An accepted step is
+    retracted by X R^-1, R the Cholesky factor of X^H X, which is the QR
+    retraction, and a Newton corrector along the gradient pins J to the
+    expected level.  The factors are lifted to an 8x2 frame once, at the
+    end, where the level is checked to 1e-9 and the point validated.
+    Raises :class:`FlowStallError` when the gradient vanishes en route,
+    with the value J at the last frame reached on the manifold.
     """
     if not 0.0 < target_mu < 1.0:
         raise ValueError("target level must lie strictly inside (0, 1)")
@@ -615,48 +767,46 @@ def level_transfer(
     value = float(_objective_mat(w, params))
     if abs(target_mu - value) <= 1e-14:
         return p
+    gu, gv, n = _gram_data(w, params)
+    y = _GRAM_START
     expected = value
     h_next = _FLOW_STEP_START
-    while abs(target_mu - expected) > 1e-14:
-        k1 = _flow_field(w, params)
-        if k1 is None:
-            raise FlowStallError(value)
-        while True:
-            h = math.copysign(
-                min(h_next, abs(target_mu - expected)), target_mu - expected)
-            full = _flow_step(w, k1, h, params)
-            mid = _flow_step(w, k1, 0.5 * h, params)
-            k1_mid = None if mid is None else _flow_field(mid, params)
-            half = None if k1_mid is None else _flow_step(mid, k1_mid, 0.5 * h, params)
-            if full is None or half is None:
+    try:
+        while abs(target_mu - expected) > 1e-14:
+            k1 = _gram_field(y, gu, gv, n)
+            while True:
+                h = math.copysign(
+                    min(h_next, abs(target_mu - expected)), target_mu - expected)
+                y5, local_err = _dp_step(y, k1, h, gu, gv, n)
+                if not math.isfinite(local_err):
+                    raise FlowStallError(value)
+                factor = 0.9 * (_FLOW_TOL / max(local_err, _TINY)) ** 0.2
+                # A step at the floor is taken whatever its error; the
+                # corrector and the level checks still guard it.
+                if local_err <= _FLOW_TOL or abs(h) <= _FLOW_STEP_FLOOR:
+                    break
+                h_next = max(abs(h) * max(factor, _FLOW_STEP_SHRINK), _FLOW_STEP_FLOOR)
+            h_next = min(max(abs(h) * min(factor, _FLOW_STEP_GROW), _FLOW_STEP_FLOOR),
+                         _FLOW_STEP_MAX)
+            y = _gram_retract(y5, gu, gv)
+            expected += h
+            # Newton corrector along the gradient pins the level exactly.
+            for _ in range(8):
+                value = _gram_value(y, gu, n)
+                err = expected - value
+                if abs(err) <= 1e-12:
+                    break
+                k = _gram_field(y, gu, gv, n)
+                y = _gram_retract([x + err * d for x, d in zip(y, k)], gu, gv)
+            value = _gram_value(y, gu, n)
+            if abs(value - expected) > 1e-9:
                 raise FlowStallError(value)
-            local_err = float(np.linalg.norm(full - half)) / 15.0
-            if not math.isfinite(local_err):
-                raise FlowStallError(value)
-            factor = 0.9 * (_FLOW_TOL / max(local_err, _TINY)) ** 0.2
-            # A step at the floor is taken whatever its error; the corrector
-            # and the level check below still guard it.
-            if local_err <= _FLOW_TOL or abs(h) <= _FLOW_STEP_FLOOR:
-                break
-            h_next = max(abs(h) * max(factor, _FLOW_STEP_SHRINK), _FLOW_STEP_FLOOR)
-        h_next = min(max(abs(h) * min(factor, _FLOW_STEP_GROW), _FLOW_STEP_FLOOR),
-                     _FLOW_STEP_MAX)
-        w = _qf(half)
-        expected += h
-        # Newton corrector along the gradient pins the level exactly.
-        for _ in range(8):
-            value = float(_objective_mat(w, params))
-            err = expected - value
-            if abs(err) <= 1e-12:
-                break
-            grad = _rgrad_mat(w, params)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < _STALL_GRAD:
-                raise FlowStallError(value)
-            w = _qf(w + (err / gnorm**2) * grad)
-        value = float(_objective_mat(w, params))
-        if abs(value - expected) > 1e-9:
-            raise FlowStallError(value)
+    except _Stalled:
+        raise FlowStallError(value) from None
+    w = _gram_lift(w, y)
+    value = float(_objective_mat(w, params))
+    if abs(value - target_mu) > 1e-9:
+        raise FlowStallError(value)
     return KrausPoint.from_matrix(w)
 
 

@@ -184,22 +184,25 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _g17(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def csv_lines(header, rows) -> str:
+    """CSV text of a header and rows.
+
+    A str cell is written as is, an integer (Python or numpy) in decimal,
+    and any other cell as a float with 17 significant digits.  Each row
+    is formatted in one operation, by the %-format of its cell types.
+    """
     out = [",".join(header)]
+    formats = {}
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(_g17(cell))
-        out.append(",".join(cells))
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%s" if issubclass(t, str)
+                else "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+                for t in types)
+        out.append(fmt % row)
     return "\n".join(out) + "\n"
 
 

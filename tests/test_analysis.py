@@ -102,13 +102,22 @@ def _oracle_transfer(frames, weights, targets, h_max=1e-4):
 
 
 def _fixed_stage_steps(w, params, target, h):
-    """level_transfer's stage step at a fixed step near h, one _qf per step."""
+    """level_transfer's Dormand-Prince step at a fixed step near h, one retraction per step."""
     j0 = float(_objective_mat(w, params))
     n = round(abs(target - j0) / h)
+    gu, gv, weight = analysis._gram_data(w, params)
+    y = analysis._GRAM_START
     for _ in range(n):
-        k1 = analysis._flow_field(w, params)
-        w = _qf(analysis._flow_step(w, k1, (target - j0) / n, params))
-    return w
+        k1 = analysis._gram_field(y, gu, gv, weight)
+        y5, _ = analysis._dp_step(y, k1, (target - j0) / n, gu, gv, weight)
+        y = analysis._gram_retract(y5, gu, gv)
+    return analysis._gram_lift(w, y)
+
+
+def _stage_factors(rng, scale):
+    """Right factors I + scale * (complex Gaussian), an off-manifold stage point."""
+    eye = (1.0, 0.0, 0.0, 1.0) * 2
+    return tuple(e + scale * complex(*rng.standard_normal(2)) for e in eye)
 
 
 def _nudged(frame, eps):
@@ -488,26 +497,102 @@ class TestLevelTransfer:
             assert _chord(q.matrix, expected) < 1e-8, (params.w, mu)
 
     def test_stage_step_is_fourth_order(self):
-        # A tenfold smaller step must cut the endpoint error by 10^3 or
-        # more; QR-retracted stages are first order and cut it by ~10.
+        # The step propagates the fifth-order solution, so a tenfold
+        # smaller step must cut the endpoint error by 10^4 or more;
+        # QR-retracted stages are first order and cut it by ~10.  The
+        # steps are 0.1 and 0.01: at 1e-3 the error, ~1e-13, is the
+        # oracle's own.
         p = random_kraus_point(seed=23)
         j0 = objective_uv(p, PARAMS05)
         target = j0 + 0.3 if j0 < 0.5 else j0 - 0.3
         ref = _oracle_transfer(
             p.matrix[None], _brockett(PARAMS05)[None], np.array([target]))[0]
         coarse, fine = (_chord(_fixed_stage_steps(p.matrix, PARAMS05, target, h), ref)
-                        for h in (1e-2, 1e-3))
-        assert coarse >= 1e3 * fine
+                        for h in (1e-1, 1e-2))
+        assert coarse >= 1e4 * fine
+
+    def test_near_mixed_matches_fine_step_oracle(self):
+        # As |w| -> 0 the weight N tends to I and both saddle values to 1/2.
+        states = [(0.0, 0.0, 1e-5), (6e-10, 0.0, 8e-10)]
+        targets = (0.03, 0.4, 0.97)
+        cases = [(LandscapeParams(w=w), random_kraus_point(seed=70 + k), mu)
+                 for k, w in enumerate(states) for mu in targets]
+        frames = np.stack([p.matrix for _, p, _ in cases])
+        weights = np.stack([_brockett(params) for params, _, _ in cases])
+        ref = _oracle_transfer(frames, weights, np.array([mu for _, _, mu in cases]))
+        for (params, p, mu), expected in zip(cases, ref):
+            q = level_transfer(p, params, mu)
+            assert _chord(q.matrix, expected) < 1e-8, (params.w, mu)
+
+    @pytest.mark.parametrize("w", [(0.0, 0.0, 0.5), (0.3, -0.4, 0.2), (0.0, 0.0, 0.0)])
+    def test_quotient_field_is_the_ambient_field(self, w):
+        # At off-manifold stage points [U0 A; V0 B] the scalar field lifts
+        # to grad J / |grad J|^2 of the 8x2 frame, so its normalizer g is
+        # |grad J|^2, and the scalar J is the frame's J.
+        params = LandscapeParams(w=w)
+        rng = np.random.default_rng(7)
+        frame = random_kraus_point(seed=24).matrix
+        gu, gv, weight = analysis._gram_data(frame, params)
+        for _ in range(20):
+            y = _stage_factors(rng, 0.1)
+            x = analysis._gram_lift(frame, y)
+            grad = _rgrad_mat(x, params)
+            g = np.vdot(grad, grad).real
+            field = analysis._gram_lift(frame, analysis._gram_field(y, gu, gv, weight))
+            np.testing.assert_allclose(field, grad / g, rtol=0, atol=1e-14)
+            assert abs(1.0 / np.vdot(field, field).real - g) <= 1e-14
+            assert abs(analysis._gram_value(y, gu, weight) - _objective_mat(x, params)) <= 1e-14
+
+    def test_cholesky_retraction_is_the_qr_retraction(self):
+        rng = np.random.default_rng(8)
+        frame = random_kraus_point(seed=25).matrix
+        gu, gv, _ = analysis._gram_data(frame, PARAMS05)
+        for scale in (1e-6, 1e-2, 0.3):
+            for _ in range(10):
+                y = _stage_factors(rng, scale)
+                q = analysis._gram_lift(frame, analysis._gram_retract(y, gu, gv))
+                np.testing.assert_allclose(
+                    q, _qf(analysis._gram_lift(frame, y)), rtol=0, atol=1e-14)
+
+    def test_stall_reports_the_last_frame_on_the_manifold(self, monkeypatch):
+        s = critical_point(CriticalManifoldId(ManifoldTag.SADDLE_MINUS), PARAMS05, seed=5)
+        with pytest.raises(FlowStallError) as err:
+            level_transfer(s, PARAMS05, 0.6)
+        assert err.value.value_reached == objective_uv(s, PARAMS05)
+        # u-rows of rank one keep M = U^H U of rank one along the flow, so
+        # J cannot pass the saddle value lambda_+ = 0.75 and the flow
+        # stalls there after many accepted steps.
+        rng = np.random.default_rng(9)
+        x1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        x1 /= np.linalg.norm(x1)
+        v2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        v2 -= np.vdot(x1[4:], v2) / np.vdot(x1[4:], x1[4:]) * x1[4:]
+        frame = np.zeros((8, 2), dtype=complex)
+        frame[:, 0], frame[4:, 1] = x1, v2 / np.linalg.norm(v2)
+        p = KrausPoint.from_matrix(frame)
+        frames = []
+        retract = analysis._gram_retract
+        monkeypatch.setattr(
+            analysis, "_gram_retract",
+            lambda y, gu, gv: frames.append(retract(y, gu, gv)) or frames[-1])
+        with pytest.raises(FlowStallError) as err:
+            level_transfer(p, PARAMS05, 0.9)
+        assert len(frames) > 10
+        gu, _, weight = analysis._gram_data(frame, PARAMS05)
+        assert err.value.value_reached == analysis._gram_value(frames[-1], gu, weight)
+        last = analysis._gram_lift(frame, frames[-1])
+        assert abs(err.value.value_reached - _objective_mat(last, PARAMS05)) <= 1e-14
+        assert err.value.value_reached == pytest.approx(PARAMS05.lambda_plus, abs=1e-6)
 
     @pytest.mark.parametrize("tag", [ManifoldTag.SADDLE_MINUS, ManifoldTag.SADDLE_PLUS])
     def test_leaves_a_saddle_neighbourhood(self, tag, monkeypatch):
         # The field grad/|grad|^2 is ~1e5 at 1e-5 off a saddle, so the
         # step control must reject its way down from the start step and
-        # still end in a bounded number of steps.
+        # still end in a bounded number of field evaluations.
         calls = []
-        rgrad = analysis._rgrad_mat
+        field = analysis._gram_field
         monkeypatch.setattr(
-            analysis, "_rgrad_mat", lambda w, p: calls.append(1) or rgrad(w, p))
+            analysis, "_gram_field", lambda *a: calls.append(1) or field(*a))
         for eps in (1e-3, 1e-5):
             p = _off_saddle(tag, eps)
             for mu in (0.1, 0.6, 0.9):

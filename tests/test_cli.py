@@ -393,8 +393,8 @@ class TestLevelset:
             assert float(step) == (0.0 if prev is None else _chord(p.matrix, prev))
             prev = p.matrix
         assert lines[-1].split(",") == [
-            "status", "connected", cli._g17(path.max_value_deviation),
-            cli._g17(path.max_step_length)]
+            "status", "connected", "%.17g" % path.max_value_deviation,
+            "%.17g" % path.max_step_length]
         assert json.loads(report.read_text()) == {
             "mu": level,
             "status": "connected",
@@ -524,3 +524,36 @@ class TestScan:
             ["scan", "--w", "0,0,0.5", "--seed", "1", "--manifold", "plateau"]
         )
         assert code == 2
+
+
+def _per_cell_csv(header, rows):
+    """CSV text by the per-cell rule: str as is, integers in decimal, else %.17g."""
+    out = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, str):
+                cells.append(cell)
+            elif isinstance(cell, (int, np.integer)):
+                cells.append(str(int(cell)))
+            else:
+                cells.append("%.17g" % float(cell))
+        out.append(",".join(cells))
+    return "\n".join(out) + "\n"
+
+
+class TestCsvLines:
+    def test_rows_follow_the_per_cell_rule(self):
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)
+        rows = [
+            (0, values[0], np.float64(values[1]), "a"),
+            (np.int64(-7), np.int32(3), True, "status"),
+            ("status", "connected", np.float64(1e-17), 0.1),
+            (np.uint8(255), 2**70, np.float64(-0.0), float("nan")),
+            [1, float("inf"), np.float32(0.1), np.float64(values[2])],
+            (np.int64(2), values[3], values[4], np.float64(values[5])),
+        ]
+        header = ("c1", "c2", "c3", "c4")
+        assert csv_lines(header, rows) == _per_cell_csv(header, rows)
+        assert csv_lines(header, []) == "c1,c2,c3,c4\n"

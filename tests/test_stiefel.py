@@ -9,6 +9,7 @@ from krauscape.stiefel import (
     StiefelPoint,
     TangentBasis,
     TangentVector,
+    _frame_residuals,
     _kraus_points,
     constraint_residuals,
     kraus_to_point,
@@ -304,3 +305,13 @@ class TestKrausPointStack:
         with pytest.raises(ValueError) as stack:
             _kraus_points(frames)
         assert str(stack.value) == str(single.value) == "v2 contains non-finite entries"
+
+    def test_residual_is_the_same_alone_and_in_a_stack(self):
+        rng = np.random.default_rng(11)
+        frames = np.stack([random_point(8, 2, seed=s).frame for s in range(64)])
+        frames += 1e-9 * random_ambient(rng, 64 * 8).reshape(64, 8, 2)
+        stacked = _frame_residuals(frames)
+        for f, worst in zip(frames, stacked):
+            gram = f.conj().T @ f
+            assert worst == pytest.approx(np.abs(gram - np.eye(2)).max(), rel=1e-6)
+            assert _frame_residuals(f[None])[0] == worst
