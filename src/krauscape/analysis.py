@@ -9,10 +9,14 @@ level sets along the normalized gradient flow, and a numerical
 connectivity witness that traces a path inside a single level set.
 
 One engine runs the optimizer: every campaign is one call on an
-(N, 8, 2) stack of raw frames, retracted by QR, that keeps, per run,
-only the objective and gradient norm of each iterate.  :func:`optimize`
-is that engine on a single frame; validated :class:`KrausPoint` objects
-are built only where a caller receives them.  The level-set tracer works
+(N, 8, 2) stack of raw frames that keeps, per run, only the objective
+and gradient norm of each iterate.  Trial points are retracted by the
+closed-form two-column QR of ``stiefel._qf``; each accepted iterate
+gets its gradient and the Hessian's curvature term sym(X^H grad J) from
+one first-order kernel, and the saddle hits of a campaign are counted
+in one vectorised pass.  :func:`optimize` is that engine on a single
+frame; validated :class:`KrausPoint` objects are built only where a
+caller receives them.  The level-set tracer works
 the same way: each round of path nodes is one stack through a masked
 Newton corrector, and the finished path is validated once, as a stack of
 waypoints.  One seed-bisect-correct loop traces every level, the
@@ -38,7 +42,7 @@ from .landscape import (
     CriticalManifoldId,
     LandscapeParams,
     ManifoldTag,
-    _grad_sym_mat,
+    _first_order,
     _hess_ambient_mat,
     _objective_mat,
     _rgrad_mat,
@@ -46,7 +50,6 @@ from .landscape import (
 )
 from .stiefel import (
     KrausPoint,
-    _ginibre,
     _haar_frame,
     _kraus_points,
     _polar,
@@ -270,7 +273,8 @@ def _tcg(w, d, sym, radius, sgn, params):
 
     Row i maximizes m(eta) = <d, eta> + <eta, A eta> / 2 over tangent
     steps with |eta| <= radius[i], where d is the ascent direction
-    sgn * grad J and A = sgn * Hess J, applied in closed form.  CG stops
+    sgn * grad J and A = sgn * Hess J, applied in closed form with X^H
+    and ``sym`` = sym(X^H grad J) formed once per call.  CG stops
     at the boundary (on a step that leaves the region or along a
     direction of non-negative curvature), when the residual falls to
     |d| * min(|d|, _TR_CG_KAPPA), or after _TR_CG_MAX steps.  The model
@@ -291,10 +295,14 @@ def _tcg(w, d, sym, radius, sgn, params):
     r0 = np.sqrt(rr)
     stop = (r0 * np.minimum(r0, _TR_CG_KAPPA)) ** 2
     act = np.arange(n)
-    wa, sa, r2, e, r, p = w, sym, radius * radius, np.zeros_like(d), d, d
+    wa, wh, sa = w, np.swapaxes(w.conj(), -1, -2), sym
+    r2, e, r, p = radius * radius, np.zeros_like(d), d, d
     m, ee, ep, pp = np.zeros(n), np.zeros(n), np.zeros(n), rr
     for j in range(_TR_CG_MAX):
-        hp = _project_mat(wa, _hess_ambient_mat(p, sa, params))
+        # The tangent part z - X sym(X^H z) of the ambient term z.
+        z = _hess_ambient_mat(p, sa, params)
+        s = wh @ z
+        hp = z - wa @ (0.5 * (s + np.swapaxes(s.conj(), -1, -2)))
         kappa = sgn * _re_inner(p, hp)
         if j == 0:
             curv = kappa
@@ -319,10 +327,11 @@ def _tcg(w, d, sym, radius, sgn, params):
             live = ~fin
             if not live.any():
                 break
-            act, wa, sa, r2, e, r, p, m, ee_new, ep, pp, rr, rr_new, alpha, stop = (
-                act[live], wa[live], sa[live], r2[live], e[live], r[live], p[live],
-                m[live], ee_new[live], ep[live], pp[live], rr[live], rr_new[live],
-                alpha[live], stop[live])
+            (act, wa, wh, sa, r2, e, r, p, m, ee_new, ep, pp, rr, rr_new, alpha,
+             stop) = (
+                act[live], wa[live], wh[live], sa[live], r2[live], e[live], r[live],
+                p[live], m[live], ee_new[live], ep[live], pp[live], rr[live],
+                rr_new[live], alpha[live], stop[live])
         beta = rr_new / rr
         ee, ep, pp = ee_new, beta * (ep + alpha * pp), rr_new + beta * beta * pp
         p = r + beta[:, None, None] * p
@@ -350,8 +359,9 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     ids = np.arange(n)
     w = np.ascontiguousarray(w0, dtype=complex)
     value = _objective_mat(w, params)
-    # d is the ascent direction sgn * grad J.
-    d = sgn * _rgrad_mat(w, params)
+    # d is the ascent direction sgn * grad J; sym = sym(X^H grad J).
+    grad, sym = _first_order(w, params)
+    d = sgn * grad
     gnorm = np.sqrt(_re_inner(d, d))
     radius = np.full(n, _TR_RADIUS_START)
     history = [(ids, value, gnorm, w if keep_frames else None)]
@@ -362,11 +372,11 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
         if done.any():
             converged[ids[done]] = True
             live = ~done
-            ids, w, value, d, gnorm, radius = (
-                ids[live], w[live], value[live], d[live], gnorm[live], radius[live])
+            ids, w, value, d, sym, gnorm, radius = (
+                ids[live], w[live], value[live], d[live], sym[live], gnorm[live],
+                radius[live])
             if not len(ids):
                 break
-        sym = _grad_sym_mat(w, params)
         # Gains below 4 ulps of J are beyond the resolution of J.
         floor = _FLOOR_ULPS * np.spacing(np.maximum(1.0, np.abs(value)))
         # Each accepted row sets its radius for the next iteration.
@@ -418,7 +428,8 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
             if not len(ids):
                 break
         w, value = w_new, v_new
-        d = sgn * _rgrad_mat(w, params)
+        grad, sym = _first_order(w, params)
+        d = sgn * grad
         gnorm = np.sqrt(_re_inner(d, d))
         history.append((ids, value, gnorm, w if keep_frames else None))
     else:
@@ -479,10 +490,12 @@ def _child_rng(seed: int, index: int) -> np.random.Generator:
 def _haar_starts(seed: int, n: int) -> np.ndarray:
     """Haar frames of starts 0..n-1, each drawn from its own child generator.
 
-    The Gaussian draws are stacked and finished with one batched QR;
-    frame i equals ``_haar_frame(8, 2, _child_rng(seed, i))`` bitwise.
+    Each child makes the one (2, 8, 2) standard-normal draw of
+    ``_ginibre``; the draws are stacked and finished with one batched QR,
+    so frame i equals ``_haar_frame(8, 2, _child_rng(seed, i))`` bitwise.
     """
-    return _qf(np.stack([_ginibre(8, 2, _child_rng(seed, i)) for i in range(n)]))
+    g = np.stack([_child_rng(seed, i).standard_normal((2, 8, 2)) for i in range(n)])
+    return _qf(g[:, 0] + 1j * g[:, 1])
 
 
 def rerun_start(
@@ -506,9 +519,10 @@ def multi_start(
     run as one (N, 8, 2) batch of the optimizer engine, whose rows do not
     depend on each other, so each run is bitwise the run of that start
     alone (:func:`rerun_start`).  Saddle hits are classified from each
-    run's final objective and gradient norm.  An explicit ``start``
-    replaces the Haar draw and requires ``n_starts == 1``; it documents
-    the behavior of runs launched exactly on a critical manifold.
+    run's final objective and gradient norm, all runs in one pass.  An
+    explicit ``start`` replaces the Haar draw and requires
+    ``n_starts == 1``; it documents the behavior of runs launched exactly
+    on a critical manifold.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -518,20 +532,11 @@ def multi_start(
     w0 = start.matrix[None] if start is not None else _haar_starts(seed, n_starts)
     rows, converged, _, _ = _descend(w0, params, cfg)
 
-    saddle_tags = (
-        ManifoldTag.SADDLE_MINUS,
-        ManifoldTag.SADDLE_PLUS,
-        ManifoldTag.MIXED_SADDLE,
-    )
-    finals = [r[-1].tolist() for r in rows]
-    values = tuple(v for v, _ in finals)
+    finals = np.array([r[-1] for r in rows])
+    values = tuple(finals[:, 0].tolist())
     gaps = [abs(target - v) for v in values]
     reached = sum(1 for g in gaps if g <= 1e-6)
-    hits = 0
-    for value, gnorm in finals:
-        label = _classify(value, gnorm, params)
-        if isinstance(label, CriticalManifoldId) and label.tag in saddle_tags:
-            hits += 1
+    hits = int(_saddle_runs(finals[:, 0], finals[:, 1], params).sum())
     best = max(values) if cfg.direction == "maximize" else min(values)
     best_index = values.index(best)
     return MultiStartReport(
@@ -584,6 +589,24 @@ def _classify(value: float, gnorm: float, params: LandscapeParams):
     if len(near) > 1:
         return "ambiguous"
     return CriticalManifoldId(best_tag)
+
+
+def _saddle_runs(values: np.ndarray, gnorms: np.ndarray, params: LandscapeParams):
+    """Whether :func:`_classify` labels each (value, gnorm) a saddle, in one pass.
+
+    The candidate values are sorted, so the first nearest one is the
+    smallest, as in ``_classify``'s ordering.  A run is a saddle hit when
+    its gradient norm is below 1e-6, its nearest candidate is a saddle
+    value within 1e-6, and no other candidate lies within 2e-6 of that one.
+    """
+    cand = np.array((0.0, 1.0) + saddle_values(params))
+    order = np.argsort(cand, kind="stable")
+    cand, is_saddle = cand[order], order >= 2
+    alone = (np.abs(cand[:, None] - cand) <= 2e-6).sum(axis=1) == 1
+    diff = np.abs(values[:, None] - cand)
+    best = diff.argmin(axis=1)
+    return (~(gnorms >= 1e-6) & ~(diff.min(axis=1) > 1e-6)
+            & alone[best] & is_saddle[best])
 
 
 # The right factors A = B = I, which lift to the start frame itself.

@@ -24,7 +24,6 @@ from .stiefel import (
     TangentVector,
     orthonormal_tangent_basis,
     _haar_frame,
-    _project_mat,
     _validate_blocks,
     _worst_residual,
 )
@@ -266,15 +265,23 @@ def _grad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
     return g
 
 
+def _first_order(w: np.ndarray, params: LandscapeParams):
+    """Riemannian gradient and sym(X^H grad J) of frames X; broadcasts.
+
+    Both come from one product X^H grad J of the Euclidean gradient
+    grad J = 2 P X N: the gradient for the real trace metric is its
+    tangent part grad J - X sym(X^H grad J), and sym(X^H grad J) is the
+    curvature term of the Hessian (:func:`_hess_ambient_mat`).
+    """
+    g = 2.0 * _grad_mat(w, params)
+    s = np.swapaxes(w.conj(), -1, -2) @ g
+    sym = 0.5 * (s + np.swapaxes(s.conj(), -1, -2))
+    return g - w @ sym, sym
+
+
 def _rgrad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
     """Gradient for the real trace metric, projected onto the tangent space."""
-    return _project_mat(w, 2.0 * _grad_mat(w, params))
-
-
-def _grad_sym_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
-    """sym(X^H grad J) of the Euclidean gradient grad J = 2 P X N; broadcasts."""
-    s = np.swapaxes(w.conj(), -1, -2) @ (2.0 * _grad_mat(w, params))
-    return 0.5 * (s + np.swapaxes(s.conj(), -1, -2))
+    return _first_order(w, params)[0]
 
 
 def _hess_ambient_mat(
@@ -282,11 +289,20 @@ def _hess_ambient_mat(
 ) -> np.ndarray:
     """Ambient Hessian term 2 P xi N - xi sym(X^H grad J); broadcasts.
 
-    ``sym`` is :func:`_grad_sym_mat` at the base frame X.  Projected onto
-    the tangent space at X, the result is the Riemannian Hessian
-    Hess J[xi] of a tangent ``xi`` (see :func:`hessian_form`).
+    ``sym`` is the second value of :func:`_first_order` at the base
+    frame X.  Projected onto the tangent space at X, the result is the
+    Riemannian Hessian Hess J[xi] of a tangent ``xi`` (see
+    :func:`hessian_form`).  The term 2 P xi N is added to the u-rows of
+    -xi sym alone; the v-rows of P xi are zero.
     """
-    return 2.0 * _grad_mat(xi, params) - xi @ sym
+    h = -(xi @ sym)
+    u1 = xi[..., 0:4, 0]
+    u2 = xi[..., 0:4, 1]
+    gamma = params.gamma
+    z0 = params.z0
+    h[..., 0:4, 0] += (1.0 + gamma) * u1 + np.conj(z0) * u2
+    h[..., 0:4, 1] += z0 * u1 + (1.0 - gamma) * u2
+    return h
 
 
 def objective_uv(p: KrausPoint, params: LandscapeParams) -> float:
@@ -521,7 +537,8 @@ def hessian_form(
     """
     base = p.to_stiefel()
     w = base.frame
-    grad_norm = float(np.linalg.norm(_rgrad_mat(w, params)))
+    grad, sym = _first_order(w, params)
+    grad_norm = float(np.linalg.norm(grad))
     if grad_norm > 1e-6:
         warnings.warn(
             f"Hessian requested at a point with gradient norm {grad_norm:.3e}; "
@@ -533,7 +550,7 @@ def hessian_form(
     elif not np.array_equal(basis.base.frame, w):
         raise ValueError("tangent basis is not based at the given point")
     t = basis.as_array()
-    hess_t = _hess_ambient_mat(t, _grad_sym_mat(w, params), params)
+    hess_t = _hess_ambient_mat(t, sym, params)
     out = np.einsum("inj,mnj->im", t.conj(), hess_t).real
     return 0.5 * (out + out.T)
 

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# The names of the four C^4 blocks of a KrausPoint, in frame order.
+_KRAUS_BLOCKS = ("u1", "u2", "v1", "v2")
+
+
 def _as_c4(a, what: str) -> np.ndarray:
     v = np.asarray(a, dtype=complex).reshape(-1)
     if v.shape != (4,):
@@ -142,7 +146,7 @@ class KrausPoint:
     v2: np.ndarray
 
     def __post_init__(self):
-        frame = _validate_blocks(self, ("u1", "u2", "v1", "v2"), "channel")
+        frame = _validate_blocks(self, _KRAUS_BLOCKS, "channel")
         object.__setattr__(self, "_frame", frame)
 
     @property
@@ -155,8 +159,20 @@ class KrausPoint:
 
     @classmethod
     def from_matrix(cls, w: np.ndarray) -> "KrausPoint":
-        w = np.asarray(w, dtype=complex)
-        return cls(u1=w[:4, 0], u2=w[:4, 1], v1=w[4:, 0], v2=w[4:, 1])
+        """The point of an 8x2 frame, checked once by :func:`_check_frames`.
+
+        The frame is copied and made read-only, and the blocks are views
+        of the copy.  A matrix of another shape goes to the block
+        constructor, whose error names the first block of the wrong
+        length.
+        """
+        frame = np.array(w, dtype=complex, order="C")
+        if frame.shape != (8, 2):
+            return cls(u1=frame[:4, 0], u2=frame[:4, 1], v1=frame[4:, 0], v2=frame[4:, 1])
+        _check_frames(frame[None], _KRAUS_BLOCKS, "channel")
+        frame.setflags(write=False)
+        return _checked_point(
+            frame, frame[:4, 0], frame[:4, 1], frame[4:, 0], frame[4:, 1])
 
     def to_stiefel(self) -> StiefelPoint:
         return StiefelPoint(8, 2, self.matrix)
@@ -258,19 +274,24 @@ def _kraus_points(frames: np.ndarray) -> tuple:
     read-only copy of the stack, and its blocks are views of that row.
     """
     frames = np.array(frames, dtype=complex)
-    _check_frames(frames, ("u1", "u2", "v1", "v2"), "channel")
+    _check_frames(frames, _KRAUS_BLOCKS, "channel")
     frames.setflags(write=False)
     # Axes: frame, row half, row, column; the blocks of every frame at once.
     halves = frames.reshape(-1, 2, 4, 2)
     blocks = (halves[:, 0, :, 0], halves[:, 0, :, 1], halves[:, 1, :, 0],
               halves[:, 1, :, 1])
-    points = []
-    for frame, u1, u2, v1, v2 in zip(frames, *blocks):
-        p = object.__new__(KrausPoint)
-        # The fields of the frozen point are filled in without validation.
-        p.__dict__.update(_frame=frame, u1=u1, u2=u2, v1=v1, v2=v2)
-        points.append(p)
-    return tuple(points)
+    return tuple(map(_checked_point, frames, *blocks))
+
+
+def _checked_point(frame, u1, u2, v1, v2) -> KrausPoint:
+    """A :class:`KrausPoint` of a read-only frame that passed :func:`_check_frames`.
+
+    The fields of the frozen point are filled in without validating
+    again; the blocks are views of ``frame``.
+    """
+    p = object.__new__(KrausPoint)
+    p.__dict__.update(_frame=frame, u1=u1, u2=u2, v1=v1, v2=v2)
+    return p
 
 
 def point_to_kraus(p: KrausPoint) -> KrausSet:
@@ -286,13 +307,34 @@ def point_to_kraus(p: KrausPoint) -> KrausSet:
 
 
 def _qf(w: np.ndarray) -> np.ndarray:
-    """Q factor of the thin QR with the R diagonal rotated positive."""
-    q, r = np.linalg.qr(w)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mags = np.abs(d)
-    if (mags < 1e-12).any():
+    """Q factor of the thin QR of n x 2 frames, R with a positive diagonal.
+
+    Classical Gram-Schmidt run twice ("twice is enough"; Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005): q1 = x1 / |x1|, then x2
+    loses its q1 component in two passes and is normalized.  |x1| and the
+    norm of the remainder are the R diagonal, positive by construction,
+    so the result is the unique Q of the thin QR with that convention.
+    Broadcasts over leading axes, one stacked product per inner product,
+    so a frame's Q is bitwise the same alone and in any stack.  Raises
+    ``RuntimeError`` where a diagonal entry of R is below 1e-12, and
+    ``ValueError`` on frames that do not have two columns.
+    """
+    w = np.asarray(w, dtype=complex)
+    if w.shape[-1:] != (2,):
+        raise ValueError(f"QR retraction needs frames of two columns, got shape {w.shape}")
+    x1, y = w[..., 0:1], w[..., 1:2]
+    h1 = np.swapaxes(x1.conj(), -1, -2)
+    r11 = np.sqrt((h1 @ x1).real)
+    if (r11 < 1e-12).any():
         raise RuntimeError("rank collapse during QR retraction")
-    return q * (d / mags)[..., None, :]
+    s = 1.0 / r11
+    q1, qh = x1 * s, h1 * s
+    y = y - q1 * (qh @ y)
+    y = y - q1 * (qh @ y)
+    r22 = np.sqrt((np.swapaxes(y.conj(), -1, -2) @ y).real)
+    if (r22 < 1e-12).any():
+        raise RuntimeError("rank collapse during QR retraction")
+    return np.concatenate([q1, y * (1.0 / r22)], axis=-1)
 
 
 def _polar(w: np.ndarray) -> np.ndarray:
@@ -338,8 +380,13 @@ def retract(x: StiefelPoint, t: TangentVector, kind: str = "qr") -> StiefelPoint
 
 
 def _ginibre(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian n x k matrix, the raw draw of a Haar frame."""
-    return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    """Complex Gaussian n x k matrix, the raw draw of a Haar frame.
+
+    One (2, n, k) standard-normal draw: the real parts, then the
+    imaginary parts.
+    """
+    g = rng.standard_normal((2, n, k))
+    return g[0] + 1j * g[1]
 
 
 def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -347,7 +394,7 @@ def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
-    """Haar-distributed frame from an explicit seed."""
+    """Haar-distributed n x k frame from an explicit seed; ``k`` must be 2."""
     rng = np.random.default_rng(seed)
     return StiefelPoint(n, k, _haar_frame(n, k, rng))
 

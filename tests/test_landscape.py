@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from krauscape.landscape import (
+    _first_order,
     _grad_mat,
-    _grad_sym_mat,
     _hess_ambient_mat,
     _objective_mat,
     _rgrad_mat,
@@ -560,7 +560,7 @@ class TestDuality:
 
 def _hvp(x, xi, params):
     """Hess J[xi] at each frame of a stack, as the optimizer applies it."""
-    return _project_mat(x, _hess_ambient_mat(xi, _grad_sym_mat(x, params), params))
+    return _project_mat(x, _hess_ambient_mat(xi, _first_order(x, params)[1], params))
 
 
 def _tangent_stack():

@@ -11,6 +11,8 @@ from krauscape.stiefel import (
     TangentVector,
     _frame_residuals,
     _kraus_points,
+    _project_mat,
+    _qf,
     constraint_residuals,
     kraus_to_point,
     orthonormal_tangent_basis,
@@ -184,6 +186,108 @@ class TestRetraction:
             retract(y, t)
 
 
+def _qf_lapack(w):
+    """The Householder QR of LAPACK with the R diagonal rotated positive."""
+    q, r = np.linalg.qr(w)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mags = np.abs(d)
+    if (mags < 1e-12).any():
+        raise RuntimeError("rank collapse during QR retraction")
+    return q * (d / mags)[..., None, :]
+
+
+def _ginibre_stack(rng, *shape):
+    return rng.standard_normal(shape + (8, 2)) + 1j * rng.standard_normal(shape + (8, 2))
+
+
+def _tangent_steps(rng, n, radius):
+    """Haar frames plus tangent steps of Frobenius norm uniform in (0, radius]."""
+    x = _qf_lapack(_ginibre_stack(rng, n))
+    eta = _project_mat(x, _ginibre_stack(rng, n))
+    scale = radius * (1.0 - rng.uniform(size=n)) / np.linalg.norm(eta, axis=(1, 2))
+    return x + scale[:, None, None] * eta
+
+
+class TestClosedFormQR:
+    def test_matches_lapack_on_ginibre_stacks(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 40, 200):
+            w = _ginibre_stack(rng, n)
+            assert np.abs(_qf(w) - _qf_lapack(w)).max() <= 1e-15
+
+    def test_matches_lapack_on_tangent_steps(self):
+        rng = np.random.default_rng(32)
+        for radius in (1e-6, 0.25, 1.0, 2.0):
+            w = _tangent_steps(rng, 100, radius)
+            assert np.abs(_qf(w) - _qf_lapack(w)).max() <= 1e-15
+
+    def test_matches_lapack_on_the_scan_shape(self):
+        # The 41x41 grid of the scan subcommand: a frame plus s1 d1 + s2 d2.
+        rng = np.random.default_rng(33)
+        x = _qf_lapack(_ginibre_stack(rng))
+        d1, d2 = _project_mat(x, _ginibre_stack(rng, 2))
+        s = np.linspace(-1.0, 1.0, 41)
+        w = x + s[:, None, None, None] * d1 + s[None, :, None, None] * d2
+        assert w.shape == (41, 41, 8, 2)
+        assert np.abs(_qf(w) - _qf_lapack(w)).max() <= 1e-15
+
+    def test_matches_lapack_on_single_frames(self):
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            w = random_ambient(rng)
+            q = _qf(w)
+            assert q.shape == (8, 2)
+            assert np.abs(q - _qf_lapack(w)).max() <= 1e-15
+
+    def test_frame_is_the_same_alone_and_in_a_stack(self):
+        rng = np.random.default_rng(35)
+        stack = np.concatenate([_ginibre_stack(rng, 600), _tangent_steps(rng, 600, 2.0)])
+        batched = _qf(stack)
+        for w, q in zip(stack, batched):
+            assert np.array_equal(_qf(w), q)
+            assert np.array_equal(_qf(w[None])[0], q)
+
+    def test_r_diagonal_is_positive(self):
+        # Q^H W is the R factor: upper triangular with a positive real diagonal.
+        rng = np.random.default_rng(36)
+        w = _ginibre_stack(rng, 20)
+        r = np.swapaxes(_qf(w).conj(), -1, -2) @ w
+        assert np.abs(r[:, 1, 0]).max() <= 1e-14
+        assert (r[:, 0, 0].real > 0).all() and (r[:, 1, 1].real > 0).all()
+        assert np.abs(r[:, [0, 1], [0, 1]].imag).max() <= 1e-14
+
+    def test_orthonormal_on_nearly_parallel_columns(self):
+        # One Gram-Schmidt pass leaves |q1^H q2| near eps / angle here; the
+        # second pass restores orthogonality to rounding.
+        rng = np.random.default_rng(38)
+        w = _ginibre_stack(rng, 30)
+        for angle in (1e-6, 1e-8, 1e-10):
+            near = w.copy()
+            near[:, :, 1] = near[:, :, 0] * (0.7 + 0.2j) + angle * w[:, :, 1]
+            q = _qf(near)
+            gram = np.swapaxes(q.conj(), -1, -2) @ q
+            assert np.abs(gram - np.eye(2)).max() <= 1e-14
+
+    def test_rank_collapse_raises(self):
+        rng = np.random.default_rng(37)
+        stack = _ginibre_stack(rng, 3)
+        zero = stack.copy()
+        zero[1, :, 0] = 0.0
+        parallel = stack.copy()
+        parallel[2, :, 1] = (0.3 - 2j) * parallel[2, :, 0]
+        for w in (zero, parallel, zero[1], parallel[2]):
+            with pytest.raises(RuntimeError, match="rank collapse during QR retraction"):
+                _qf(w)
+        first_zero = stack[0].copy()
+        first_zero[:, 1] = 0.0
+        with pytest.raises(RuntimeError, match="rank collapse"):
+            _qf(first_zero)
+
+    def test_rejects_other_column_counts(self):
+        with pytest.raises(ValueError, match="two columns"):
+            _qf(np.ones((8, 3), dtype=complex))
+
+
 class TestSampling:
     def test_deterministic(self):
         a = random_point(8, 2, seed=42)
@@ -305,6 +409,35 @@ class TestKrausPointStack:
         with pytest.raises(ValueError) as stack:
             _kraus_points(frames)
         assert str(stack.value) == str(single.value) == "v2 contains non-finite entries"
+
+    def test_from_matrix_errors_are_the_block_errors(self):
+        # Each bad input fails from_matrix with the block constructor's error.
+        good = random_point(8, 2, seed=8).frame
+        bad = [good[:7], good[:3], np.concatenate([good, good[:1]])]
+        for row, col in ((0, 0), (3, 1), (4, 0), (7, 1)):
+            for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+                frame = good.copy()
+                frame[row, col] = value
+                bad.append(frame)
+        for eps in (1e-6, 1e-9):
+            frame = good.copy()
+            frame[2, 1] += eps
+            bad.append(frame)
+        for w in bad:
+            with pytest.raises(ValueError) as blocks:
+                KrausPoint(u1=w[:4, 0], u2=w[:4, 1], v1=w[4:, 0], v2=w[4:, 1])
+            with pytest.raises(ValueError) as matrix:
+                KrausPoint.from_matrix(w)
+            assert str(matrix.value) == str(blocks.value)
+
+    def test_from_matrix_copies_its_input(self):
+        f = random_point(8, 2, seed=9).frame.copy()
+        p = KrausPoint.from_matrix(f)
+        assert not np.shares_memory(p.matrix, f)
+        # A column-major input gives the same row-major frame.
+        q = KrausPoint.from_matrix(np.asfortranarray(f))
+        assert q.matrix.flags.c_contiguous
+        assert np.array_equal(q.matrix, f)
 
     def test_residual_is_the_same_alone_and_in_a_stack(self):
         rng = np.random.default_rng(11)
