@@ -50,6 +50,7 @@ from .landscape import (
 )
 from .stiefel import (
     KrausPoint,
+    _ginibre,
     _haar_frame,
     _kraus_points,
     _polar,
@@ -273,8 +274,7 @@ def _tcg(w, d, sym, radius, sgn, params):
 
     Row i maximizes m(eta) = <d, eta> + <eta, A eta> / 2 over tangent
     steps with |eta| <= radius[i], where d is the ascent direction
-    sgn * grad J and A = sgn * Hess J, applied in closed form with X^H
-    and ``sym`` = sym(X^H grad J) formed once per call.  CG stops
+    sgn * grad J and A = sgn * Hess J, applied in closed form.  CG stops
     at the boundary (on a step that leaves the region or along a
     direction of non-negative curvature), when the residual falls to
     |d| * min(|d|, _TR_CG_KAPPA), or after _TR_CG_MAX steps.  The model
@@ -295,14 +295,10 @@ def _tcg(w, d, sym, radius, sgn, params):
     r0 = np.sqrt(rr)
     stop = (r0 * np.minimum(r0, _TR_CG_KAPPA)) ** 2
     act = np.arange(n)
-    wa, wh, sa = w, np.swapaxes(w.conj(), -1, -2), sym
-    r2, e, r, p = radius * radius, np.zeros_like(d), d, d
+    wa, sa, r2, e, r, p = w, sym, radius * radius, np.zeros_like(d), d, d
     m, ee, ep, pp = np.zeros(n), np.zeros(n), np.zeros(n), rr
     for j in range(_TR_CG_MAX):
-        # The tangent part z - X sym(X^H z) of the ambient term z.
-        z = _hess_ambient_mat(p, sa, params)
-        s = wh @ z
-        hp = z - wa @ (0.5 * (s + np.swapaxes(s.conj(), -1, -2)))
+        hp = _project_mat(wa, _hess_ambient_mat(p, sa, params))
         kappa = sgn * _re_inner(p, hp)
         if j == 0:
             curv = kappa
@@ -327,11 +323,10 @@ def _tcg(w, d, sym, radius, sgn, params):
             live = ~fin
             if not live.any():
                 break
-            (act, wa, wh, sa, r2, e, r, p, m, ee_new, ep, pp, rr, rr_new, alpha,
-             stop) = (
-                act[live], wa[live], wh[live], sa[live], r2[live], e[live], r[live],
-                p[live], m[live], ee_new[live], ep[live], pp[live], rr[live],
-                rr_new[live], alpha[live], stop[live])
+            act, wa, sa, r2, e, r, p, m, ee_new, ep, pp, rr, rr_new, alpha, stop = (
+                act[live], wa[live], sa[live], r2[live], e[live], r[live], p[live],
+                m[live], ee_new[live], ep[live], pp[live], rr[live], rr_new[live],
+                alpha[live], stop[live])
         beta = rr_new / rr
         ee, ep, pp = ee_new, beta * (ep + alpha * pp), rr_new + beta * beta * pp
         p = r + beta[:, None, None] * p
@@ -490,12 +485,10 @@ def _child_rng(seed: int, index: int) -> np.random.Generator:
 def _haar_starts(seed: int, n: int) -> np.ndarray:
     """Haar frames of starts 0..n-1, each drawn from its own child generator.
 
-    Each child makes the one (2, 8, 2) standard-normal draw of
-    ``_ginibre``; the draws are stacked and finished with one batched QR,
-    so frame i equals ``_haar_frame(8, 2, _child_rng(seed, i))`` bitwise.
+    The Gaussian draws are stacked and finished with one batched QR;
+    frame i equals ``_haar_frame(8, 2, _child_rng(seed, i))`` bitwise.
     """
-    g = np.stack([_child_rng(seed, i).standard_normal((2, 8, 2)) for i in range(n)])
-    return _qf(g[:, 0] + 1j * g[:, 1])
+    return _qf(np.stack([_ginibre(8, 2, _child_rng(seed, i)) for i in range(n)]))
 
 
 def rerun_start(
@@ -536,7 +529,7 @@ def multi_start(
     values = tuple(finals[:, 0].tolist())
     gaps = [abs(target - v) for v in values]
     reached = sum(1 for g in gaps if g <= 1e-6)
-    hits = int(_saddle_runs(finals[:, 0], finals[:, 1], params).sum())
+    hits = int((_classify(finals[:, 0], finals[:, 1], params) >= _FIRST_SADDLE).sum())
     best = max(values) if cfg.direction == "maximize" else min(values)
     best_index = values.index(best)
     return MultiStartReport(
@@ -563,14 +556,21 @@ def classify_critical(p: KrausPoint, params: LandscapeParams):
     2e-6 of each other around the match (possible only as |w| -> 0).
     """
     w = p.matrix
-    gnorm = float(np.linalg.norm(_rgrad_mat(w, params)))
-    return _classify(float(_objective_mat(w, params)), gnorm, params)
+    gnorm = np.linalg.norm(_rgrad_mat(w, params))
+    label = _classify(np.reshape(_objective_mat(w, params), 1), np.reshape(gnorm, 1),
+                      params)[0]
+    labels = ("non-critical", "ambiguous") + tuple(
+        CriticalManifoldId(tag) for _, tag in _candidates(params))
+    return labels[label]
 
 
-def _classify(value: float, gnorm: float, params: LandscapeParams):
-    """The label of :func:`classify_critical` from J and the gradient norm."""
-    if gnorm >= 1e-6:
-        return "non-critical"
+# The label indexes of _classify: "non-critical", "ambiguous", then 2 + i
+# for candidate i of _candidates, whose saddles follow the two extremes.
+_NON_CRITICAL, _AMBIGUOUS, _FIRST_SADDLE = 0, 1, 4
+
+
+def _candidates(params: LandscapeParams) -> list:
+    """The predicted critical values of J and their tags, the extremes first."""
     candidates: list[tuple[float, ManifoldTag]] = [
         (0.0, ManifoldTag.GLOBAL_MIN),
         (1.0, ManifoldTag.GLOBAL_MAX),
@@ -581,32 +581,25 @@ def _classify(value: float, gnorm: float, params: LandscapeParams):
     elif case == 2:
         candidates.append((params.lambda_minus, ManifoldTag.SADDLE_MINUS))
         candidates.append((params.lambda_plus, ManifoldTag.SADDLE_PLUS))
-    diffs = sorted((abs(value - v), v, tag) for v, tag in candidates)
-    best_diff, best_val, best_tag = diffs[0]
-    if best_diff > 1e-6:
-        return "non-critical"
-    near = [tag for v, tag in candidates if abs(v - best_val) <= 2e-6]
-    if len(near) > 1:
-        return "ambiguous"
-    return CriticalManifoldId(best_tag)
+    return candidates
 
 
-def _saddle_runs(values: np.ndarray, gnorms: np.ndarray, params: LandscapeParams):
-    """Whether :func:`_classify` labels each (value, gnorm) a saddle, in one pass.
+def _classify(values: np.ndarray, gnorms: np.ndarray, params: LandscapeParams):
+    """The label index of :func:`classify_critical` of each (J, gradient norm) row.
 
-    The candidate values are sorted, so the first nearest one is the
-    smallest, as in ``_classify``'s ordering.  A run is a saddle hit when
-    its gradient norm is below 1e-6, its nearest candidate is a saddle
-    value within 1e-6, and no other candidate lies within 2e-6 of that one.
+    A row is non-critical when its gradient norm is at least 1e-6 or its
+    nearest candidate value is farther than 1e-6; of two equally near
+    candidates the smaller value is the match.  The match is ambiguous
+    when another candidate lies within 2e-6 of it.
     """
-    cand = np.array((0.0, 1.0) + saddle_values(params))
+    cand = np.array([v for v, _ in _candidates(params)])
     order = np.argsort(cand, kind="stable")
-    cand, is_saddle = cand[order], order >= 2
+    diff = np.abs(values[:, None] - cand[order])
+    best = order[diff.argmin(axis=1)]
     alone = (np.abs(cand[:, None] - cand) <= 2e-6).sum(axis=1) == 1
-    diff = np.abs(values[:, None] - cand)
-    best = diff.argmin(axis=1)
-    return (~(gnorms >= 1e-6) & ~(diff.min(axis=1) > 1e-6)
-            & alone[best] & is_saddle[best])
+    label = np.where(alone[best], 2 + best, _AMBIGUOUS)
+    far = (gnorms >= 1e-6) | (diff.min(axis=1) > 1e-6)
+    return np.where(far, _NON_CRITICAL, label)
 
 
 # The right factors A = B = I, which lift to the start frame itself.

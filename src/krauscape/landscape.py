@@ -292,17 +292,9 @@ def _hess_ambient_mat(
     ``sym`` is the second value of :func:`_first_order` at the base
     frame X.  Projected onto the tangent space at X, the result is the
     Riemannian Hessian Hess J[xi] of a tangent ``xi`` (see
-    :func:`hessian_form`).  The term 2 P xi N is added to the u-rows of
-    -xi sym alone; the v-rows of P xi are zero.
+    :func:`hessian_form`).
     """
-    h = -(xi @ sym)
-    u1 = xi[..., 0:4, 0]
-    u2 = xi[..., 0:4, 1]
-    gamma = params.gamma
-    z0 = params.z0
-    h[..., 0:4, 0] += (1.0 + gamma) * u1 + np.conj(z0) * u2
-    h[..., 0:4, 1] += z0 * u1 + (1.0 - gamma) * u2
-    return h
+    return 2.0 * _grad_mat(xi, params) - xi @ sym
 
 
 def objective_uv(p: KrausPoint, params: LandscapeParams) -> float:

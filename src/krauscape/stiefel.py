@@ -5,6 +5,8 @@ orthonormal vectors in C^8: the first-column entries of all operators
 stacked over the second-column entries.  This module supplies the frame
 type, the channel <-> frame correspondence, tangent-space projection,
 QR and polar retractions, Haar sampling, and orthonormal tangent bases.
+Every frame has two columns (k = 2); :class:`StiefelPoint` and
+:func:`random_point` reject any other k.
 """
 
 from __future__ import annotations
@@ -104,6 +106,11 @@ def _validate_blocks(obj, names: tuple, what: str) -> np.ndarray:
     return frame
 
 
+def _require_two_columns(k: int) -> None:
+    if k != 2:
+        raise ValueError(f"Stiefel frames have k = 2 columns, got k = {k}")
+
+
 def real_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Real inner product Re sum conj(a) b on stacked complex arrays."""
     return float(np.vdot(a, b).real)
@@ -111,13 +118,19 @@ def real_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StiefelPoint:
-    """Orthonormal k-frame in C^n, stored as the columns of ``frame``."""
+    """Orthonormal k-frame in C^n, stored as the columns of ``frame``.
+
+    Frames have two columns, k = 2: a channel of a two-level system has
+    a two-column frame, and the QR retraction is the closed-form one of
+    :func:`_qf`.
+    """
 
     n: int
     k: int
     frame: np.ndarray
 
     def __post_init__(self):
+        _require_two_columns(self.k)
         f = np.array(self.frame, dtype=complex)
         if f.shape != (self.n, self.k):
             raise ValueError(f"frame must have shape {(self.n, self.k)}, got {f.shape}")
@@ -159,20 +172,15 @@ class KrausPoint:
 
     @classmethod
     def from_matrix(cls, w: np.ndarray) -> "KrausPoint":
-        """The point of an 8x2 frame, checked once by :func:`_check_frames`.
+        """The point of an 8x2 frame, checked once as a stack of one frame.
 
-        The frame is copied and made read-only, and the blocks are views
-        of the copy.  A matrix of another shape goes to the block
-        constructor, whose error names the first block of the wrong
-        length.
+        A matrix of another shape goes to the block constructor, whose
+        error names the first block of the wrong length.
         """
-        frame = np.array(w, dtype=complex, order="C")
-        if frame.shape != (8, 2):
-            return cls(u1=frame[:4, 0], u2=frame[:4, 1], v1=frame[4:, 0], v2=frame[4:, 1])
-        _check_frames(frame[None], _KRAUS_BLOCKS, "channel")
-        frame.setflags(write=False)
-        return _checked_point(
-            frame, frame[:4, 0], frame[:4, 1], frame[4:, 0], frame[4:, 1])
+        w = np.asarray(w, dtype=complex)
+        if w.shape == (8, 2):
+            return _kraus_points(w[None])[0]
+        return cls(u1=w[:4, 0], u2=w[:4, 1], v1=w[4:, 0], v2=w[4:, 1])
 
     def to_stiefel(self) -> StiefelPoint:
         return StiefelPoint(8, 2, self.matrix)
@@ -273,25 +281,20 @@ def _kraus_points(frames: np.ndarray) -> tuple:
     built without validating each one again: each frame is a row of one
     read-only copy of the stack, and its blocks are views of that row.
     """
-    frames = np.array(frames, dtype=complex)
+    frames = np.array(frames, dtype=complex, order="C")
     _check_frames(frames, _KRAUS_BLOCKS, "channel")
     frames.setflags(write=False)
     # Axes: frame, row half, row, column; the blocks of every frame at once.
     halves = frames.reshape(-1, 2, 4, 2)
     blocks = (halves[:, 0, :, 0], halves[:, 0, :, 1], halves[:, 1, :, 0],
               halves[:, 1, :, 1])
-    return tuple(map(_checked_point, frames, *blocks))
-
-
-def _checked_point(frame, u1, u2, v1, v2) -> KrausPoint:
-    """A :class:`KrausPoint` of a read-only frame that passed :func:`_check_frames`.
-
-    The fields of the frozen point are filled in without validating
-    again; the blocks are views of ``frame``.
-    """
-    p = object.__new__(KrausPoint)
-    p.__dict__.update(_frame=frame, u1=u1, u2=u2, v1=v1, v2=v2)
-    return p
+    points = []
+    for frame, u1, u2, v1, v2 in zip(frames, *blocks):
+        p = object.__new__(KrausPoint)
+        # The fields of the frozen point are filled in without validation.
+        p.__dict__.update(_frame=frame, u1=u1, u2=u2, v1=v1, v2=v2)
+        points.append(p)
+    return tuple(points)
 
 
 def point_to_kraus(p: KrausPoint) -> KrausSet:
@@ -390,11 +393,13 @@ def _ginibre(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar frame of n x k, k = 2: the Q factor of a Ginibre draw."""
     return _qf(_ginibre(n, k, rng))
 
 
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
     """Haar-distributed n x k frame from an explicit seed; ``k`` must be 2."""
+    _require_two_columns(k)
     rng = np.random.default_rng(seed)
     return StiefelPoint(n, k, _haar_frame(n, k, rng))
 

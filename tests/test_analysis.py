@@ -448,13 +448,31 @@ class TestClassify:
 _SADDLE_TAGS = (ManifoldTag.SADDLE_MINUS, ManifoldTag.SADDLE_PLUS, ManifoldTag.MIXED_SADDLE)
 
 
+def _classify_scalar(value, gnorm, params):
+    """The rule of classify_critical written out for one (J, gradient norm)."""
+    if gnorm >= 1e-6:
+        return "non-critical"
+    candidates = [(0.0, ManifoldTag.GLOBAL_MIN), (1.0, ManifoldTag.GLOBAL_MAX)]
+    if params.case == 1:
+        candidates.append((0.5, ManifoldTag.MIXED_SADDLE))
+    elif params.case == 2:
+        candidates.append((params.lambda_minus, ManifoldTag.SADDLE_MINUS))
+        candidates.append((params.lambda_plus, ManifoldTag.SADDLE_PLUS))
+    best_diff, best_val, best_tag = sorted((abs(value - v), v, t) for v, t in candidates)[0]
+    if best_diff > 1e-6:
+        return "non-critical"
+    if sum(abs(v - best_val) <= 2e-6 for v, _ in candidates) > 1:
+        return "ambiguous"
+    return CriticalManifoldId(best_tag)
+
+
 def _is_saddle_label(label):
     return isinstance(label, CriticalManifoldId) and label.tag in _SADDLE_TAGS
 
 
-class TestSaddleRuns:
+class TestClassifyRows:
     @pytest.mark.parametrize("norm", [0.0, 1e-6, 0.5, 1.0])
-    def test_matches_classify_run_by_run(self, norm):
+    def test_matches_the_scalar_rule_run_by_run(self, norm):
         params = LandscapeParams(w=(0.0, 0.0, norm))
         values = [0.25, 0.5, 0.75]
         for c in (0.0, 1.0) + saddle_values(params):
@@ -464,11 +482,13 @@ class TestSaddleRuns:
                     values += [np.nextafter(v, -1.0), v, np.nextafter(v, 2.0)]
         gnorms = [0.0, 1e-9, np.nextafter(1e-6, 0.0), 1e-6, np.nextafter(1e-6, 1.0), 1e-3]
         v, g = (a.ravel() for a in np.meshgrid(values, gnorms))
-        expected = [_is_saddle_label(analysis._classify(a, b, params))
-                    for a, b in zip(v.tolist(), g.tolist())]
-        assert analysis._saddle_runs(v, g, params).tolist() == expected
+        labels = ["non-critical", "ambiguous"] + [
+            CriticalManifoldId(t) for _, t in analysis._candidates(params)]
+        got = [labels[i] for i in analysis._classify(v, g, params)]
+        expected = [_classify_scalar(a, b, params) for a, b in zip(v.tolist(), g.tolist())]
+        assert got == expected
         # Saddle hits exist only where the saddle values are told apart.
-        assert any(expected) == (norm in (0.0, 0.5))
+        assert any(map(_is_saddle_label, expected)) == (norm in (0.0, 0.5))
 
     @pytest.mark.parametrize("w, tag", [
         ((0.0, 0.0, 0.5), ManifoldTag.SADDLE_MINUS),
@@ -477,22 +497,19 @@ class TestSaddleRuns:
         ((0.0, 0.0, 1e-6), ManifoldTag.SADDLE_PLUS),
         ((0.0, 0.0, 0.5), ManifoldTag.GLOBAL_MAX),
     ])
-    def test_hits_equal_the_classify_loop(self, w, tag):
+    def test_saddle_hits_equal_the_scalar_count(self, w, tag):
         # A run started on a critical manifold stays there; campaigns of
         # Haar starts end at the extremes.
         params = LandscapeParams(w=w)
         p = critical_point(CriticalManifoldId(tag), params, seed=6)
         for cfg in (OptimizerConfig(), OptimizerConfig(direction="minimize")):
-            w0 = np.concatenate([p.matrix[None], analysis._haar_starts(9, 12)])
-            rows, _, _, _ = analysis._descend(w0, params, cfg)
-            loop = sum(_is_saddle_label(analysis._classify(*r[-1].tolist(), params))
-                       for r in rows)
-            finals = np.array([r[-1] for r in rows])
-            assert analysis._saddle_runs(finals[:, 0], finals[:, 1], params).sum() == loop
             report = multi_start(params, 1, 0, cfg, start=p)
             expected = int(_is_saddle_label(classify_critical(p, params)))
             assert report.classified_saddle_hits == expected
-            assert loop == expected
+            rows, _, _, _ = analysis._descend(analysis._haar_starts(9, 12), params, cfg)
+            loop = sum(_is_saddle_label(_classify_scalar(*r[-1].tolist(), params))
+                       for r in rows)
+            assert multi_start(params, 12, 9, cfg).classified_saddle_hits == loop
 
 
 class TestLevelTransfer:

@@ -349,6 +349,15 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             StiefelPoint(8, 2, frame)
 
+    def test_frames_have_two_columns(self):
+        # The error comes from the call made, before any QR or Haar draw.
+        for k in (1, 3):
+            frame = np.eye(8, k, dtype=complex)
+            with pytest.raises(ValueError, match="k = 2 columns, got k = "):
+                StiefelPoint(8, k, frame)
+            with pytest.raises(ValueError, match="k = 2 columns, got k = "):
+                random_point(8, k, seed=1)
+
     def test_tangent_vector_rejects_normal_component(self):
         x = random_point(8, 2, seed=25)
         with pytest.raises(ValueError):
