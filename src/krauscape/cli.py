@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -554,23 +555,32 @@ def _cmd_scan(args) -> int:
     )
     frames = _qf(w0[None, None, :, :] + deltas)
     values = _objective_mat(frames, params)
-    rows = [
-        (s1[i], s2[j], values[i, j])
-        for i in range(grid.count1)
-        for j in range(grid.count2)
-    ]
     if args.format == "json":
         payload = {
             "w": [params.w.alpha, params.w.beta, params.w.gamma],
             "seed": args.seed,
             "grid": [grid.count1, grid.count2],
             "range": [grid.range1, grid.range2],
-            "rows": [[float(a), float(b), float(c)] for a, b, c in rows],
+            "rows": [[a, b, c] for (a, b), c in zip(
+                itertools.product(s1.tolist(), s2.tolist()), values.ravel().tolist())],
         }
         _write_text(dumps_json(payload), args.out)
     else:
-        _write_text(csv_lines(("s1", "s2", "J"), rows), args.out)
+        _write_text(_grid_csv(s1, s2, values), args.out)
     return 0
+
+
+def _grid_csv(s1: np.ndarray, s2: np.ndarray, values: np.ndarray) -> str:
+    """``csv_lines`` of the rows (s1[i], s2[j], values[i, j]), i outer.
+
+    Each coordinate is formatted once and each J once, by the same
+    %.17g rule, so the text is byte-identical to the row-by-row one.
+    """
+    c1 = ["%.17g" % x for x in s1.tolist()]
+    c2 = ["%.17g" % x for x in s2.tolist()]
+    cells = ["%.17g" % x for x in values.ravel().tolist()]
+    rows = zip(itertools.product(c1, c2), cells)
+    return "s1,s2,J\n" + "".join(f"{a},{b},{c}\n" for (a, b), c in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -382,19 +382,14 @@ def retract(x: StiefelPoint, t: TangentVector, kind: str = "qr") -> StiefelPoint
     return StiefelPoint(x.n, x.k, new)
 
 
-def _ginibre(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian n x k matrix, the raw draw of a Haar frame.
+def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar frame of n x k, k = 2: the Q factor of a Ginibre draw.
 
-    One (2, n, k) standard-normal draw: the real parts, then the
-    imaginary parts.
+    The draw is one (2, n, k) standard-normal array: the real parts,
+    then the imaginary parts.
     """
     g = rng.standard_normal((2, n, k))
-    return g[0] + 1j * g[1]
-
-
-def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar frame of n x k, k = 2: the Q factor of a Ginibre draw."""
-    return _qf(_ginibre(n, k, rng))
+    return _qf(g[0] + 1j * g[1])
 
 
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:

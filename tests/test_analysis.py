@@ -329,6 +329,57 @@ class TestEngine:
             assert np.array_equal(stack[i], frame)
 
 
+# One to five 32-bit entropy words, on both sides of each word boundary.
+STREAM_SEEDS = [0, 1, 2**31 - 2, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 9, 2**73 + 12345,
+                2**96, 2**100 + 3, 2**128 + 1, 2**159 + 7]
+
+
+class TestChildStreams:
+    """The one-pass Haar starts against numpy's SeedSequence and PCG64."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_streams_are_numpy_child_streams(self, seed):
+        for n in (1, 2, 40, 300):
+            words = analysis._child_words(seed, n)
+            stack = analysis._haar_starts(seed, n)
+            for i in range(n):
+                child = np.random.SeedSequence(seed, spawn_key=(i,))
+                assert np.array_equal(words[i], child.generate_state(4, np.uint64))
+                frame = analysis._haar_frame(8, 2, analysis._child_rng(seed, i))
+                assert np.array_equal(stack[i].view(float), frame.view(float))
+
+    @pytest.mark.parametrize("seed", [3, 2**64 + 9, 2**100 + 3])
+    def test_prefix_of_a_longer_campaign(self, seed):
+        stack = analysis._haar_starts(seed, 60)
+        for m in (1, 2, 7, 59):
+            assert np.array_equal(analysis._haar_starts(seed, m).view(float),
+                                  stack[:m].view(float))
+
+    def test_numpy_integer_seed(self):
+        for seed in (0, 17, 2**32 + 5):
+            expected = analysis._haar_starts(seed, 5).view(float)
+            for typed in (np.int64(seed), np.uint64(seed)):
+                assert np.array_equal(analysis._haar_starts(typed, 5).view(float), expected)
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            analysis._haar_starts(-1, 2)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            multi_start(PARAMS05, 2, -1)
+
+    def test_large_seed_runs(self):
+        report = multi_start(PARAMS05, 2, 10**26)
+        assert report.seed == 10**26
+        assert report.reached_global == 2
+        assert report.final_values[1] == rerun_start(
+            PARAMS05, 10**26, 1, OptimizerConfig()).final_value
+
+    def test_child_seed_serves_only_pcg64_words(self):
+        seed = analysis._ChildSeed(analysis._child_words(5, 1)[0])
+        with pytest.raises(ValueError, match="generate_state"):
+            seed.generate_state(8, np.uint32)
+
+
 class TestMultiStart:
     def test_deterministic(self):
         r1 = multi_start(PARAMS05, n_starts=10, seed=42)

@@ -525,6 +525,38 @@ class TestScan:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", [41, 2])
+    def test_csv_is_the_row_rule(self, grid, capsys):
+        # The CSV formats each coordinate once; the text must equal
+        # csv_lines of the (s1, s2, J) rows that the JSON output lists.
+        argv = ["scan", "--w", "0.3,-0.4,0.2", "--seed", "4", "--grid", str(grid)]
+        assert main(argv + ["--format", "csv"]) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == grid * grid
+        assert text == csv_lines(("s1", "s2", "J"), rows)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--w", "0,0,0.5", "--direction", "max", "--starts", "2"],
+        ["morse", "--w", "0,0,0.5", "--manifold", "saddle-minus"],
+        ["levelset", "--w", "0,0,0.5", "--mu", "0.4"],
+        ["levelset", "--w", "0,0,0.5", "--mu", "1"],
+        ["scan", "--w", "0,0,0.5", "--grid", "2"],
+    ])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_large_seed_runs(self, capsys):
+        code = main(["optimize", "--w", "0,0,0.5", "--direction", "max", "--starts", "2",
+                     "--seed", str(10**26)])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["seed"] == 10**26 and report["reached_global"] == 2
+
 
 def _per_cell_csv(header, rows):
     """CSV text by the per-cell rule: str as is, integers in decimal, else %.17g."""
