@@ -35,6 +35,7 @@ from .landscape import (
     LandscapeParams,
     ManifoldTag,
     _objective_mat,
+    _rgrad_mat,
     critical_point,
     hessian_form,
     morse_signature,
@@ -409,7 +410,9 @@ def _cmd_morse(args) -> int:
     hess = hessian_form(point, params)
     computed = morse_signature(hess, zero_tol=tols["zero_tol"])
     match = computed == predicted
-    grad_norm = riemannian_gradient(point, params).norm()
+    # The norm of the raw gradient frame, as riemannian_gradient(...).norm()
+    # gives it, without a TangentVector check of a second copy.
+    grad_norm = float(np.linalg.norm(_rgrad_mat(point.matrix, params)))
     report = {
         "manifold": mid.tag.value,
         "w": [params.w.alpha, params.w.beta, params.w.gamma],

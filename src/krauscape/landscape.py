@@ -22,8 +22,8 @@ from .stiefel import (
     KrausPoint,
     TangentBasis,
     TangentVector,
-    orthonormal_tangent_basis,
     _haar_frame,
+    _tangent_stack,
     _validate_blocks,
     _worst_residual,
 )
@@ -480,12 +480,18 @@ def critical_point(
 
     The seed picks the free directions within the sub-manifold; the
     construction itself is exact, so the Riemannian gradient vanishes to
-    rounding error.
+    rounding error.  The diagonal blocks fill one 8x2 frame, the inverse
+    mixing acts on its two columns, and the frame is checked once, as
+    :meth:`KrausPoint.from_matrix` checks every frame; the point is
+    bitwise the one of :func:`from_diag` on the same blocks.
     """
     _ensure_legal(mid, params)
     rng = np.random.default_rng(seed)
-    ut1, ut2, vt1, vt2 = _critical_diag_blocks(mid, params, rng)
-    return from_diag(DiagCoords(ut1=ut1, ut2=ut2, vt1=vt1, vt2=vt2), params)
+    d = np.empty((8, 2), dtype=complex)
+    d[:4, 0], d[:4, 1], d[4:, 0], d[4:, 1] = _critical_diag_blocks(mid, params, rng)
+    w = np.empty_like(d)
+    w[:, 0], w[:, 1] = _backward_blocks(coord_change(params), d[:, 0], d[:, 1])
+    return KrausPoint.from_matrix(w)
 
 
 def morse_signature(h: np.ndarray, zero_tol: float = 1e-12) -> MorseSignature:
@@ -495,7 +501,10 @@ def morse_signature(h: np.ndarray, zero_tol: float = 1e-12) -> MorseSignature:
     count as null.  The default 1e-12 sits between the null eigenvalues
     of :func:`hessian_form` (rounding level, ~1e-15) and its smallest
     non-null ones, which shrink like |w| towards the fully mixed state.
+    A non-finite or negative ``zero_tol`` raises ``ValueError``.
     """
+    if not (0.0 <= zero_tol < math.inf):
+        raise ValueError(f"zero_tol must be finite and non-negative, got {zero_tol!r}")
     h = np.asarray(h, dtype=float)
     sym = 0.5 * (h + h.T)
     eigs = np.linalg.eigvalsh(sym)
@@ -525,10 +534,11 @@ def hessian_form(
     t_i is tangent.  At a critical point it equals the second
     derivative of J(retract(p, s.t)) for any retraction, so its inertia is
     the Morse signature; a warning is issued when the gradient norm
-    exceeds 1e-6.
+    exceeds 1e-6.  Without ``basis`` the tangent stack of
+    :func:`orthonormal_tangent_basis` is built on the point's frame and
+    used directly, with no basis object.
     """
-    base = p.to_stiefel()
-    w = base.frame
+    w = p.matrix
     grad, sym = _first_order(w, params)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm > 1e-6:
@@ -538,10 +548,11 @@ def hessian_form(
             stacklevel=2,
         )
     if basis is None:
-        basis = orthonormal_tangent_basis(base)
-    elif not np.array_equal(basis.base.frame, w):
+        t = _tangent_stack(w)
+    elif np.array_equal(basis.base.frame, w):
+        t = basis.as_array()
+    else:
         raise ValueError("tangent basis is not based at the given point")
-    t = basis.as_array()
     hess_t = _hess_ambient_mat(t, sym, params)
     out = np.einsum("inj,mnj->im", t.conj(), hess_t).real
     return 0.5 * (out + out.T)

@@ -106,6 +106,17 @@ def _validate_blocks(obj, names: tuple, what: str) -> np.ndarray:
     return frame
 
 
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass whose fields are already checked.
+
+    The fields are filled in without running ``__post_init__``; callers
+    pass values that passed the class's own rule.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _require_two_columns(k: int) -> None:
     if k != 2:
         raise ValueError(f"Stiefel frames have k = 2 columns, got k = {k}")
@@ -183,7 +194,13 @@ class KrausPoint:
         return cls(u1=w[:4, 0], u2=w[:4, 1], v1=w[4:, 0], v2=w[4:, 1])
 
     def to_stiefel(self) -> StiefelPoint:
-        return StiefelPoint(8, 2, self.matrix)
+        """The frame as a :class:`StiefelPoint` sharing the read-only matrix.
+
+        The frame passed :func:`_check_frames` when the point was built:
+        finite entries and |X^H X - I| within 1e-10, the rule of
+        ``StiefelPoint``, so it is not checked again.
+        """
+        return _unchecked(StiefelPoint, n=8, k=2, frame=self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +214,12 @@ class TangentVector:
         d = np.array(self.delta, dtype=complex)
         if d.shape != (self.base.n, self.base.k):
             raise ValueError("tangent delta shape does not match the base frame")
+        if not np.isfinite(d).all():
+            raise ValueError("tangent delta contains non-finite entries")
         x = self.base.frame
         sym = x.conj().T @ d
         sym = sym + sym.conj().T
-        if np.abs(sym).max() > 1e-10:
+        if not (np.abs(sym).max() <= 1e-10):
             raise ValueError("delta is not tangent at the base point within 1e-10")
         d.setflags(write=False)
         object.__setattr__(self, "delta", d)
@@ -213,8 +232,9 @@ class TangentVector:
 class TangentBasis:
     """Orthonormal basis of the tangent space at a frame, real dimension 2nk-k^2.
 
-    The vectors are checked together: every delta tangent at ``base``
-    and the Gram matrix the identity, each within 1e-10.
+    The vectors are checked together by :func:`_check_tangent_stack`:
+    every delta tangent at ``base`` and the Gram matrix the identity,
+    each within 1e-10.
     """
 
     base: StiefelPoint
@@ -228,19 +248,36 @@ class TangentBasis:
             raise ValueError(f"expected {expected} basis vectors, got {len(vecs)}")
         stack = np.stack([v.delta for v in vecs])
         stack.setflags(write=False)
-        sym = np.swapaxes(self.base.frame.conj(), -1, -2) @ stack
-        if np.abs(sym + np.swapaxes(sym.conj(), -1, -2)).max() > 1e-10:
-            raise ValueError("basis vector is not tangent at the base point within 1e-10")
-        flat = stack.reshape(len(vecs), -1)
-        gram = (flat.conj() @ flat.T).real
-        if np.abs(gram - np.eye(len(vecs))).max() > 1e-10:
-            raise ValueError("tangent basis is not orthonormal within 1e-10")
+        _check_tangent_stack(self.base.frame, stack)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "_stack", stack)
 
     def as_array(self) -> np.ndarray:
         """Read-only stack of basis deltas, shape (dim, n, k)."""
         return self._stack
+
+
+def _check_tangent_stack(frame: np.ndarray, stack: np.ndarray) -> None:
+    """Check a C-contiguous (dim, n, k) stack as an orthonormal tangent basis.
+
+    The one rule of :class:`TangentBasis`: every delta D tangent at the
+    frame X, the entries of X^H D + D^H X within 1e-10, and the real Gram
+    matrix of the deltas the identity within 1e-10.  The deltas must be
+    finite, and a residual that is not within the bound (NaN included)
+    fails.
+    """
+    m, n, k = stack.shape
+    # Axes: delta, then its real and imaginary parts, entry by entry.
+    parts = stack.view(np.float64).reshape(m, -1)
+    if not np.isfinite(parts).all():
+        raise ValueError("basis vector contains non-finite entries")
+    # Axes: frame column, delta, delta column; all X^H D in one product.
+    s = (frame.conj().T @ stack.transpose(1, 0, 2).reshape(n, m * k)).reshape(k, m, k)
+    if not (np.abs(s + s.transpose(2, 1, 0).conj()).max() <= 1e-10):
+        raise ValueError("basis vector is not tangent at the base point within 1e-10")
+    # Re<D_i, D_j> is the real dot product of the real and imaginary parts.
+    if not (np.abs(parts @ parts.T - np.eye(m)).max() <= 1e-10):
+        raise ValueError("tangent basis is not orthonormal within 1e-10")
 
 
 def constraint_residuals(u1, u2, v1, v2) -> tuple[float, float, complex]:
@@ -288,13 +325,10 @@ def _kraus_points(frames: np.ndarray) -> tuple:
     halves = frames.reshape(-1, 2, 4, 2)
     blocks = (halves[:, 0, :, 0], halves[:, 0, :, 1], halves[:, 1, :, 0],
               halves[:, 1, :, 1])
-    points = []
-    for frame, u1, u2, v1, v2 in zip(frames, *blocks):
-        p = object.__new__(KrausPoint)
-        # The fields of the frozen point are filled in without validation.
-        p.__dict__.update(_frame=frame, u1=u1, u2=u2, v1=v1, v2=v2)
-        points.append(p)
-    return tuple(points)
+    return tuple(
+        _unchecked(KrausPoint, _frame=frame, u1=u1, u2=u2, v1=v1, v2=v2)
+        for frame, u1, u2, v1, v2 in zip(frames, *blocks)
+    )
 
 
 def point_to_kraus(p: KrausPoint) -> KrausSet:
@@ -404,43 +438,46 @@ def random_kraus_point(seed: int) -> KrausPoint:
     return KrausPoint.from_matrix(_haar_frame(8, 2, np.random.default_rng(seed)))
 
 
+# Orthonormal basis of the anti-Hermitian 2x2 matrices: the two diagonal
+# phases, then the real and the imaginary off-diagonal pair.
+_ROTATIONS = np.array([
+    [[1j, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 1j]],
+    [[0.0, 1.0 / np.sqrt(2.0)], [-1.0 / np.sqrt(2.0), 0.0]],
+    [[0.0, 1j / np.sqrt(2.0)], [1j / np.sqrt(2.0), 0.0]],
+])
+
+
+def _tangent_stack(w: np.ndarray) -> np.ndarray:
+    """Read-only orthonormal tangent stack at an n x 2 frame, checked once.
+
+    Combines the 4 rotations W*A for the orthonormal anti-Hermitian basis
+    A of ``_ROTATIONS`` with the 4(n-2) complement directions W_perp*E and
+    i*W_perp*E, where W_perp spans the orthogonal complement of the frame.
+    The deltas are built as one (4n - 4, n, 2) stack and checked together
+    by :func:`_check_tangent_stack`.
+    """
+    n = w.shape[0]
+    # Complement block: real and imaginary unit injections, column by column.
+    perp = np.linalg.qr(w, mode="complete")[0][:, 2:].T
+    iperp = 1j * perp
+    comp = np.zeros((n - 2, 2, 2, n, 2), dtype=complex)
+    for j in range(2):
+        comp[:, j, 0, :, j] = perp
+        comp[:, j, 1, :, j] = iperp
+    stack = np.concatenate([w @ _ROTATIONS, comp.reshape(-1, n, 2)])
+    stack.setflags(write=False)
+    _check_tangent_stack(w, stack)
+    return stack
+
+
 def orthonormal_tangent_basis(x: StiefelPoint) -> TangentBasis:
     """Deterministic orthonormal tangent basis at a frame.
 
-    Combines the k^2 rotations W*A for an orthonormal anti-Hermitian basis
-    A with the 2(n-k)k complement directions W_perp*E and i*W_perp*E, where
-    W_perp spans the orthogonal complement of the frame.  The deltas are
-    built as one (dim, n, k) stack; :class:`TangentBasis` checks their
-    tangency and orthonormality together, not vector by vector.
+    The deltas are the stack of :func:`_tangent_stack`, checked there
+    once by the rule of :class:`TangentBasis`; each vector's delta is a
+    read-only row of it.
     """
-    n, k = x.n, x.k
-    w = x.frame
-    # Anti-Hermitian block: diagonal phases then paired off-diagonals.
-    gens = np.zeros((k * k, k, k), dtype=complex)
-    diag = np.arange(k)
-    gens[diag, diag, diag] = 1j
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    m = k
-    for j in range(k):
-        for l in range(j + 1, k):
-            gens[m, j, l] = inv_sqrt2
-            gens[m, l, j] = -inv_sqrt2
-            gens[m + 1, j, l] = 1j * inv_sqrt2
-            gens[m + 1, l, j] = 1j * inv_sqrt2
-            m += 2
-    # Complement block: real and imaginary unit injections, column by column.
-    perp = np.linalg.qr(w, mode="complete")[0][:, k:]
-    comp = np.zeros((n - k, k, 2, n, k), dtype=complex)
-    for j in range(k):
-        comp[:, j, 0, :, j] = perp.T
-        comp[:, j, 1, :, j] = 1j * perp.T
-    stack = np.concatenate([w @ gens, comp.reshape(-1, n, k)])
-    stack.setflags(write=False)
-    vectors = []
-    for d in stack:
-        # Tangency is checked for the whole stack by TangentBasis.
-        v = object.__new__(TangentVector)
-        object.__setattr__(v, "base", x)
-        object.__setattr__(v, "delta", d)
-        vectors.append(v)
-    return TangentBasis(base=x, vectors=vectors)
+    stack = _tangent_stack(x.frame)
+    vectors = tuple(_unchecked(TangentVector, base=x, delta=d) for d in stack)
+    return _unchecked(TangentBasis, base=x, vectors=vectors, _stack=stack)

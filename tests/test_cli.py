@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import krauscape.cli as cli
+import krauscape.stiefel as stiefel
 from krauscape.analysis import OptimizerConfig, _chord, levelset_connect, rerun_start
 from krauscape.cli import csv_lines, kraus_to_dict, main, point_to_dict
 from krauscape.landscape import (
@@ -297,6 +298,47 @@ class TestMorse:
         report = json.loads(captured.out)
         assert report["computed"] == [0, 0, 28]
         assert "morse" in captured.err
+
+    def test_checks_one_frame_and_builds_no_tangent(self, monkeypatch, capsys):
+        # The critical frame is checked once; the Hessian and the gradient
+        # norm read the raw frame, with no StiefelPoint or TangentVector.
+        checked = []
+        check = stiefel._check_frames
+
+        def counting(frames, *rest):
+            checked.append(len(frames))
+            return check(frames, *rest)
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built by morse")
+
+        monkeypatch.setattr(stiefel, "_check_frames", counting)
+        monkeypatch.setattr(stiefel.StiefelPoint, "__post_init__", refuse)
+        monkeypatch.setattr(stiefel.TangentVector, "__post_init__", refuse)
+        code = main(
+            ["morse", "--w", "0.3,-0.4,0.2", "--seed", "3", "--manifold", "saddle-plus"]
+        )
+        assert code == 0
+        assert checked == [1]
+        assert json.loads(capsys.readouterr().out)["computed"] == [6, 8, 14]
+
+    def test_invalid_zero_tol_exits_2(self, capsys):
+        for value in ("nan", "-1"):
+            code = main(
+                [
+                    "morse",
+                    "--w",
+                    "0,0,0.5",
+                    "--seed",
+                    "3",
+                    "--manifold",
+                    "saddle-minus",
+                    "--tol",
+                    f"zero_tol={value}",
+                ]
+            )
+            assert code == 2
+            assert "zero_tol must be finite and non-negative" in capsys.readouterr().err
 
     def test_illegal_manifold_for_pure_state(self, capsys):
         code = main(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from krauscape.landscape import (
+    _critical_diag_blocks,
     _first_order,
     _grad_mat,
     _hess_ambient_mat,
@@ -34,6 +35,8 @@ from krauscape.landscape import (
 )
 from krauscape.qcore import THETA0, BlochVector, bloch_to_density, objective_trace
 from krauscape.stiefel import (
+    StiefelPoint,
+    TangentVector,
     _project_mat,
     _qf,
     constraint_residuals,
@@ -364,6 +367,32 @@ class TestCriticalStructure:
         with pytest.raises(ValueError):
             CriticalManifoldId(ManifoldTag.GLOBAL_MIN, z=1.0 + 0j)
 
+    @pytest.mark.parametrize(
+        "w, tags",
+        [
+            # The generic coordinate change and its two z0 = 0 branches.
+            ((0.3, -0.4, 0.2), ("global-min", "global-max", "saddle-minus", "saddle-plus")),
+            ((0.0, 0.0, 0.5), ("global-min", "global-max", "saddle-minus", "saddle-plus")),
+            ((0.0, 0.0, -0.5), ("global-min", "global-max", "saddle-minus", "saddle-plus")),
+            # The pure-state extremes.
+            ((0.6, 0.0, 0.8), ("global-min", "global-max")),
+            ((0.0, 0.0, 0.0), ("global-min", "global-max", "mixed-saddle")),
+        ],
+    )
+    def test_frame_equals_the_diagonal_coordinate_path(self, w, tags):
+        # critical_point mixes the columns of one frame; the point is bitwise
+        # the one built through DiagCoords and from_diag.
+        params = LandscapeParams(w=BlochVector(*w))
+        mids = [CriticalManifoldId(ManifoldTag(tag)) for tag in tags]
+        if params.case == 1:
+            mids.append(CriticalManifoldId(ManifoldTag.MIXED_SADDLE, z=0.3 - 0.7j))
+        for mid in mids:
+            for seed in range(4):
+                blocks = _critical_diag_blocks(mid, params, np.random.default_rng(seed))
+                ref = from_diag(DiagCoords(*blocks), params)
+                p = critical_point(mid, params, seed=seed)
+                assert np.array_equal(p.matrix, ref.matrix)
+
     def test_seed_moves_within_manifold(self):
         params = LandscapeParams(w=BlochVector(0.0, 0.0, 0.5))
         mid = CriticalManifoldId(ManifoldTag.GLOBAL_MAX)
@@ -496,6 +525,40 @@ class TestMorse:
                 hess_t = 2.0 * _grad_mat(t, params) - t @ (0.5 * (s + s.conj().T))
                 out = np.einsum("inj,mnj->im", t.conj(), hess_t).real
                 assert np.array_equal(hessian_form(p, params), 0.5 * (out + out.T))
+
+    def test_default_basis_is_the_public_basis(self):
+        for w, tag in (
+            ((0.3, -0.4, 0.2), ManifoldTag.SADDLE_MINUS),
+            ((0.0, 0.0, 0.0), ManifoldTag.MIXED_SADDLE),
+            ((0.6, 0.0, 0.8), ManifoldTag.GLOBAL_MIN),
+        ):
+            params = LandscapeParams(w=BlochVector(*w))
+            for seed in range(3):
+                p = critical_point(CriticalManifoldId(tag), params, seed=seed)
+                basis = orthonormal_tangent_basis(p.to_stiefel())
+                assert np.array_equal(
+                    hessian_form(p, params), hessian_form(p, params, basis=basis)
+                )
+
+    def test_morse_path_builds_no_checked_frame_or_tangent(self, monkeypatch):
+        # The critical frame is checked once, as a KrausPoint; the Hessian
+        # reads the checked tangent stack and builds no frame or vector type.
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built on the Morse path")
+
+        monkeypatch.setattr(StiefelPoint, "__post_init__", refuse)
+        monkeypatch.setattr(TangentVector, "__post_init__", refuse)
+        params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
+        mid = CriticalManifoldId(ManifoldTag.SADDLE_PLUS)
+        p = critical_point(mid, params, seed=3)
+        assert morse_signature(hessian_form(p, params)) == predicted_morse(mid, params)
+
+    def test_zero_tol_must_be_finite_and_non_negative(self):
+        h = np.diag(np.arange(28.0))
+        for bad in (np.nan, np.inf, -1.0, -1e-300):
+            with pytest.raises(ValueError, match="zero_tol"):
+                morse_signature(h, zero_tol=bad)
+        assert morse_signature(h, zero_tol=0.0) == MorseSignature(27, 0, 1)
 
     def test_signature_sums_to_dimension(self):
         with pytest.raises(ValueError):

@@ -363,6 +363,23 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             TangentVector(base=x, delta=x.frame)
 
+    def test_tangent_vector_rejects_non_finite_delta(self):
+        x = random_point(8, 2, seed=25)
+        for value in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValueError, match="non-finite"):
+                TangentVector(base=x, delta=np.full((8, 2), value, dtype=complex))
+
+    def test_tangent_basis_rejects_a_non_finite_vector(self):
+        x = random_point(8, 2, seed=26)
+        vectors = list(orthonormal_tangent_basis(x).vectors)
+        # A vector that skipped its own check, so only the basis rule sees it.
+        bad = object.__new__(TangentVector)
+        object.__setattr__(bad, "base", x)
+        object.__setattr__(bad, "delta", np.full((8, 2), np.nan, dtype=complex))
+        vectors[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            TangentBasis(base=x, vectors=vectors)
+
     def test_tangent_basis_rejects_vectors_of_another_frame(self):
         x = random_point(8, 2, seed=26)
         other = orthonormal_tangent_basis(random_point(8, 2, seed=27))
@@ -408,6 +425,12 @@ class TestKrausPointStack:
             assert not p.matrix.flags.writeable
             for name in ("u1", "u2", "v1", "v2"):
                 assert np.shares_memory(getattr(p, name), p.matrix)
+            # The Stiefel view shares the checked frame; nothing is copied.
+            x = p.to_stiefel()
+            assert (x.n, x.k) == (8, 2)
+            assert np.array_equal(x.frame, p.matrix)
+            assert not x.frame.flags.writeable
+            assert np.shares_memory(x.frame, p.matrix)
 
     def test_non_finite_row_rejected_with_the_point_error(self):
         frames = np.stack([random_point(8, 2, seed=s).frame for s in range(4)])
