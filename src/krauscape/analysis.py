@@ -5,8 +5,8 @@ quadratic model of the closed-form Hessian by truncated conjugate
 gradients (Absil, Baker & Gallivan, Found. Comput. Math. 7, 2007),
 seeded multi-start campaigns, classification of converged points
 against the known critical sub-manifolds, transfer of points between
-level sets along the normalized gradient flow, and a numerical
-connectivity witness that traces a path inside a single level set.
+level sets along the normalized gradient flow, and an exact
+connectivity witness: a closed-form path inside a single level set.
 
 One engine runs the optimizer: every campaign is one call on an
 (N, 8, 2) stack of raw frames that keeps, per run, only the objective
@@ -16,19 +16,19 @@ gets its gradient and the Hessian's curvature term sym(X^H grad J) from
 one first-order kernel, and the saddle hits of a campaign are counted
 in one vectorised pass.  :func:`optimize` is that engine on a single
 frame; validated :class:`KrausPoint` objects are built only where a
-caller receives them.  The level-set tracer works
-the same way: each round of path nodes is one stack through a masked
-Newton corrector, and the finished path is validated once, as a stack of
-waypoints.  One seed-bisect-correct loop traces every level, the
-extremes 0 and 1 included, in the raw frame coordinates.
+caller receives them.
 
-The level transfer alone leaves the 8x2 frame.  J depends on a frame
-[U; V] only through the 2x2 Gram matrix M = U^H U, so the gradient flow
-stays in the orbit [U0 A; V0 B] of its start and is integrated on the
-2x2 right factors A and B in Python complex scalars: Dormand-Prince
-5(4) steps with the error measured in the 8x2 Frobenius norm through
-the Gram matrices of U0 and V0, a Cholesky form of the QR retraction,
-and one lift to an 8x2 frame at the end.
+The level transfer and the level-set witness work on the Gram quotient.
+J depends on a frame [U; V] only through the 2x2 Gram matrix M = U^H U,
+J = tr(M N) / 2, and V^H V = I - M.  The gradient flow stays in the
+orbit [U0 A; V0 B] of its start and is integrated on the 2x2 right
+factors A and B in Python complex scalars: Dormand-Prince 5(4) steps
+with the error measured in the 8x2 Frobenius norm through the Gram
+matrices of U0 and V0, a Cholesky form of the QR retraction, and one
+lift to an 8x2 frame at the end.  The witness between two points of one
+level follows the segment between their Gram matrices, on which J is
+linear, and lifts it to frames in closed form; its nodes are one
+broadcast over a stack, validated once as a stack of waypoints.
 """
 
 from __future__ import annotations
@@ -48,13 +48,11 @@ from .landscape import (
     _hess_ambient_mat,
     _objective_mat,
     _rgrad_mat,
-    saddle_values,
 )
 from .stiefel import (
     KrausPoint,
     _haar_frame,
     _kraus_points,
-    _polar,
     _project_mat,
     _qf,
 )
@@ -85,7 +83,6 @@ _TR_MAX_SHRINKS = 60
 _FLOOR_ULPS = 4
 _TINY = 5e-324  # smallest subnormal: a positive divisor stays unchanged
 _CHORD_LIMIT = 0.05
-_SADDLE_GUARD = 1e-3
 _STALL_GRAD = 1e-6
 # Step control of level_transfer, in J units.
 _FLOW_TOL = 1e-10
@@ -237,9 +234,12 @@ class MultiStartReport:
 class LevelSetPath:
     """Witness path inside one level set.
 
-    ``status`` is "connected" when every waypoint is feasible, matches
-    the level within 1e-6, and consecutive chordal steps stay below 0.05;
-    otherwise "failed" with the reason in ``detail``.
+    ``status`` is "connected" when the path has at least one waypoint,
+    every waypoint is feasible and matches the level within 1e-6, and
+    consecutive chordal steps stay within 0.05; otherwise "failed" with
+    the reason in ``detail``.  The level ``mu`` lies in [0, 1], and the
+    deviation and step are non-negative; a NaN fails every bound of a
+    connected path.
     """
 
     mu: float
@@ -252,11 +252,17 @@ class LevelSetPath:
     def __post_init__(self):
         if self.status not in ("connected", "failed"):
             raise ValueError("status must be 'connected' or 'failed'")
+        if not (0.0 <= self.mu <= 1.0):
+            raise ValueError("level must lie in [0, 1]")
+        if self.max_value_deviation < 0.0 or self.max_step_length < 0.0:
+            raise ValueError("deviation and step length must be non-negative")
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         if self.status == "connected":
-            if self.max_value_deviation > 1e-6:
+            if not self.waypoints:
+                raise ValueError("connected path has no waypoints")
+            if not (self.max_value_deviation <= 1e-6):
                 raise ValueError("connected path exceeds the level tolerance")
-            if self.max_step_length > _CHORD_LIMIT:
+            if not (self.max_step_length <= _CHORD_LIMIT):
                 raise ValueError("connected path exceeds the chordal step limit")
 
 
@@ -953,94 +959,68 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
-def _slerp(a: np.ndarray, b: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Column-wise great-circle interpolation of frames, one ``tau`` per row.
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square roots of a stack of 2x2 positive semidefinite matrices.
 
-    ``a`` and ``b`` are (M, n, k) stacks, or (n, k) frames shared by all M
-    rows of ``tau``.  Columns less than 1e-9 rad apart are interpolated
-    linearly.  The columns of the result are not orthogonal to each
-    other; :func:`_frame_interp` maps it back onto the manifold.
+    By Cayley-Hamilton, M^(1/2) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)).
+    A determinant or trace pushed below zero by rounding counts as zero,
+    and M = 0 has the root 0.
     """
-    # Re<a_j, b_j> per column, each summed over its own 2n contiguous reals.
-    at = np.ascontiguousarray(np.swapaxes(a, -1, -2)).view(np.float64)
-    bt = np.ascontiguousarray(np.swapaxes(b, -1, -2)).view(np.float64)
-    theta = np.arccos(np.clip((at * bt).sum(axis=-1), -1.0, 1.0))[..., None, :]
-    t = tau[:, None, None]
-    lin = theta < 1e-9
-    s = np.where(lin, 1.0, np.sin(theta))
-    ca = np.where(lin, 1.0 - t, np.sin((1.0 - t) * theta) / s)
-    cb = np.where(lin, t, np.sin(t * theta) / s)
-    return ca * a + cb * b
+    root_det = np.sqrt(np.maximum(
+        (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real, 0.0))
+    scale = np.sqrt(np.maximum(
+        (m[..., 0, 0] + m[..., 1, 1]).real + 2.0 * root_det, 0.0))
+    root = m + root_det[..., None, None] * np.eye(2)
+    return root / np.where(scale > 0.0, scale, 1.0)[..., None, None]
 
 
-def _frame_interp(a: np.ndarray, b: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """On-manifold interpolants between frames: polar factors of :func:`_slerp`.
+def _gram_witness(wa: np.ndarray, wb: np.ndarray):
+    """The same-level path between two 8x2 frames, in closed form.
 
-    A row whose interpolant loses rank gets the fixed jitter of
-    ``default_rng(1234567)`` before its polar factor is taken.
+    J depends on a frame [U; V] only through M = U^H U, and V^H V = I - M,
+    so every frame over M(s) = (1 - s) M_a + s M_b has the value
+    (1 - s) J(a) + s J(b).  Node s is the frame
+    [Q_u(s) M(s)^(1/2); Q_v(s) (I - M(s))^(1/2)].  Each endpoint block is
+    Q S, with the isometry Q and S = (block^H block)^(1/2) taken from the
+    block's own SVD, and Q(s) runs from Q_a to Q_b: the Grassmann geodesic
+    A cos(s Theta) + G sin(s Theta) from A = Q_a Y to B = Q_b Z, where
+    Y cos(Theta) Z^H is an SVD of Q_a^H Q_b (Edelman, Arias & Smith,
+    SIAM J. Matrix Anal. Appl. 20, 1998), times Y^H (Y Z^H)^s, the
+    principal U(2) geodesic from Y^H to Z^H.  The eigenbasis of Y Z^H is
+    orthonormalised by QR, which keeps every node a frame to rounding
+    however close its two eigenphases sit.
+
+    Returns the function that maps an (n,) array of nodes s in [0, 1] to
+    their (n, 8, 2) stack of frames.
     """
-    raw = _slerp(a, b, tau)
-    try:
-        return _polar(raw)
-    except RuntimeError:
-        collapsed = np.linalg.svd(raw, full_matrices=False)[1].min(axis=-1) < 1e-12
-        jitter = _haar_frame(raw.shape[-2], raw.shape[-1], np.random.default_rng(1234567))
-        raw[collapsed] += 1e-6 * jitter
-        return _polar(raw)
+    blocks = np.stack([wa[:4], wb[:4], wa[4:], wb[4:]])
+    w, sig, zh = np.linalg.svd(blocks, full_matrices=False)
+    gram_a, gram_b = (zh[:2].conj().swapaxes(-1, -2) * sig[:2, None, :] ** 2) @ zh[:2]
+    q = (w @ zh).reshape(2, 2, 4, 2)  # axes: u or v rows, endpoint a or b
+    y, cos, zh = np.linalg.svd(q[:, 0].conj().swapaxes(-1, -2) @ q[:, 1])
+    start = q[:, 0] @ y
+    end = q[:, 1] @ zh.conj().swapaxes(-1, -2)
+    r = end - start @ (start.conj().swapaxes(-1, -2) @ end)
+    sin = np.sqrt((r.real**2 + r.imag**2).sum(axis=-2))
+    theta = np.arctan2(sin, cos)
+    g = r / np.where(sin > 0.0, sin, 1.0)[..., None, :]
+    turn = y @ zh
+    e = np.linalg.qr(np.linalg.eig(turn)[1])[0]
+    phase = np.angle((e.conj() * (turn @ e)).sum(axis=-2))
+    left, right = (y.conj().swapaxes(-1, -2) @ e)[:, None], e.conj().swapaxes(-1, -2)[:, None]
+    start, g = start[:, None], g[:, None]
 
+    def nodes(s: np.ndarray) -> np.ndarray:
+        t = s[:, None, None]
+        gram = (1.0 - t) * gram_a + t * gram_b
+        roots = _psd_sqrt(np.stack([gram, np.eye(2) - gram]))
+        angle = s[:, None] * theta[:, None]
+        iso = start * np.cos(angle)[..., None, :] + g * np.sin(angle)[..., None, :]
+        x = iso @ ((left * np.exp(1j * s[:, None] * phase[:, None])[..., None, :])
+                   @ right @ roots)
+        return np.concatenate([x[0], x[1]], axis=1)
 
-def _correct_to_level(
-    w: np.ndarray, mu: float, params: LandscapeParams, keys: np.ndarray
-):
-    """Newton-correct every frame of an (M, 8, 2) stack onto the level ``mu``.
-
-    Each row runs as on its own: per attempt at most 60 Newton steps
-    along the gradient, success at |J - mu| <= 1e-10, a stall where
-    |grad J| < 1e-6.  A row that fails an attempt is kicked by 1e-2 along
-    projected noise seeded by (``keys[i]``, attempt) and retried, up to 9
-    attempts.  Rows leave the stack as they succeed or stall and share no
-    arithmetic, so each row is bitwise its batch-of-one run.
-
-    Returns ``(frames, ok)``; ``frames[i]`` is meaningful where ``ok[i]``.
-    """
-    keys = np.asarray(keys)
-    out = np.empty_like(w)
-    ok = np.zeros(len(w), dtype=bool)
-    todo, starts = np.arange(len(w)), w
-    for attempt in range(9):
-        idx, frame = todo, starts
-        for _ in range(60):
-            value = _objective_mat(frame, params)
-            hit = np.abs(value - mu) <= 1e-10
-            if hit.any():
-                out[idx[hit]], ok[idx[hit]] = frame[hit], True
-                idx, frame, value = idx[~hit], frame[~hit], value[~hit]
-                if not len(idx):
-                    break
-            grad = _rgrad_mat(frame, params)
-            gnorm = _norms(grad)
-            stalled = gnorm < _STALL_GRAD
-            if stalled.any():
-                go = ~stalled
-                idx, frame, value, grad, gnorm = (
-                    idx[go], frame[go], value[go], grad[go], gnorm[go])
-                if not len(idx):
-                    break
-            frame = _qf(frame + ((mu - value) / gnorm**2)[:, None, None] * grad)
-        failed = ~ok[todo]
-        if attempt == 8 or not failed.any():
-            break
-        # Deterministic tangent kick of each failed start, then retry.
-        todo, base = todo[failed], starts[failed]
-        noise = []
-        for key in keys[todo]:
-            ss = np.random.SeedSequence(entropy=0x5EED, spawn_key=(int(key), attempt))
-            rng = np.random.default_rng(ss)
-            noise.append(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
-        kick = _project_mat(base, np.stack(noise))
-        kick = kick / np.maximum(_norms(kick), 1e-300)[:, None, None] * 1e-2
-        starts = _qf(base + kick)
-    return out, ok
+    return nodes
 
 
 def _chord(a: np.ndarray, b: np.ndarray) -> float:
@@ -1072,7 +1052,7 @@ def _finished_path(
     """
     step = float(_norms(frames[1:] - frames[:-1]).max())
     deviation = float(np.abs(_objective_mat(frames, params) - mu).max())
-    if step > _CHORD_LIMIT or deviation > 1e-6:
+    if not (step <= _CHORD_LIMIT and deviation <= 1e-6):
         return _failed_path(a, b, mu, detail, deviation, step)
     return LevelSetPath(
         mu=mu,
@@ -1086,26 +1066,19 @@ def _finished_path(
 def levelset_connect(
     a: KrausPoint, b: KrausPoint, params: LandscapeParams, mu: float
 ) -> LevelSetPath:
-    """Trace a same-level path between two points as a connectivity witness.
+    """An exact same-level path between two points, a connectivity witness.
 
-    Geodesic-style seeding at 64 nodes, Newton correction back to the
-    level, and adaptive bisection of every chordal step above 0.0475
-    until all fall under 0.05.  The 62 interior seeds run as one
-    (M, 8, 2) stack through the masked corrector, and so do the
-    midpoints of each bisection round.  Seed i corrects with node key i;
-    midpoints take the keys 64, 65, ... in segment order, round after
-    round, so each node is bitwise what a one-node-at-a-time tracer gives
-    and a failure names the first failing seed or segment.  At most 16
-    rounds and 4096 nodes.
-
-    Every level in [0, 1] runs through this one loop.  On an extreme set
-    of a mixed state the interpolants keep the vanishing rows zero, so
-    nodes land on the level to rounding; at a pure state they drift off
-    it slightly and the corrector brings them back.  A level within 1e-9
-    of 0 or 1 is traced on that extreme set, which stays traceable
-    however close a saddle value sits (near a pure state the lambda_-
-    saddle lies within 1e-3 of 0).  Only interior levels within 1e-3 of
-    a saddle value are refused.
+    The path is the closed-form lift of the segment from M_a to M_b of
+    Gram matrices (:func:`_gram_witness`).  J is linear in M, so every
+    node lies between J(a) and J(b) to rounding, and no corrector runs.
+    This holds at every level in [0, 1], the saddle values and the
+    extremes included.  The waypoints are a and b themselves with nodes
+    between them: as many evenly spaced values of s as the length of a
+    9-node pass asks for at chords of 0.0425, which leaves the speed of
+    the path in s room to vary, then bisection in s of every chord above
+    0.0475, since M(s)^(1/2) is only Hoelder-1/2 in s where M(s) is
+    singular.  At most 4096 nodes.  The finished path is checked
+    on its own terms: J, feasibility and the chords at every waypoint.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError("level must lie in [0, 1]")
@@ -1120,46 +1093,27 @@ def levelset_connect(
             max_step_length=0.0,
             status="connected",
         )
-    interior = 1e-9 < mu < 1.0 - 1e-9
-    level = mu if interior else float(round(mu))
-    for sv in saddle_values(params) if interior else ():
-        if abs(mu - sv) <= _SADDLE_GUARD:
-            raise ValueError(
-                f"level {mu:g} sits within {_SADDLE_GUARD:g} of the saddle value "
-                f"{sv:g}; the tracer is undefined across saddle levels"
-            )
     wa, wb = a.matrix, b.matrix
     for name, frame in (("a", wa), ("b", wb)):
         dev = abs(float(_objective_mat(frame, params)) - mu)
         if dev > 1e-8:
             raise ValueError(f"endpoint {name} is off the level by {dev:.3e}")
 
-    n_seed = 64
-    keys = np.arange(1, n_seed - 1)
-    nodes, ok = _correct_to_level(
-        _frame_interp(wa, wb, keys / (n_seed - 1)), level, params, keys)
-    if not ok.all():
-        return _failed_path(
-            a, b, mu, f"corrector stalled while seeding node {keys[~ok][0]}")
-    frames = np.concatenate([wa[None], nodes, wb[None]])
-
-    key = n_seed
-    for _round in range(16):
-        seg = np.flatnonzero(_norms(frames[1:] - frames[:-1]) > _CHORD_LIMIT * 0.95)
+    nodes = _gram_witness(wa, wb)
+    length = _norms(np.diff(nodes(np.linspace(0.0, 1.0, 9)), axis=0)).sum()
+    s = np.linspace(0.0, 1.0, math.ceil(length / (0.85 * _CHORD_LIMIT)) + 1)
+    frames = nodes(s)
+    frames[0], frames[-1] = wa, wb
+    while True:
+        seg = np.flatnonzero(_norms(frames[1:] - frames[:-1]) > 0.95 * _CHORD_LIMIT)
         if not len(seg):
             break
-        mids = _frame_interp(frames[seg], frames[seg + 1], np.full(len(seg), 0.5))
-        nodes, ok = _correct_to_level(mids, level, params, key + np.arange(len(seg)))
-        key += len(seg)
-        if not ok.all():
+        if len(frames) + len(seg) > 4096:
             return _failed_path(
-                a, b, mu, f"corrector stalled while bisecting segment {seg[~ok][0]}")
-        frames = np.insert(frames, seg + 1, nodes, axis=0)
-        if len(frames) > 4096:
-            return _failed_path(
-                a, b, mu, "node budget exhausted before reaching the step limit"
-            )
+                a, b, mu, "node budget exhausted before reaching the step limit")
+        mids = 0.5 * (s[seg] + s[seg + 1])
+        s = np.insert(s, seg + 1, mids)
+        frames = np.insert(frames, seg + 1, nodes(mids), axis=0)
     return _finished_path(
         a, b, mu, frames, params,
         "refinement finished above the step or level tolerance")
-

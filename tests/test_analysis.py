@@ -825,10 +825,55 @@ class TestLevelsetConnect:
             assert path.status == "connected", (seed, path.detail)
 
     def test_saddle_guard(self):
-        a = level_transfer(random_kraus_point(seed=31), PARAMS05, 0.2504)
-        b = level_transfer(random_kraus_point(seed=32), PARAMS05, 0.2504)
-        with pytest.raises(ValueError, match="saddle"):
-            levelset_connect(a, b, PARAMS05, 0.2504)
+        # No guard refuses a level at or next to a saddle value: the
+        # lambda_- saddle 0.25 of |w| = 0.5, the mixed saddle 1/2 of w = 0
+        # and the two saddles within 1e-5 of 1/2 at |w| = 1e-5.
+        for w, mu in (((0.0, 0.0, 0.5), 0.2504), ((0.0, 0.0, 0.5), 0.25),
+                      ((0.0, 0.0, 0.0), 0.5), ((0.0, 0.0, 1e-5), 0.5)):
+            params = LandscapeParams(w=w)
+            a = level_transfer(random_kraus_point(seed=31), params, mu)
+            b = level_transfer(random_kraus_point(seed=32), params, mu)
+            path = levelset_connect(a, b, params, mu)
+            assert path.status == "connected", (w, mu, path.detail)
+            for p in path.waypoints:
+                assert abs(objective_uv(p, params) - mu) <= 1e-10
+
+    @pytest.mark.parametrize("w, tag", [
+        ((0.0, 0.0, 0.5), ManifoldTag.SADDLE_MINUS),
+        ((0.0, 0.0, 0.5), ManifoldTag.SADDLE_PLUS),
+        ((0.3, -0.4, 0.2), ManifoldTag.SADDLE_MINUS),
+        ((0.3, -0.4, 0.2), ManifoldTag.SADDLE_PLUS),
+        ((0.0, 0.0, 0.0), ManifoldTag.MIXED_SADDLE),
+    ])
+    def test_critical_manifolds_connect(self, w, tag):
+        # Both endpoints have a singular Gram matrix M, where M^(1/2) is
+        # least regular along the path.
+        params = LandscapeParams(w=w)
+        for seed in (0, 2, 4):
+            a = critical_point(CriticalManifoldId(tag), params, seed=seed)
+            b = critical_point(CriticalManifoldId(tag), params, seed=seed + 1)
+            mu = objective_uv(a, params)
+            path = levelset_connect(a, b, params, mu)
+            assert path.status == "connected", (seed, path.detail)
+            for p in path.waypoints:
+                assert abs(objective_uv(p, params) - mu) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-9, 0.5, 2.5, math.pi - 1e-9, math.pi])
+    def test_right_unitary_turns(self, eps):
+        # b = a R with R commuting with N stays on the level, and the
+        # witness turns the right factor by R: eigenphases nearly equal, or
+        # both next to the branch cut at pi.  Eigenvectors from eig that are
+        # not orthonormalised leave nodes 1.8e-7 off the manifold at
+        # R = diag(exp(-i (pi - 1e-9)), exp(i (pi - 1e-9))).
+        a = level_transfer(random_kraus_point(seed=31), PARAMS05, 0.4)
+        for r in (np.diag([1.0, np.exp(1j * eps)]), np.exp(1j * eps) * np.eye(2),
+                  np.diag([np.exp(-1j * eps), np.exp(1j * eps)])):
+            b = KrausPoint.from_matrix(a.matrix @ r)
+            path = levelset_connect(a, b, PARAMS05, 0.4)
+            assert path.status == "connected", (r, path.detail)
+            frames = np.stack([p.matrix for p in path.waypoints])
+            gram = frames.conj().swapaxes(-1, -2) @ frames
+            assert np.abs(gram - np.eye(2)).max() <= 1e-14, r
 
     def test_off_level_endpoint_rejected(self):
         a = level_transfer(random_kraus_point(seed=31), PARAMS05, 0.4)
@@ -868,173 +913,14 @@ class TestLevelsetConnect:
                 max_step_length=0.2,
                 status="connected",
             )
-
-
-def _level_pair(params, mu, seed):
-    a = level_transfer(random_kraus_point(seed=seed), params, mu)
-    b = level_transfer(random_kraus_point(seed=seed + 1), params, mu)
-    return a.matrix, b.matrix
-
-
-def correct_alone(w, mu, params, keys):
-    """Each row of ``w`` corrected as a stack of one."""
-    runs = [analysis._correct_to_level(w[i:i + 1], mu, params, keys[i:i + 1])
-            for i in range(len(w))]
-    return np.concatenate([f for f, _ in runs]), np.concatenate([ok for _, ok in runs])
-
-
-def _stall_near(poison, radius):
-    """An `_rgrad_mat` below the stall norm within ``radius`` of a ``poison`` frame."""
-    rgrad = analysis._rgrad_mat
-
-    def stalling(w, params):
-        g = rgrad(w, params)
-        dist = np.linalg.norm(w[:, None] - poison[None], axis=(2, 3))
-        g[(dist <= radius).any(axis=1)] *= 1e-9
-        return g
-    return stalling
-
-
-def _kicked(w, key, attempt):
-    """The corrector's retry start: w kicked along the noise of (key, attempt)."""
-    ss = np.random.SeedSequence(entropy=0x5EED, spawn_key=(key, attempt))
-    rng = np.random.default_rng(ss)
-    noise = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    kick = _project_mat(w[None], noise[None])
-    return _qf(w[None] + kick / np.linalg.norm(kick) * 1e-2)[0]
-
-
-class TestBatchedTracer:
-    @pytest.mark.parametrize("w, mu", [((0.0, 0.0, 0.5), 0.4), ((0.0, 0.0, 0.0), 0.3)])
-    def test_rows_equal_batch_of_one(self, w, mu):
-        params = LandscapeParams(w=w)
-        wa, wb = _level_pair(params, mu, 71)
-        tau = np.linspace(0.05, 0.95, 10)
-        stack = np.concatenate([
-            analysis._frame_interp(wa, wb, tau),
-            analysis._haar_starts(7, 4),
-        ])
-        keys = np.arange(100, 100 + len(stack))
-        frames, ok = analysis._correct_to_level(stack, mu, params, keys)
-        assert ok.all()
-        assert np.abs(_objective_mat(frames, params) - mu).max() <= 1e-10
-        alone, ok1 = correct_alone(stack, mu, params, keys)
-        assert np.array_equal(frames, alone)
-        assert np.array_equal(ok, ok1)
-
-    def test_slerp_matches_the_column_loop(self):
-        # The one-frame, column-by-column interpolant the stack version
-        # replaced; its sums and acos/sin differ from the stack's in order.
-        def slerp_columns(a, b, tau):
-            cols = []
-            for j in range(a.shape[1]):
-                x, y = a[:, j], b[:, j]
-                theta = math.acos(max(-1.0, min(1.0, float(np.vdot(x, y).real))))
-                if theta < 1e-9:
-                    cols.append((1.0 - tau) * x + tau * y)
-                else:
-                    s = math.sin(theta)
-                    cols.append((math.sin((1.0 - tau) * theta) / s) * x
-                                + (math.sin(tau * theta) / s) * y)
-            return np.column_stack(cols)
-
-        ab = analysis._haar_starts(4, 12)
-        a, b = ab[:6], ab[6:]
-        b[2][:, 0] = a[2][:, 0]  # coinciding columns take the linear branch
-        tau = np.linspace(0.0, 1.0, 6)
-        stack = analysis._slerp(a, b, tau)
-        for i in range(6):
-            np.testing.assert_allclose(
-                stack[i], slerp_columns(a[i], b[i], tau[i]), rtol=0, atol=1e-14)
-
-    def test_interp_jitters_collapsed_rows_alone(self):
-        # Swapped columns meet halfway, so row 1 loses rank at tau = 0.5.
-        ab = analysis._haar_starts(3, 6)
-        a, b = ab[:3], ab[3:]
-        b[1] = a[1][:, ::-1]
-        tau = np.full(3, 0.5)
-        stack = analysis._frame_interp(a, b, tau)
-        for i in range(3):
-            assert np.array_equal(
-                stack[i], analysis._frame_interp(a[i:i + 1], b[i:i + 1], tau[:1])[0])
-        raw = analysis._slerp(a[1], b[1], tau[:1])[0]
-        with pytest.raises(RuntimeError):
-            analysis._polar(raw)
-        jitter = analysis._haar_frame(8, 2, np.random.default_rng(1234567))
-        assert np.array_equal(stack[1], analysis._polar(raw + 1e-6 * jitter))
-        assert np.array_equal(stack[0], analysis._polar(analysis._slerp(a[0], b[0], tau[:1]))[0])
-
-    def test_kicked_rows_recover_with_their_own_key(self, monkeypatch):
-        # Row 1 stalls at its start and row 4 also at its first retry
-        # start, so they end where the corrector goes from the starts
-        # kicked by (key, 0) and by (key, 0) then (key, 1).
-        wa, wb = _level_pair(PARAMS05, 0.4, 31)
-        stack = analysis._frame_interp(wa, wb, np.linspace(0.1, 0.9, 6))
-        keys = np.arange(20, 26)
-        plain, _ = analysis._correct_to_level(stack, 0.4, PARAMS05, keys)
-        once = _kicked(stack[4], 24, 0)
-        retries = np.stack([_kicked(stack[1], 21, 0), _kicked(once, 24, 1)])
-        expected, _ = analysis._correct_to_level(retries, 0.4, PARAMS05, keys[[1, 4]])
-        poison = np.stack([stack[1], stack[4], once])
-        monkeypatch.setattr(analysis, "_rgrad_mat", _stall_near(poison, 0.0))
-        frames, ok = analysis._correct_to_level(stack, 0.4, PARAMS05, keys)
-        assert ok.all()
-        assert np.abs(_objective_mat(frames, PARAMS05) - 0.4).max() <= 1e-10
-        assert np.array_equal(frames[[0, 2, 3, 5]], plain[[0, 2, 3, 5]])
-        assert np.array_equal(frames[[1, 4]], expected)
-        alone, ok1 = correct_alone(stack, 0.4, PARAMS05, keys)
-        assert np.array_equal(frames, alone) and ok1.all()
-
-    def test_rows_that_always_stall_fail_alone(self, monkeypatch):
-        # Nine attempts move a start by at most 8 kicks of 1e-2, so rows
-        # 2 and 5 stall on every attempt; the other starts lie far away.
-        stack = analysis._haar_starts(11, 7)
-        dist = np.linalg.norm(stack[:, None] - stack[None], axis=(2, 3))
-        assert dist[~np.eye(7, dtype=bool)].min() > 0.5
-        monkeypatch.setattr(analysis, "_rgrad_mat", _stall_near(stack[[2, 5]], 0.1))
-        keys = np.arange(7)
-        frames, ok = analysis._correct_to_level(stack, 0.4, PARAMS05, keys)
-        assert ok.tolist() == [True, True, False, True, True, False, True]
-        alone, ok1 = correct_alone(stack, 0.4, PARAMS05, keys)
-        assert np.array_equal(ok, ok1)
-        assert np.array_equal(frames[ok], alone[ok1])
-
-    def test_failed_seed_names_the_first_node(self, monkeypatch):
-        # Seeds near node 30 stall on every attempt.  The reported node is
-        # the first failure of a tracer that corrects one node at a time.
-        a = level_transfer(random_kraus_point(seed=31), PARAMS05, 0.4)
-        b = level_transfer(random_kraus_point(seed=32), PARAMS05, 0.4)
-        nodes = np.arange(1, 63)
-        seeds = analysis._frame_interp(a.matrix, b.matrix, nodes / 63)
-        monkeypatch.setattr(analysis, "_rgrad_mat", _stall_near(seeds[[29]], 0.1))
-        first = next(
-            int(i) for i, frame in zip(nodes, seeds)
-            if not analysis._correct_to_level(frame[None], 0.4, PARAMS05, [i])[1][0])
-        assert 1 < first <= 30
-        path = levelset_connect(a, b, PARAMS05, 0.4)
-        assert path.status == "failed"
-        assert path.detail == f"corrector stalled while seeding node {first}"
-        assert len(path.waypoints) == 2
-
-    def test_failed_midpoint_names_its_segment(self, monkeypatch):
-        # Midpoint keys run 64, 65, ... in segment order: failing the third
-        # and sixth midpoints of the first round names the third long segment.
-        a = level_transfer(random_kraus_point(seed=1008), PARAMS05, 0.5)
-        b = level_transfer(random_kraus_point(seed=1009), PARAMS05, 0.5)
-        correct = analysis._correct_to_level
-        seeded = []
-
-        def failing(w, mu, params, keys):
-            frames, ok = correct(w, mu, params, keys)
-            if keys[0] == 1:
-                seeded.append(frames)
-            return frames, ok & ~np.isin(keys, (66, 69))
-
-        monkeypatch.setattr(analysis, "_correct_to_level", failing)
-        path = levelset_connect(a, b, PARAMS05, 0.5)
-        frames = np.concatenate([a.matrix[None], seeded[0], b.matrix[None]])
-        gaps = [_chord(frames[i], frames[i + 1]) for i in range(len(frames) - 1)]
-        long = [i for i, g in enumerate(gaps) if g > 0.0475]
-        assert len(long) >= 6
-        assert path.status == "failed"
-        assert path.detail == f"corrector stalled while bisecting segment {long[2]}"
+        good = dict(mu=0.4, waypoints=(random_kraus_point(seed=31),),
+                    max_value_deviation=0.0, max_step_length=0.01, status="connected")
+        assert LevelSetPath(**good).status == "connected"
+        for bad in (
+            dict(max_value_deviation=math.nan), dict(max_step_length=math.nan),
+            dict(max_value_deviation=-1e-9), dict(max_step_length=-0.01),
+            dict(waypoints=()), dict(mu=math.nan), dict(mu=2.0),
+            dict(status="failed", max_step_length=-1.0), dict(status="failed", mu=-0.1),
+        ):
+            with pytest.raises(ValueError):
+                LevelSetPath(**{**good, **bad})

@@ -447,9 +447,11 @@ class TestLevelset:
         }
 
     def test_saddle_guard(self, capsys):
+        # A level 4e-4 from the lambda_- saddle value 0.25 connects; no
+        # guard refuses it.
         code = main(["levelset", "--w", "0,0,0.5", "--seed", "5", "--mu", "0.2504"])
-        assert code == 2
-        assert "saddle" in capsys.readouterr().err
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("status,connected,")
 
     def test_deterministic(self, tmp_path):
         outs = []
