@@ -5,8 +5,8 @@ quadratic model of the closed-form Hessian by truncated conjugate
 gradients (Absil, Baker & Gallivan, Found. Comput. Math. 7, 2007),
 seeded multi-start campaigns, classification of converged points
 against the known critical sub-manifolds, transfer of points between
-level sets along the normalized gradient flow, and an exact
-connectivity witness: a closed-form path inside a single level set.
+level sets along the canonical gradient flow in closed form, and an
+exact connectivity witness: a closed-form path inside a single level set.
 
 One engine runs the optimizer: every campaign is one call on an
 (N, 8, 2) stack of raw frames that keeps, per run, only the objective
@@ -20,14 +20,15 @@ caller receives them.
 
 The level transfer and the level-set witness work on the Gram quotient.
 J depends on a frame [U; V] only through the 2x2 Gram matrix M = U^H U,
-J = tr(M N) / 2, and V^H V = I - M.  The gradient flow stays in the
-orbit [U0 A; V0 B] of its start and is integrated on the 2x2 right
-factors A and B in Python complex scalars: Dormand-Prince 5(4) steps
-with the error measured in the 8x2 Frobenius norm through the Gram
-matrices of U0 and V0, a Cholesky form of the QR retraction, and one
-lift to an 8x2 frame at the end.  The witness between two points of one
-level follows the segment between their Gram matrices, on which J is
-linear, and lifts it to frames in closed form; its nodes are one
+J = tr(M N) / 2, and V^H V = I - M.  Both lift Gram matrices to frames
+the same way, [Q_u M^(1/2); Q_v (I - M)^(1/2)] with 4x2 isometries Q_u
+and Q_v taken from the polar decompositions of the blocks.  The
+transfer follows the canonical-metric gradient flow, which moves M by a
+matrix Riccati equation with a closed-form solution: it solves J(t) = mu
+for t in Python scalars and lifts the endpoint with the start's own
+isometries.  The witness between two points of one level follows the
+segment between their Gram matrices, on which J is linear, with
+isometries on geodesics between the endpoints'; its nodes are one
 broadcast over a stack, validated once as a stack of waypoints.
 """
 
@@ -45,9 +46,11 @@ from .landscape import (
     LandscapeParams,
     ManifoldTag,
     _first_order,
+    _forward_blocks,
     _hess_ambient_mat,
     _objective_mat,
     _rgrad_mat,
+    coord_change,
 )
 from .stiefel import (
     KrausPoint,
@@ -81,33 +84,12 @@ _TR_CG_KAPPA = 0.1
 _TR_CG_MAX = 28
 _TR_MAX_SHRINKS = 60
 _FLOOR_ULPS = 4
-_TINY = 5e-324  # smallest subnormal: a positive divisor stays unchanged
 _CHORD_LIMIT = 0.05
 _STALL_GRAD = 1e-6
-# Step control of level_transfer, in J units.
-_FLOW_TOL = 1e-10
-_FLOW_STEP_START = 1e-2
-_FLOW_STEP_MAX = 0.1
-_FLOW_STEP_FLOOR = 1e-8
-_FLOW_STEP_GROW = 5.0
-_FLOW_STEP_SHRINK = 0.1
-# The Dormand-Prince 5(4) pair: the rows a_i of stages 2-7, the last
-# being the weights of the fifth-order solution, and the error weights
-# b5 - b4 of the embedded fourth-order solution over all seven stages.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-         -1 / 40)
 
 
 class FlowStallError(RuntimeError):
-    """Gradient flow ran into a vanishing gradient before the target level."""
+    """Gradient flow ran into a vanishing gradient or its limit before the target level."""
 
     def __init__(self, value_reached: float):
         super().__init__(
@@ -672,7 +654,11 @@ def classify_critical(p: KrausPoint, params: LandscapeParams):
     Returns the matching :class:`CriticalManifoldId`, or "non-critical"
     when the gradient norm exceeds 1e-6 or no predicted value lies within
     1e-6 of J(p), or "ambiguous" when two predicted values sit within
-    2e-6 of each other around the match (possible only as |w| -> 0).
+    2e-6 of each other around the match.  That happens at both ends of
+    the ball: as |w| -> 0, where the saddle values (1 -/+ |w|) / 2 close
+    on 1/2 (|w| <= 2e-6), and as |w| -> 1, where lambda_- = (1 - |w|) / 2
+    nears 0 and lambda_+ nears 1 (1 - |w| <= 4e-6, short of the pure
+    states, which have no saddle values).
     """
     w = p.matrix
     gnorm = np.linalg.norm(_rgrad_mat(w, params))
@@ -709,7 +695,8 @@ def _classify(values: np.ndarray, gnorms: np.ndarray, params: LandscapeParams):
     A row is non-critical when its gradient norm is at least 1e-6 or its
     nearest candidate value is farther than 1e-6; of two equally near
     candidates the smaller value is the match.  The match is ambiguous
-    when another candidate lies within 2e-6 of it.
+    when another candidate lies within 2e-6 of it, near the fully mixed
+    state and near the pure states alike (see :func:`classify_critical`).
     """
     cand = np.array([v for v, _ in _candidates(params)])
     order = np.argsort(cand, kind="stable")
@@ -721,180 +708,85 @@ def _classify(values: np.ndarray, gnorms: np.ndarray, params: LandscapeParams):
     return np.where(far, _NON_CRITICAL, label)
 
 
-# The right factors A = B = I, which lift to the start frame itself.
-_GRAM_START = (1 + 0j, 0j, 0j, 1 + 0j, 1 + 0j, 0j, 0j, 1 + 0j)
+def _block_polar(frames: np.ndarray):
+    """Polar decompositions of the u- and v-blocks of a stack of frames.
+
+    A 4x2 block with the SVD W diag(sig) Z^H is Q (Z^H diag(sig^2) Z)^(1/2),
+    Q = W Z^H.  Returns ``(q, sig, zh)``, leading axes (u or v rows, frame).
+    """
+    w, sig, zh = np.linalg.svd(
+        np.stack([frames[:, :4], frames[:, 4:]]), full_matrices=False)
+    return w @ zh, sig, zh
 
 
-class _Stalled(Exception):
-    """:func:`_gram_field` met a vanishing gradient; level_transfer adds J."""
+def _lift(iso: np.ndarray, turn: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """The frames [Q_u M_u^(1/2); Q_v M_v^(1/2)], Q = ``iso @ turn``, M = ``grams``.
+
+    The leading axis of each argument picks the u- or v-rows; the caller
+    makes M_u + M_v = I, so every frame is orthonormal to rounding.
+    """
+    x = iso @ (turn @ _psd_sqrt(grams))
+    return np.concatenate([x[0], x[1]], axis=-2)
 
 
-def _congruence(x11, x12, x21, x22, g):
-    """X^H G X of a 2x2 X and a Hermitian 2x2 G, as Hermitian triples.
+def _riccati(g, rho: float, beta: float, r: float, tau: float):
+    """M and I - M at time ``tau`` >= 0 of the rising Riccati flow.
 
-    A Hermitian 2x2 matrix is the triple (h11, h12, h22) of its real
-    diagonal and its upper off-diagonal entry.
+    In N's eigenbasis, N = diag(1 + r, 1 - r), the flow
+    dM/dt = N M + M N - 2 M N M solves M(t)^-1 = I + E (M(0)^-1 - I) E
+    with E = exp(-N t) (Helmke & Moore, *Optimization and Dynamical
+    Systems*, 1994).  With M(0) = Z diag(m1, m2) Z^H, m1 >= m2, c = 1 - m,
+    the data rho = m2 / c2, beta = c1 / m1 and G = Z diag(rho beta, 1) Z^H
+    (the Hermitian triple ``g``) stay finite where M(0) is singular, and
+    with X = E G E and s = beta det(E)^2,
+
+        M = (rho I + adj X) / d,   I - M = (X + s I) / d,   d = rho + tr X + s.
+
+    The diagonal sums add non-negative terms, so I - M keeps its small
+    eigenvalues to relative precision.  Every term is scaled by
+    exp(2 (1 - r) t), which stays finite for 2 (1 - r) t < 700.
+    Returns M and I - M as Hermitian triples (m11, m12, m22).
     """
     g11, g12, g22 = g
-    g21 = g12.conjugate()
-    p11 = g11 * x11 + g12 * x21
-    p12 = g11 * x12 + g12 * x22
-    p21 = g21 * x11 + g22 * x21
-    p22 = g21 * x12 + g22 * x22
-    c11, c21 = x11.conjugate(), x21.conjugate()
-    return ((c11 * p11 + c21 * p21).real,
-            c11 * p12 + c21 * p22,
-            (x12.conjugate() * p12 + x22.conjugate() * p22).real)
-
-
-def _gram_data(w: np.ndarray, params: LandscapeParams):
-    """The Hermitian triples ``(gu, gv, n)`` of the quotient flow from a frame.
-
-    ``gu`` and ``gv`` are the Gram matrices U0^H U0 and V0^H V0 of the
-    u- and v-rows of the 8x2 frame ``w``, and ``n`` is the weight
-    N = [[1 + gamma, z0], [conj z0, 1 - gamma]] of J = tr(M N) / 2.
-    """
-    gu = (w[:4].conj().T @ w[:4]).tolist()
-    gv = (w[4:].conj().T @ w[4:]).tolist()
-    return ((gu[0][0].real, gu[0][1], gu[1][1].real),
-            (gv[0][0].real, gv[0][1], gv[1][1].real),
-            (1.0 + params.gamma, params.z0, 1.0 - params.gamma))
-
-
-def _gram_value(y, gu, n) -> float:
-    """J = tr(M N) / 2 of the right factors ``y``, with M = A^H (U0^H U0) A."""
-    m11, m12, m22 = _congruence(*y[:4], gu)
-    n11, n12, n22 = n
-    return 0.5 * (m11 * n11 + m22 * n22) + (m12.real * n12.real + m12.imag * n12.imag)
-
-
-def _gram_field(y, gu, gv, n):
-    """grad J / |grad J|^2 of the lifted frame [U0 A; V0 B], as (A', B').
-
-    ``y`` holds the entries (a11, a12, a21, a22, b11, b12, b21, b22) of
-    the right factors and ``gu``, ``gv``, ``n`` come from
-    :func:`_gram_data`.  The projected gradient of the lifted frame is
-    [U (N - S); -V S] with S = (M N + N M) / 2, on the manifold or off it,
-    so A' = A (N - S) / g and B' = -B S / g, where
-    g = tr((N - S) M (N - S)) + tr(S Mv S) is |grad J|^2 and
-    Mv = B^H (V0^H V0) B.  Raises :class:`_Stalled` where the gradient
-    norm is below the stall threshold.
-    """
-    a11, a12, a21, a22, b11, b12, b21, b22 = y
-    m11, m12, m22 = _congruence(a11, a12, a21, a22, gu)
-    v11, v12, v22 = _congruence(b11, b12, b21, b22, gv)
-    n11, n12, n22 = n
-    c = m12.real * n12.real + m12.imag * n12.imag
-    s11, s22 = m11 * n11 + c, m22 * n22 + c
-    s12 = 0.5 * ((m11 + m22) * n12 + (n11 + n22) * m12)
-    t11, t12, t22 = n11 - s11, n12 - s12, n22 - s22
-    # tr(M Q) of Hermitian M, Q is m11 q11 + m22 q22 + 2 Re(m12 conj q12).
-    tt = t12.real * t12.real + t12.imag * t12.imag
-    ss = s12.real * s12.real + s12.imag * s12.imag
-    q12, r12 = (t11 + t22) * t12, (s11 + s22) * s12
-    g = (m11 * (t11 * t11 + tt) + m22 * (t22 * t22 + tt)
-         + 2.0 * (m12.real * q12.real + m12.imag * q12.imag)
-         + v11 * (s11 * s11 + ss) + v22 * (s22 * s22 + ss)
-         + 2.0 * (v12.real * r12.real + v12.imag * r12.imag))
-    if g < _STALL_GRAD**2:
-        raise _Stalled
-    r = 1.0 / g
-    t21, s21 = t12.conjugate() * r, s12.conjugate() * -r
-    t11, t12, t22 = t11 * r, t12 * r, t22 * r
-    s11, s12, s22 = s11 * -r, s12 * -r, s22 * -r
-    return (a11 * t11 + a12 * t21, a11 * t12 + a12 * t22,
-            a21 * t11 + a22 * t21, a21 * t12 + a22 * t22,
-            b11 * s11 + b12 * s21, b11 * s12 + b12 * s22,
-            b21 * s11 + b22 * s21, b21 * s12 + b22 * s22)
-
-
-def _gram_norm(d, gu, gv) -> float:
-    """Frobenius norm of the 8x2 frame [U0 dA; V0 dB] of right factors ``d``."""
-    m11, _, m22 = _congruence(*d[:4], gu)
-    v11, _, v22 = _congruence(*d[4:], gv)
-    return math.sqrt(max(m11 + m22 + v11 + v22, 0.0))
-
-
-def _gram_retract(y, gu, gv):
-    """Right factors of the Q factor X R^-1 of the lifted frame X = [U0 A; V0 B].
-
-    R is the Cholesky factor of X^H X = M + Mv, upper triangular with a
-    positive diagonal, so X R^-1 is the Q of the thin QR that ``_qf``
-    takes; its two columns follow by Gram-Schmidt.
-    """
-    a11, a12, a21, a22, b11, b12, b21, b22 = y
-    m11, m12, m22 = _congruence(a11, a12, a21, a22, gu)
-    v11, v12, v22 = _congruence(b11, b12, b21, b22, gv)
-    h11 = m11 + v11
-    if not h11 >= 1e-24:
-        raise RuntimeError("rank collapse during QR retraction")
-    r11 = math.sqrt(h11)
-    r12 = (m12 + v12) / r11
-    h22 = m22 + v22 - (r12.real * r12.real + r12.imag * r12.imag)
-    if not h22 >= 1e-24:
-        raise RuntimeError("rank collapse during QR retraction")
-    i11, i22 = 1.0 / r11, 1.0 / math.sqrt(h22)
-    a11, a21, b11, b21 = a11 * i11, a21 * i11, b11 * i11, b21 * i11
-    return (a11, (a12 - a11 * r12) * i22, a21, (a22 - a21 * r12) * i22,
-            b11, (b12 - b11 * r12) * i22, b21, (b22 - b21 * r12) * i22)
-
-
-def _gram_lift(w: np.ndarray, y) -> np.ndarray:
-    """The 8x2 frame [U0 A; V0 B] of the right factors ``y`` of the frame ``w``."""
-    a = np.array(y[:4]).reshape(2, 2)
-    b = np.array(y[4:]).reshape(2, 2)
-    return np.concatenate([w[:4] @ a, w[4:] @ b])
-
-
-def _dp_step(y, k1, h, gu, gv, n):
-    """One Dormand-Prince 5(4) step of :func:`_gram_field` from ``y``.
-
-    ``k1`` is the field at ``y``.  Returns the fifth-order solution and
-    the 8x2 Frobenius norm of its difference from the embedded
-    fourth-order solution, the local error estimate.
-    """
-    f = _gram_field
-    (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (
-        c61, c62, c63, c64, c65), (c71, _, c73, c74, c75, c76) = (
-        [h * a for a in row] for row in _DP_A)
-    k2 = f([x + c21 * p for x, p in zip(y, k1)], gu, gv, n)
-    k3 = f([x + c31 * p + c32 * q for x, p, q in zip(y, k1, k2)], gu, gv, n)
-    k4 = f([x + c41 * p + c42 * q + c43 * r
-            for x, p, q, r in zip(y, k1, k2, k3)], gu, gv, n)
-    k5 = f([x + c51 * p + c52 * q + c53 * r + c54 * s
-            for x, p, q, r, s in zip(y, k1, k2, k3, k4)], gu, gv, n)
-    k6 = f([x + c61 * p + c62 * q + c63 * r + c64 * s + c65 * t
-            for x, p, q, r, s, t in zip(y, k1, k2, k3, k4, k5)], gu, gv, n)
-    y5 = [x + c71 * p + c73 * r + c74 * s + c75 * t + c76 * u
-          for x, p, r, s, t, u in zip(y, k1, k3, k4, k5, k6)]
-    k7 = f(y5, gu, gv, n)
-    e1, _, e3, e4, e5, e6, e7 = (h * e for e in _DP_E)
-    d = [e1 * p + e3 * r + e4 * s + e5 * t + e6 * u + e7 * v
-         for p, r, s, t, u, v in zip(k1, k3, k4, k5, k6, k7)]
-    return y5, _gram_norm(d, gu, gv)
+    # q^2 >= 1e-300 keeps d >= q^2 tr G >= q^2 positive.  A smaller q^2
+    # is below rounding next to rho u + g22, and where those are zero
+    # (M(0) singular, its kernel on N's first axis) it cancels from M.
+    q = max(math.exp(-2.0 * r * tau), 1e-150)
+    u = math.exp(2.0 * (1.0 - r) * tau)
+    x11, x12, x22 = q * q * g11, q * g12, g22
+    s = beta * q * q / u
+    a = rho * u
+    d = a + x11 + x22 + s
+    return (((a + x22) / d, -x12 / d, (a + x11) / d),
+            ((x11 + s) / d, x12 / d, (x22 + s) / d))
 
 
 def level_transfer(
     p: KrausPoint, params: LandscapeParams, target_mu: float
 ) -> KrausPoint:
-    """Carry a point to another level along the normalized gradient flow.
+    """Carry a point to another level along the canonical gradient flow, in closed form.
 
-    Integrates d/dt x = grad J / |grad J|^2, along which J advances one
-    unit per unit t, by the projection method (Hairer, Lubich & Wanner,
-    Geometric Numerical Integration, sec. IV.4).  The flow never leaves
-    the orbit [U0 A; V0 B] of its start frame [U0; V0], since J depends
-    on the frame only through M = U^H U, so it is integrated on the 2x2
-    right factors A and B with A(0) = B(0) = I (:func:`_gram_field`), in
-    Python complex scalars.  Each step is a Dormand-Prince 5(4) step
-    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-II.5) that
-    keeps the fifth-order solution and holds the 8x2 Frobenius norm of
-    its embedded error estimate below 1e-10.  An accepted step is
-    retracted by X R^-1, R the Cholesky factor of X^H X, which is the QR
-    retraction, and a Newton corrector along the gradient pins J to the
-    expected level.  The factors are lifted to an 8x2 frame once, at the
-    end, where the level is checked to 1e-9 and the point validated.
-    Raises :class:`FlowStallError` when the gradient vanishes en route,
-    with the value J at the last frame reached on the manifold.
+    J depends on a frame [U; V] only through M = U^H U, J = tr(M N) / 2,
+    and the gradient flow of J for the canonical metric of the Stiefel
+    manifold (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20,
+    1998) moves M by a matrix Riccati equation with a closed-form
+    solution (:func:`_riccati`).  J(t) is monotone: t is doubled until
+    J(t) brackets ``target_mu``, then refined by Newton steps on
+    dJ/dt = tr(M N (I - M) N), bisecting where a step leaves the bracket.
+    Downwards, I - M rises: the dual point (u- and v-rows swapped) goes
+    up to the level 1 - ``target_mu``.
+
+    The endpoint is M(t) lifted with p's own polar isometries Q_u and Q_v
+    (:func:`_block_polar`, :func:`_lift`): [Q_u M^(1/2); Q_v (I - M)^(1/2)],
+    where p = [Q_u M(0)^(1/2); Q_v (I - M(0))^(1/2)].  So q's blocks keep
+    p's isometries wherever M and I - M are invertible, and q is not the
+    endpoint of the embedded-metric flow on frames.  The level is checked
+    to 1e-9 on the lifted frame and the point validated.
+
+    Raises :class:`FlowStallError` with J(p) when the gradient norm at p
+    is below 1e-6, and with the flow's limit J(+-inf) when
+    ``target_mu`` lies beyond it: a singular M(0) keeps its rank, so
+    from rank-one u-rows J rises at most to the saddle value lambda_+.
     """
     if not 0.0 < target_mu < 1.0:
         raise ValueError("target level must lie strictly inside (0, 1)")
@@ -902,43 +794,54 @@ def level_transfer(
     value = float(_objective_mat(w, params))
     if abs(target_mu - value) <= 1e-14:
         return p
-    gu, gv, n = _gram_data(w, params)
-    y = _GRAM_START
-    expected = value
-    h_next = _FLOW_STEP_START
-    try:
-        while abs(target_mu - expected) > 1e-14:
-            k1 = _gram_field(y, gu, gv, n)
-            while True:
-                h = math.copysign(
-                    min(h_next, abs(target_mu - expected)), target_mu - expected)
-                y5, local_err = _dp_step(y, k1, h, gu, gv, n)
-                if not math.isfinite(local_err):
-                    raise FlowStallError(value)
-                factor = 0.9 * (_FLOW_TOL / max(local_err, _TINY)) ** 0.2
-                # A step at the floor is taken whatever its error; the
-                # corrector and the level checks still guard it.
-                if local_err <= _FLOW_TOL or abs(h) <= _FLOW_STEP_FLOOR:
-                    break
-                h_next = max(abs(h) * max(factor, _FLOW_STEP_SHRINK), _FLOW_STEP_FLOOR)
-            h_next = min(max(abs(h) * min(factor, _FLOW_STEP_GROW), _FLOW_STEP_FLOOR),
-                         _FLOW_STEP_MAX)
-            y = _gram_retract(y5, gu, gv)
-            expected += h
-            # Newton corrector along the gradient pins the level exactly.
-            for _ in range(8):
-                value = _gram_value(y, gu, n)
-                err = expected - value
-                if abs(err) <= 1e-12:
-                    break
-                k = _gram_field(y, gu, gv, n)
-                y = _gram_retract([x + err * d for x, d in zip(y, k)], gu, gv)
-            value = _gram_value(y, gu, n)
-            if abs(value - expected) > 1e-9:
-                raise FlowStallError(value)
-    except _Stalled:
-        raise FlowStallError(value) from None
-    w = _gram_lift(w, y)
+    if np.linalg.norm(_rgrad_mat(w, params)) < _STALL_GRAD:
+        raise FlowStallError(value)
+    iso, sig, zh = _block_polar(w[None])
+    # The eigenbasis of N from the diagonalizing coordinate change.
+    basis = np.column_stack(_forward_blocks(coord_change(params), *np.eye(2, dtype=complex)))
+    (m1, m2), (c2, c1) = (sig[:, 0] ** 2).tolist()
+    beta, rho = c1 / m1, m2 / c2
+    y = zh[0, 0] @ basis
+    gm = (y.conj().T * (rho * beta, 1.0)) @ y
+    g = (gm[0, 0].real, complex(gm[0, 1]), gm[1, 1].real)
+    r, lp, lm = params.norm_w, params.lambda_plus, params.lambda_minus
+    up, target = target_mu > value, target_mu
+    if not up:
+        g, rho, beta, target = (g[2], -g[1], g[0]), beta, rho, 1.0 - target_mu
+    m = _riccati(g, rho, beta, r, 0.0)[0]
+    lo, f_lo, hi = 0.0, lp * m[0] + lm * m[2], 1.0
+    while True:
+        mc = _riccati(g, rho, beta, r, hi)
+        f = lp * mc[0][0] + lm * mc[0][2]
+        if f >= target:
+            break
+        # Stop where J no longer moves in float, the flow's limit, or
+        # where doubling t would take 2 (1 - r) t past 700.
+        if not f > f_lo or 4.0 * (1.0 - r) * hi > 700.0:
+            raise FlowStallError(max(f, f_lo) if up else 1.0 - max(f, f_lo))
+        lo, f_lo, hi = hi, f, 2.0 * hi
+    t = hi
+    for _ in range(100):
+        if f < target:
+            lo = t
+        elif f > target:
+            hi = t
+        else:
+            break
+        (m11, m12, m22), (c11, c12, c22) = mc
+        slope = 4.0 * (lp * lp * m11 * c11 + lm * lm * m22 * c22
+                       + 2.0 * lp * lm * (m12 * c12.conjugate()).real)
+        step = t + (target - f) / slope if slope > 0.0 else lo
+        if step != t and not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step in (t, lo, hi):  # a Newton fixed point, or a bracket one ulp wide
+            break
+        t = step
+        mc = _riccati(g, rho, beta, r, t)
+        f = lp * mc[0][0] + lm * mc[0][2]
+    grams = np.array([[[h[0], h[1]], [h[1].conjugate(), h[2]]]
+                      for h in (mc if up else mc[::-1])])
+    w = _lift(iso[:, 0], np.eye(2), basis @ grams @ basis.conj().T)
     value = float(_objective_mat(w, params))
     if abs(value - target_mu) > 1e-9:
         raise FlowStallError(value)
@@ -993,10 +896,8 @@ def _gram_witness(wa: np.ndarray, wb: np.ndarray):
     Returns the function that maps an (n,) array of nodes s in [0, 1] to
     their (n, 8, 2) stack of frames.
     """
-    blocks = np.stack([wa[:4], wb[:4], wa[4:], wb[4:]])
-    w, sig, zh = np.linalg.svd(blocks, full_matrices=False)
-    gram_a, gram_b = (zh[:2].conj().swapaxes(-1, -2) * sig[:2, None, :] ** 2) @ zh[:2]
-    q = (w @ zh).reshape(2, 2, 4, 2)  # axes: u or v rows, endpoint a or b
+    q, sig, zh = _block_polar(np.stack([wa, wb]))  # axes: u or v rows, endpoint a or b
+    gram_a, gram_b = (zh[0].conj().swapaxes(-1, -2) * sig[0, :, None, :] ** 2) @ zh[0]
     y, cos, zh = np.linalg.svd(q[:, 0].conj().swapaxes(-1, -2) @ q[:, 1])
     start = q[:, 0] @ y
     end = q[:, 1] @ zh.conj().swapaxes(-1, -2)
@@ -1013,12 +914,10 @@ def _gram_witness(wa: np.ndarray, wb: np.ndarray):
     def nodes(s: np.ndarray) -> np.ndarray:
         t = s[:, None, None]
         gram = (1.0 - t) * gram_a + t * gram_b
-        roots = _psd_sqrt(np.stack([gram, np.eye(2) - gram]))
         angle = s[:, None] * theta[:, None]
         iso = start * np.cos(angle)[..., None, :] + g * np.sin(angle)[..., None, :]
-        x = iso @ ((left * np.exp(1j * s[:, None] * phase[:, None])[..., None, :])
-                   @ right @ roots)
-        return np.concatenate([x[0], x[1]], axis=1)
+        spin = (left * np.exp(1j * s[:, None] * phase[:, None])[..., None, :]) @ right
+        return _lift(iso, spin, np.stack([gram, np.eye(2) - gram]))
 
     return nodes
 

@@ -571,27 +571,22 @@ def lagrange_certificate(
                eta1 v1 + conj(eta3) v2 = 0
                eta3 v1 + eta2 v2 = 0
 
-    with eta1, eta2 real and eta3 complex.  The multipliers are fit by
-    linear least squares; ``stationarity_residual`` is the equation norm
-    after the fit and is small exactly at critical points.
+    with eta1, eta2 real and eta3 complex, that is G + X L = 0 for the
+    frame X, the gradient G and the Hermitian L = [[eta1, eta3],
+    [conj(eta3), eta2]].  Since X^H X = I, the least-squares multipliers
+    are L = -sym(X^H G) in closed form; ``stationarity_residual`` is
+    |G + X L| and is small exactly at critical points.
     """
-    g = _grad_mat(p.matrix, params)
-    b = np.concatenate([g[0:4, 0], g[0:4, 1], np.zeros(4), np.zeros(4)])
-    zero = np.zeros(4, dtype=complex)
-    col1 = np.concatenate([p.u1, zero, p.v1, zero])
-    col2 = np.concatenate([zero, p.u2, zero, p.v2])
-    col3 = np.concatenate([p.u2, p.u1, p.v2, p.v1])
-    col4 = np.concatenate([-1j * p.u2, 1j * p.u1, -1j * p.v2, 1j * p.v1])
-    cols = np.column_stack([col1, col2, col3, col4])
-    a_real = np.vstack([cols.real, cols.imag])
-    b_real = np.concatenate([b.real, b.imag])
-    theta, _, _, _ = np.linalg.lstsq(a_real, -b_real, rcond=None)
-    residual = float(np.linalg.norm(a_real @ theta + b_real))
+    w = p.matrix
+    g = _grad_mat(w, params)
+    s = w.conj().T @ g
+    lam = -0.5 * (s + s.conj().T)
+    residual = float(np.linalg.norm(g + w @ lam))
     return CriticalPointCertificate(
         point=p,
-        eta1=float(theta[0]),
-        eta2=float(theta[1]),
-        eta3=complex(theta[2], theta[3]),
+        eta1=float(lam[0, 0].real),
+        eta2=float(lam[1, 1].real),
+        eta3=complex(lam[0, 1]),
         stationarity_residual=residual,
         constraint_residual=_worst_residual(p.u1, p.u2, p.v1, p.v2),
     )

@@ -4,7 +4,7 @@ A two-level channel with up to four Kraus operators is a pair of
 orthonormal vectors in C^8: the first-column entries of all operators
 stacked over the second-column entries.  This module supplies the frame
 type, the channel <-> frame correspondence, tangent-space projection,
-QR and polar retractions, Haar sampling, and orthonormal tangent bases.
+the QR retraction, Haar sampling, and orthonormal tangent bases.
 Every frame has two columns (k = 2); :class:`StiefelPoint` and
 :func:`random_point` reject any other k.
 """
@@ -374,14 +374,6 @@ def _qf(w: np.ndarray) -> np.ndarray:
     return np.concatenate([q1, y * (1.0 / r22)], axis=-1)
 
 
-def _polar(w: np.ndarray) -> np.ndarray:
-    """Polar orthonormal factor via SVD."""
-    u, s, vh = np.linalg.svd(w, full_matrices=False)
-    if np.any(s < 1e-12):
-        raise RuntimeError("rank collapse during polar retraction")
-    return u @ vh
-
-
 def project_tangent(x: StiefelPoint, ambient: np.ndarray) -> TangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space."""
     z = np.asarray(ambient, dtype=complex)
@@ -396,24 +388,16 @@ def _project_mat(frame: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z - frame @ (0.5 * (s + np.swapaxes(s.conj(), -1, -2)))
 
 
-def retract(x: StiefelPoint, t: TangentVector, kind: str = "qr") -> StiefelPoint:
-    """Map a tangent step back onto the manifold.
+def retract(x: StiefelPoint, t: TangentVector) -> StiefelPoint:
+    """Map a tangent step back onto the manifold by the QR retraction.
 
-    ``kind`` selects the QR retraction (default) or the polar retraction.
     A zero step returns the base point unchanged.
     """
     if t.base is not x and not np.array_equal(t.base.frame, x.frame):
         raise ValueError("tangent vector is not based at the given point")
     if not t.delta.any():
         return x
-    w = x.frame + t.delta
-    if kind == "qr":
-        new = _qf(w)
-    elif kind == "polar":
-        new = _polar(w)
-    else:
-        raise ValueError(f"unknown retraction kind {kind!r}")
-    return StiefelPoint(x.n, x.k, new)
+    return StiefelPoint(x.n, x.k, _qf(x.frame + t.delta))
 
 
 def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

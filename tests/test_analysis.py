@@ -48,77 +48,54 @@ def feasibility(p):
     return max(abs(r) for r in constraint_residuals(p.u1, p.u2, p.v1, p.v2))
 
 
-def _brockett(params):
-    """The Hermitian 2x2 weight N of J(X) = Re tr(X^H P X N), P the u-row projector."""
+def _weight(params):
+    """The Hermitian 2x2 weight N of J = tr(M N) / 2, M = U^H U."""
     g, z0 = params.gamma, params.z0
-    return 0.5 * np.array([[1.0 + g, z0], [np.conj(z0), 1.0 - g]])
+    return np.array([[1.0 + g, z0], [np.conj(z0), 1.0 - g]])
 
 
-def _oracle_value(x, weights):
-    u = x[:, :4]
-    return (u.conj() * (u @ weights)).real.sum(axis=(1, 2))
+def _oracle_transfer(frames, weights, targets, h_max=2.5e-3):
+    """RK4 reference for level_transfer on an (N, 8, 2) stack.
 
-
-def _oracle_rgrad(x, weights):
-    e = np.zeros_like(x)
-    e[:, :4] = 2.0 * (x[:, :4] @ weights)
-    return _project_mat(x, e)
-
-
-def _oracle_transfer(frames, weights, targets, h_max=1e-4):
-    """Fixed-step reference for level_transfer on an (N, 8, 2) stack.
-
-    Row i follows d/dt x = grad J_i / |grad J_i|^2 for the objective with
-    weight ``weights[i]`` from ``frames[i]`` to ``targets[i]``, in equal
-    steps of at most ``h_max`` J units: classical RK4 in the ambient 8x2
-    space, one ``_qf`` per step, then the Newton corrector of
-    level_transfer.  Batching the rows of several states keeps its ~10^4
-    steps affordable.
+    Row i integrates the Riccati equation dM/dt = N M + M N - 2 M N M of
+    M = U^H U, N = ``weights[i]``, from ``frames[i]`` to ``targets[i]``
+    by classical RK4 in equal steps of at most ``h_max`` in the logit
+    L = log(J / (1 - J)), on dM/dL = (dM/dt) J (1 - J) / (dJ/dt) with
+    dJ/dt = tr((dM/dt) N) / 2, so steps shrink with J's distance from 0
+    and 1.  The end M is lifted with the start's polar isometries, taken
+    from SVDs, and roots from eigendecompositions:
+    [Q_u M^(1/2); Q_v (I - M)^(1/2)].
     """
     w = np.array(frames, dtype=complex)
-    start = _oracle_value(w, weights)
-    n = int(np.ceil(np.abs(targets - start).max() / h_max))
-    h = ((targets - start) / n)[:, None, None]
+    m = w[:, :4].conj().swapaxes(-1, -2) @ w[:, :4]
 
-    def field(x):
-        g = _oracle_rgrad(x, weights)
-        return g / (g.real**2 + g.imag**2).sum(axis=(1, 2))[:, None, None]
+    def value(m):
+        return 0.5 * np.einsum("nij,nji->n", m, weights).real
 
-    for i in range(1, n + 1):
-        k1 = field(w)
-        k2 = field(w + 0.5 * h * k1)
-        k3 = field(w + 0.5 * h * k2)
-        k4 = field(w + h * k3)
-        w = _qf(w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        expected = start + i * h[:, 0, 0]
-        for _ in range(8):
-            err = expected - _oracle_value(w, weights)
-            if (np.abs(err) <= 1e-12).all():
-                break
-            g = _oracle_rgrad(w, weights)
-            step = np.where(np.abs(err) > 1e-12, err, 0.0) / (
-                g.real**2 + g.imag**2).sum(axis=(1, 2))
-            w = _qf(w + step[:, None, None] * g)
-    return w
+    start = value(m)
+    logit = np.log(targets / (1.0 - targets)) - np.log(start / (1.0 - start))
+    n = int(np.ceil(np.abs(logit).max() / h_max))
+    h = (logit / n)[:, None, None]
 
+    def field(m):
+        nm = weights @ m
+        dm = nm + nm.conj().swapaxes(-1, -2) - 2.0 * m @ nm
+        j = value(m)
+        return dm * (j * (1.0 - j) / value(dm))[:, None, None]
 
-def _fixed_stage_steps(w, params, target, h):
-    """level_transfer's Dormand-Prince step at a fixed step near h, one retraction per step."""
-    j0 = float(_objective_mat(w, params))
-    n = round(abs(target - j0) / h)
-    gu, gv, weight = analysis._gram_data(w, params)
-    y = analysis._GRAM_START
     for _ in range(n):
-        k1 = analysis._gram_field(y, gu, gv, weight)
-        y5, _ = analysis._dp_step(y, k1, (target - j0) / n, gu, gv, weight)
-        y = analysis._gram_retract(y5, gu, gv)
-    return analysis._gram_lift(w, y)
-
-
-def _stage_factors(rng, scale):
-    """Right factors I + scale * (complex Gaussian), an off-manifold stage point."""
-    eye = (1.0, 0.0, 0.0, 1.0) * 2
-    return tuple(e + scale * complex(*rng.standard_normal(2)) for e in eye)
+        k1 = field(m)
+        k2 = field(m + 0.5 * h * k1)
+        k3 = field(m + 0.5 * h * k2)
+        k4 = field(m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = np.empty_like(w)
+    for rows, gram in ((slice(0, 4), m), (slice(4, 8), np.eye(2) - m)):
+        u, _, vh = np.linalg.svd(w[:, rows], full_matrices=False)
+        vals, vecs = np.linalg.eigh(gram)
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        out[:, rows] = u @ vh @ root
+    return out
 
 
 def _nudged(frame, eps):
@@ -140,6 +117,18 @@ def _off_saddle(tag, eps):
     """A point eps off a seed-5 saddle of PARAMS05, along a seeded tangent."""
     s = critical_point(CriticalManifoldId(tag), PARAMS05, seed=5).matrix
     return KrausPoint.from_matrix(_nudged(s, eps))
+
+
+def _rank_one_u_rows(column):
+    """A seed-9 point whose u-rows are zero outside ``column``."""
+    rng = np.random.default_rng(9)
+    x1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    x1 /= np.linalg.norm(x1)
+    v2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v2 -= np.vdot(x1[4:], v2) / np.vdot(x1[4:], x1[4:]) * x1[4:]
+    frame = np.zeros((8, 2), dtype=complex)
+    frame[:, column], frame[4:, 1 - column] = x1, v2 / np.linalg.norm(v2)
+    return KrausPoint.from_matrix(frame)
 
 
 class TestOptimizerConfig:
@@ -487,13 +476,15 @@ class TestClassify:
         assert classify_critical(random_kraus_point(seed=8), PARAMS05) == "non-critical"
 
     def test_near_degenerate_is_ambiguous(self):
-        # As |w| -> 0 the two saddle values collapse onto 1/2 and the
+        # As |w| -> 0 the two saddle values collapse onto 1/2, and as
+        # |w| -> 1 the saddle value lambda_- nears the minimum 0: the
         # classifier must refuse to pick one.
-        params = LandscapeParams(w=(0.0, 0.0, 1e-7))
-        p = critical_point(
-            CriticalManifoldId(ManifoldTag.SADDLE_MINUS), params, seed=3
-        )
-        assert classify_critical(p, params) == "ambiguous"
+        for norm in (1e-7, 1.0 - 1e-6, 1.0 - 3e-6, 1.0 - 1e-9):
+            params = LandscapeParams(w=(0.0, 0.0, norm))
+            p = critical_point(
+                CriticalManifoldId(ManifoldTag.SADDLE_MINUS), params, seed=3
+            )
+            assert classify_critical(p, params) == "ambiguous", norm
 
 
 _SADDLE_TAGS = (ManifoldTag.SADDLE_MINUS, ManifoldTag.SADDLE_PLUS, ManifoldTag.MIXED_SADDLE)
@@ -607,34 +598,15 @@ class TestLevelTransfer:
         cases = [(LandscapeParams(w=w), random_kraus_point(seed=60 + k), mu)
                  for k, w in enumerate(states) for mu in targets]
         frames = np.stack([p.matrix for _, p, _ in cases])
-        weights = np.stack([_brockett(params) for params, _, _ in cases])
+        weights = np.stack([_weight(params) for params, _, _ in cases])
         for params, p, _ in cases[::len(targets)]:
-            w = p.matrix[None]
-            np.testing.assert_allclose(
-                _oracle_value(w, _brockett(params)[None]), _objective_mat(w, params),
-                atol=1e-15)
-            np.testing.assert_allclose(
-                _oracle_rgrad(w, _brockett(params)[None]), _rgrad_mat(w, params),
-                atol=1e-15)
+            u = p.matrix[:4]
+            value = 0.5 * np.trace(u.conj().T @ u @ _weight(params)).real
+            assert abs(value - _objective_mat(p.matrix, params)) <= 1e-15
         ref = _oracle_transfer(frames, weights, np.array([mu for _, _, mu in cases]))
         for (params, p, mu), expected in zip(cases, ref):
             q = level_transfer(p, params, mu)
             assert _chord(q.matrix, expected) < 1e-8, (params.w, mu)
-
-    def test_stage_step_is_fourth_order(self):
-        # The step propagates the fifth-order solution, so a tenfold
-        # smaller step must cut the endpoint error by 10^4 or more;
-        # QR-retracted stages are first order and cut it by ~10.  The
-        # steps are 0.1 and 0.01: at 1e-3 the error, ~1e-13, is the
-        # oracle's own.
-        p = random_kraus_point(seed=23)
-        j0 = objective_uv(p, PARAMS05)
-        target = j0 + 0.3 if j0 < 0.5 else j0 - 0.3
-        ref = _oracle_transfer(
-            p.matrix[None], _brockett(PARAMS05)[None], np.array([target]))[0]
-        coarse, fine = (_chord(_fixed_stage_steps(p.matrix, PARAMS05, target, h), ref)
-                        for h in (1e-1, 1e-2))
-        assert coarse >= 1e4 * fine
 
     def test_near_mixed_matches_fine_step_oracle(self):
         # As |w| -> 0 the weight N tends to I and both saddle values to 1/2.
@@ -643,88 +615,49 @@ class TestLevelTransfer:
         cases = [(LandscapeParams(w=w), random_kraus_point(seed=70 + k), mu)
                  for k, w in enumerate(states) for mu in targets]
         frames = np.stack([p.matrix for _, p, _ in cases])
-        weights = np.stack([_brockett(params) for params, _, _ in cases])
+        weights = np.stack([_weight(params) for params, _, _ in cases])
         ref = _oracle_transfer(frames, weights, np.array([mu for _, _, mu in cases]))
         for (params, p, mu), expected in zip(cases, ref):
             q = level_transfer(p, params, mu)
             assert _chord(q.matrix, expected) < 1e-8, (params.w, mu)
 
-    @pytest.mark.parametrize("w", [(0.0, 0.0, 0.5), (0.3, -0.4, 0.2), (0.0, 0.0, 0.0)])
-    def test_quotient_field_is_the_ambient_field(self, w):
-        # At off-manifold stage points [U0 A; V0 B] the scalar field lifts
-        # to grad J / |grad J|^2 of the 8x2 frame, so its normalizer g is
-        # |grad J|^2, and the scalar J is the frame's J.
-        params = LandscapeParams(w=w)
-        rng = np.random.default_rng(7)
-        frame = random_kraus_point(seed=24).matrix
-        gu, gv, weight = analysis._gram_data(frame, params)
-        for _ in range(20):
-            y = _stage_factors(rng, 0.1)
-            x = analysis._gram_lift(frame, y)
-            grad = _rgrad_mat(x, params)
-            g = np.vdot(grad, grad).real
-            field = analysis._gram_lift(frame, analysis._gram_field(y, gu, gv, weight))
-            np.testing.assert_allclose(field, grad / g, rtol=0, atol=1e-14)
-            assert abs(1.0 / np.vdot(field, field).real - g) <= 1e-14
-            assert abs(analysis._gram_value(y, gu, weight) - _objective_mat(x, params)) <= 1e-14
-
-    def test_cholesky_retraction_is_the_qr_retraction(self):
-        rng = np.random.default_rng(8)
-        frame = random_kraus_point(seed=25).matrix
-        gu, gv, _ = analysis._gram_data(frame, PARAMS05)
-        for scale in (1e-6, 1e-2, 0.3):
-            for _ in range(10):
-                y = _stage_factors(rng, scale)
-                q = analysis._gram_lift(frame, analysis._gram_retract(y, gu, gv))
-                np.testing.assert_allclose(
-                    q, _qf(analysis._gram_lift(frame, y)), rtol=0, atol=1e-14)
-
-    def test_stall_reports_the_last_frame_on_the_manifold(self, monkeypatch):
+    def test_stall_reports_the_last_frame_on_the_manifold(self):
         s = critical_point(CriticalManifoldId(ManifoldTag.SADDLE_MINUS), PARAMS05, seed=5)
         with pytest.raises(FlowStallError) as err:
             level_transfer(s, PARAMS05, 0.6)
         assert err.value.value_reached == objective_uv(s, PARAMS05)
         # u-rows of rank one keep M = U^H U of rank one along the flow, so
-        # J cannot pass the saddle value lambda_+ = 0.75 and the flow
-        # stalls there after many accepted steps.
-        rng = np.random.default_rng(9)
-        x1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        x1 /= np.linalg.norm(x1)
-        v2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v2 -= np.vdot(x1[4:], v2) / np.vdot(x1[4:], x1[4:]) * x1[4:]
-        frame = np.zeros((8, 2), dtype=complex)
-        frame[:, 0], frame[4:, 1] = x1, v2 / np.linalg.norm(v2)
-        p = KrausPoint.from_matrix(frame)
-        frames = []
-        retract = analysis._gram_retract
-        monkeypatch.setattr(
-            analysis, "_gram_retract",
-            lambda y, gu, gv: frames.append(retract(y, gu, gv)) or frames[-1])
+        # J cannot pass the saddle value lambda_+ = 0.75, the flow's limit;
+        # below it the flow reaches the level.
+        p = _rank_one_u_rows(0)
         with pytest.raises(FlowStallError) as err:
             level_transfer(p, PARAMS05, 0.9)
-        assert len(frames) > 10
-        gu, _, weight = analysis._gram_data(frame, PARAMS05)
-        assert err.value.value_reached == analysis._gram_value(frames[-1], gu, weight)
-        last = analysis._gram_lift(frame, frames[-1])
-        assert abs(err.value.value_reached - _objective_mat(last, PARAMS05)) <= 1e-14
         assert err.value.value_reached == pytest.approx(PARAMS05.lambda_plus, abs=1e-6)
+        for mu in (0.05, 0.7, 0.7499):
+            q = level_transfer(p, PARAMS05, mu)
+            assert abs(objective_uv(q, PARAMS05) - mu) <= 1e-12
+
+    @pytest.mark.parametrize("norm", [0.5, 0.999])
+    def test_rank_one_start_on_the_lower_axis(self, norm):
+        # u-rows [0, u] keep M on N's lower eigenvector, so J rises at most
+        # to lambda_-, which the flow nears only at t ~ 1 / (1 - |w|).
+        params = LandscapeParams(w=(0.0, 0.0, norm))
+        p = _rank_one_u_rows(1)
+        mu = 0.5 * (objective_uv(p, params) + params.lambda_minus)
+        q = level_transfer(p, params, mu)
+        assert abs(objective_uv(q, params) - mu) <= 1e-12
+        with pytest.raises(FlowStallError) as err:
+            level_transfer(p, params, 0.9)
+        assert err.value.value_reached == pytest.approx(params.lambda_minus, abs=1e-12)
 
     @pytest.mark.parametrize("tag", [ManifoldTag.SADDLE_MINUS, ManifoldTag.SADDLE_PLUS])
-    def test_leaves_a_saddle_neighbourhood(self, tag, monkeypatch):
-        # The field grad/|grad|^2 is ~1e5 at 1e-5 off a saddle, so the
-        # step control must reject its way down from the start step and
-        # still end in a bounded number of field evaluations.
-        calls = []
-        field = analysis._gram_field
-        monkeypatch.setattr(
-            analysis, "_gram_field", lambda *a: calls.append(1) or field(*a))
+    def test_leaves_a_saddle_neighbourhood(self, tag):
+        # At 1e-5 off a saddle the flow lingers for t ~ 25 before J moves.
         for eps in (1e-3, 1e-5):
             p = _off_saddle(tag, eps)
             for mu in (0.1, 0.6, 0.9):
-                calls.clear()
                 q = level_transfer(p, PARAMS05, mu)
                 assert abs(objective_uv(q, PARAMS05) - mu) < 1e-10
-                assert len(calls) <= 5000, (eps, mu, len(calls))
 
     @pytest.mark.parametrize("tag", [ManifoldTag.SADDLE_MINUS, ManifoldTag.SADDLE_PLUS])
     def test_stalls_next_to_a_saddle(self, tag):
@@ -735,6 +668,51 @@ class TestLevelTransfer:
             with pytest.raises(FlowStallError) as err:
                 level_transfer(p, PARAMS05, mu)
             assert err.value.value_reached == pytest.approx(saddle, abs=1e-6)
+
+
+# Norms of w across the Bloch ball, with the two limits and their neighbours.
+_BALL_NORMS = [0.0, 1e-13, 1e-9, 1.0 - 2e-12, 1.0]
+
+
+def _ball_cases(norm):
+    """(params, start) pairs at |w| = norm along the z axis and a generic axis."""
+    for axis in ((0.0, 0.0, 1.0), (0.48, -0.6, 0.64)):
+        params = LandscapeParams(w=tuple(norm * c for c in axis))
+        for seed in (81, 82):
+            yield params, random_kraus_point(seed=seed)
+
+
+def _polar(block):
+    u, _, vh = np.linalg.svd(block, full_matrices=False)
+    return u @ vh
+
+
+class TestLevelTransferAcrossTheBall:
+    @pytest.mark.parametrize("norm", _BALL_NORMS)
+    def test_reaches_the_level(self, norm):
+        for params, p in _ball_cases(norm):
+            for mu in (0.03, 0.4, 0.97):
+                q = level_transfer(p, params, mu)
+                assert abs(objective_uv(q, params) - mu) <= 1e-12, (params.w, mu)
+
+    @pytest.mark.parametrize("norm", _BALL_NORMS)
+    def test_round_trip_returns_to_the_start(self, norm):
+        # The way back runs the same Riccati path and lifts with the same
+        # isometries, so it ends at p itself.
+        for params, p in _ball_cases(norm):
+            j0 = objective_uv(p, params)
+            for mu in (0.03, 0.4, 0.97):
+                back = level_transfer(level_transfer(p, params, mu), params, j0)
+                assert _chord(back.matrix, p.matrix) <= 1e-12, (params.w, mu)
+
+    @pytest.mark.parametrize("norm", _BALL_NORMS)
+    def test_endpoint_keeps_the_polar_isometries(self, norm):
+        for params, p in _ball_cases(norm):
+            for mu in (0.03, 0.4, 0.97):
+                q = level_transfer(p, params, mu)
+                for rows in (slice(0, 4), slice(4, 8)):
+                    gap = np.abs(_polar(q.matrix[rows]) - _polar(p.matrix[rows])).max()
+                    assert gap <= 1e-12, (params.w, mu)
 
 
 class TestLevelsetConnect:

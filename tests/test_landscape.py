@@ -594,6 +594,30 @@ class TestCertificates:
         assert cert.stationarity_residual > 1e-3
 
 
+    def test_multipliers_are_the_least_squares_fit(self):
+        # The lstsq fit over the 16 real rows of the stationarity equations
+        # and the four real unknowns (eta1, eta2, Re eta3, Im eta3).
+        rng = np.random.default_rng(15)
+        for seed in range(20):
+            params = LandscapeParams(w=BlochVector(*(0.5 * rng.uniform(-1.0, 1.0, 3))))
+            p = random_kraus_point(seed=100 + seed)
+            g = _grad_mat(p.matrix, params)
+            zero = np.zeros(4, dtype=complex)
+            cols = np.column_stack([
+                np.concatenate([p.u1, zero, p.v1, zero]),
+                np.concatenate([zero, p.u2, zero, p.v2]),
+                np.concatenate([p.u2, p.u1, p.v2, p.v1]),
+                np.concatenate([-1j * p.u2, 1j * p.u1, -1j * p.v2, 1j * p.v1])])
+            b = np.concatenate([g[0:4, 0], g[0:4, 1], zero, zero])
+            a_real = np.vstack([cols.real, cols.imag])
+            b_real = np.concatenate([b.real, b.imag])
+            theta = np.linalg.lstsq(a_real, -b_real, rcond=None)[0]
+            cert = lagrange_certificate(p, params)
+            got = [cert.eta1, cert.eta2, cert.eta3.real, cert.eta3.imag]
+            np.testing.assert_allclose(got, theta, rtol=0, atol=1e-14)
+            residual = np.linalg.norm(a_real @ theta + b_real)
+            assert abs(cert.stationarity_residual - residual) <= 1e-14
+
 class TestDuality:
     def test_max_to_min(self):
         params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
