@@ -44,9 +44,8 @@ from numpy.random.bit_generator import ISeedSequence
 from .landscape import (
     CriticalManifoldId,
     LandscapeParams,
-    ManifoldTag,
+    _critical_manifolds,
     _first_order,
-    _forward_blocks,
     _hess_ambient_mat,
     _objective_mat,
     _rgrad_mat,
@@ -665,28 +664,14 @@ def classify_critical(p: KrausPoint, params: LandscapeParams):
     label = _classify(np.reshape(_objective_mat(w, params), 1), np.reshape(gnorm, 1),
                       params)[0]
     labels = ("non-critical", "ambiguous") + tuple(
-        CriticalManifoldId(tag) for _, tag in _candidates(params))
+        CriticalManifoldId(tag) for tag, _, _ in _critical_manifolds(params))
     return labels[label]
 
 
 # The label indexes of _classify: "non-critical", "ambiguous", then 2 + i
-# for candidate i of _candidates, whose saddles follow the two extremes.
+# for row i of landscape._critical_manifolds, whose saddles follow the
+# two extremes.
 _NON_CRITICAL, _AMBIGUOUS, _FIRST_SADDLE = 0, 1, 4
-
-
-def _candidates(params: LandscapeParams) -> list:
-    """The predicted critical values of J and their tags, the extremes first."""
-    candidates: list[tuple[float, ManifoldTag]] = [
-        (0.0, ManifoldTag.GLOBAL_MIN),
-        (1.0, ManifoldTag.GLOBAL_MAX),
-    ]
-    case = params.case
-    if case == 1:
-        candidates.append((0.5, ManifoldTag.MIXED_SADDLE))
-    elif case == 2:
-        candidates.append((params.lambda_minus, ManifoldTag.SADDLE_MINUS))
-        candidates.append((params.lambda_plus, ManifoldTag.SADDLE_PLUS))
-    return candidates
 
 
 def _classify(values: np.ndarray, gnorms: np.ndarray, params: LandscapeParams):
@@ -698,7 +683,7 @@ def _classify(values: np.ndarray, gnorms: np.ndarray, params: LandscapeParams):
     when another candidate lies within 2e-6 of it, near the fully mixed
     state and near the pure states alike (see :func:`classify_critical`).
     """
-    cand = np.array([v for v, _ in _candidates(params)])
+    cand = np.array([value for _, value, _ in _critical_manifolds(params)])
     order = np.argsort(cand, kind="stable")
     diff = np.abs(values[:, None] - cand[order])
     best = order[diff.argmin(axis=1)]
@@ -797,8 +782,7 @@ def level_transfer(
     if np.linalg.norm(_rgrad_mat(w, params)) < _STALL_GRAD:
         raise FlowStallError(value)
     iso, sig, zh = _block_polar(w[None])
-    # The eigenbasis of N from the diagonalizing coordinate change.
-    basis = np.column_stack(_forward_blocks(coord_change(params), *np.eye(2, dtype=complex)))
+    basis = coord_change(params)  # N = basis diag(1 + r, 1 - r) basis^H
     (m1, m2), (c2, c1) = (sig[:, 0] ** 2).tolist()
     beta, rho = c1 / m1, m2 / c2
     y = zh[0, 0] @ basis

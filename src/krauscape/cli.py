@@ -269,24 +269,19 @@ def _parse_manifold(name: str, z_text: str | None) -> CriticalManifoldId:
     return CriticalManifoldId(tag, z=z)
 
 
-def _parse_tols(items) -> dict:
-    tols = {}
+def _pick_tols(items, allowed: dict) -> dict:
+    """The defaults ``allowed`` with the ``--tol NAME=VALUE`` overrides applied."""
+    out = dict(allowed)
     for item in items or ():
         if "=" not in item:
             raise ValueError(f"--tol expects NAME=VALUE, got '{item}'")
         name, _, value = item.partition("=")
-        tols[name.strip()] = float(value)
-    return tols
-
-
-def _pick_tols(tols: dict, allowed: dict) -> dict:
-    out = dict(allowed)
-    for name, value in tols.items():
+        name = name.strip()
         if name not in allowed:
             raise ValueError(
                 f"unknown tolerance '{name}'; this command accepts {sorted(allowed)}"
             )
-        out[name] = value
+        out[name] = float(value)
     return out
 
 
@@ -602,12 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_w=True, need_seed=False):
+    # --seed and --tol go only to the subcommands whose handlers read them.
+    def add_common(p, need_w=True):
         if need_w:
             p.add_argument("--w", required=True, help="Stokes vector a,b,g")
-        p.add_argument("--seed", type=int, required=need_seed, help="RNG seed")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--tol", action="append", help="override NAME=VALUE")
 
     p_eval = sub.add_parser("evaluate", help="objective report for a Kraus set")
     add_common(p_eval)
@@ -617,6 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="seeded multi-start gradient runs")
     add_common(p_opt)
+    p_opt.add_argument("--seed", type=int, help="RNG seed")
+    p_opt.add_argument("--tol", action="append", help="override NAME=VALUE")
     p_opt.add_argument("--direction", required=True, help="max or min")
     p_opt.add_argument("--starts", type=int, default=1)
     p_opt.add_argument("--start-file", dest="start_file", help="start-point JSON")
@@ -624,13 +620,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_morse = sub.add_parser("morse", help="verify a Morse signature")
-    add_common(p_morse, need_seed=True)
+    add_common(p_morse)
+    p_morse.add_argument("--seed", type=int, required=True, help="RNG seed")
+    p_morse.add_argument("--tol", action="append", help="override NAME=VALUE")
     p_morse.add_argument("--manifold", required=True)
     p_morse.add_argument("--z", help="mixed-saddle chart parameter re,im")
     p_morse.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_level = sub.add_parser("levelset", help="trace a level-set path")
-    add_common(p_level, need_seed=True)
+    add_common(p_level)
+    p_level.add_argument("--seed", type=int, required=True, help="RNG seed")
     p_level.add_argument("--mu", type=float, required=True)
     p_level.add_argument("--format", choices=("json", "csv"), default="csv")
 
@@ -640,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dilate.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_scan = sub.add_parser("scan", help="objective values over a tangent slice")
-    add_common(p_scan, need_seed=True)
+    add_common(p_scan)
+    p_scan.add_argument("--seed", type=int, required=True, help="RNG seed")
     p_scan.add_argument("--manifold", help="base the slice at a critical point")
     p_scan.add_argument("--z", help="mixed-saddle chart parameter re,im")
     p_scan.add_argument("--grid", type=int, default=41, help="samples per axis")
@@ -670,8 +670,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        # Every subcommand takes --tol; those with tolerances read the dict.
-        args.tol = _parse_tols(args.tol)
         return handler(args)
     except FlowStallError as exc:
         print(f"krauscape {args.command}: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
 """Objective landscape of the two-level Kraus-map control problem.
 
-The yield functional in channel coordinates, the norm-dependent unitary
-change of coordinates that diagonalizes it, exact constructors for every
-critical sub-manifold together with their predicted values and Morse
-signatures, Wirtinger gradients, the closed-form Riemannian Hessian on
-the constraint manifold, stationarity certificates, and the
-value-reversing duality of the landscape.
+The yield J = tr(M N) / 2 in channel coordinates (M = U^H U, the Gram
+matrix of the frame's u-rows; N the 2x2 state matrix) and in the
+diagonal coordinates of N's eigenbasis (:func:`coord_change`); one
+table of each state's critical sub-manifolds with their values and
+Morse signatures (:func:`_critical_manifolds`), which the predictions,
+the critical-point constructor and the classifier read; Wirtinger
+gradients, the closed-form Riemannian Hessian on the constraint
+manifold, stationarity certificates, and the value-reversing duality.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .stiefel import (
 __all__ = [
     "IllegalManifoldError",
     "LandscapeParams",
-    "CoordChange",
     "DiagCoords",
     "ManifoldTag",
     "CriticalManifoldId",
@@ -106,58 +107,39 @@ class LandscapeParams:
         return 2
 
 
-class _Branch(str, enum.Enum):
-    GENERIC = "generic"
-    Z0_ZERO_GAMMA_NONNEG = "z0_zero_gamma_nonneg"
-    Z0_ZERO_GAMMA_NEG = "z0_zero_gamma_neg"
+def coord_change(params: LandscapeParams) -> np.ndarray:
+    """N's eigenbasis: a read-only 2x2 unitary B, N B = B diag(1+|w|, 1-|w|).
 
-
-@dataclass(frozen=True)
-class CoordChange:
-    """Unitary mixing that diagonalizes the objective.
-
-    On the generic branch the forward map is
-    ``ut1 = mu u1 + phase nu u2`` and ``ut2 = -nu u1 + phase mu u2`` (the
-    same mixing acts on v1, v2) with ``mu^2 + nu^2 = 1`` and
-    ``phase = conj(z0)/|z0|``.  When the transverse offset vanishes the
-    map degenerates to the identity (gamma >= 0) or to the swap
-    ``ut1 = u2, ut2 = u1, vt1 = v2, vt2 = v1`` (gamma < 0).
+    N = [[1+gamma, z0], [conj(z0), 1-gamma]] is the state matrix of the
+    yield J(X) = Re tr(X^H P X N) / 2, so a frame X has the diagonal
+    coordinates X B (:func:`to_diag`).  Generically
+    B = [[mu, -nu], [phase nu, phase mu]] with mu^2 + nu^2 = 1 and
+    phase = conj(z0)/|z0|, computed without cancellation near the poles.
+    When the transverse offset z0 vanishes, B is the identity
+    (gamma >= 0) or the swap (gamma < 0).
     """
-
-    mu: float
-    nu: float
-    phase: complex
-    branch: _Branch
-
-    def __post_init__(self):
-        if abs(abs(self.phase) - 1.0) > 1e-12:
-            raise ValueError("coordinate-change phase must be unimodular")
-        if self.branch == _Branch.GENERIC:
-            if abs(self.mu**2 + self.nu**2 - 1.0) > 1e-12:
-                raise ValueError("generic branch requires mu^2 + nu^2 = 1")
-
-
-def coord_change(params: LandscapeParams) -> CoordChange:
-    """Coordinate change for the given state, stable near the poles."""
     z0 = params.z0
     if abs(z0) < _Z0_TOL:
-        if params.gamma >= 0.0:
-            return CoordChange(1.0, 0.0, 1.0 + 0.0j, _Branch.Z0_ZERO_GAMMA_NONNEG)
-        return CoordChange(0.0, 1.0, 1.0 + 0.0j, _Branch.Z0_ZERO_GAMMA_NEG)
-    wn = params.norm_w
-    gamma = params.gamma
-    # |z0|^2 = (wn - gamma)(wn + gamma); compute the smaller factor by
-    # division to avoid cancellation when gamma dominates.
-    if gamma >= 0.0:
-        s_plus = wn + gamma
-        s_minus = (abs(z0) ** 2) / s_plus
+        b = np.eye(2, dtype=complex)
+        if params.gamma < 0.0:
+            b = b[::-1].copy()
     else:
-        s_minus = wn - gamma
-        s_plus = (abs(z0) ** 2) / s_minus
-    mu = math.sqrt(s_plus / (2.0 * wn))
-    nu = math.sqrt(s_minus / (2.0 * wn))
-    phase = np.conj(z0) / abs(z0)
-    return CoordChange(mu, nu, complex(phase), _Branch.GENERIC)
+        wn = params.norm_w
+        gamma = params.gamma
+        # |z0|^2 = (wn - gamma)(wn + gamma); compute the smaller factor by
+        # division to avoid cancellation when gamma dominates.
+        if gamma >= 0.0:
+            s_plus = wn + gamma
+            s_minus = (abs(z0) ** 2) / s_plus
+        else:
+            s_minus = wn - gamma
+            s_plus = (abs(z0) ** 2) / s_minus
+        mu = math.sqrt(s_plus / (2.0 * wn))
+        nu = math.sqrt(s_minus / (2.0 * wn))
+        phase = complex(np.conj(z0) / abs(z0))
+        b = np.array([[mu, -nu], [phase * nu, phase * mu]], dtype=complex)
+    b.setflags(write=False)
+    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,42 +295,17 @@ def objective_diag(d: DiagCoords, params: LandscapeParams) -> float:
     return params.lambda_plus * n1 + params.lambda_minus * n2
 
 
-def _forward_blocks(cc: CoordChange, b1, b2):
-    """Apply the diagonalizing mixing to a (first, second) block pair."""
-    if cc.branch == _Branch.GENERIC:
-        t1 = cc.mu * b1 + cc.phase * cc.nu * b2
-        t2 = -cc.nu * b1 + cc.phase * cc.mu * b2
-        return t1, t2
-    if cc.branch == _Branch.Z0_ZERO_GAMMA_NONNEG:
-        return b1.copy(), b2.copy()
-    return b2.copy(), b1.copy()
-
-
-def _backward_blocks(cc: CoordChange, t1, t2):
-    """Invert the diagonalizing mixing on a (first, second) block pair."""
-    if cc.branch == _Branch.GENERIC:
-        b1 = cc.mu * t1 - cc.nu * t2
-        b2 = np.conj(cc.phase) * (cc.nu * t1 + cc.mu * t2)
-        return b1, b2
-    if cc.branch == _Branch.Z0_ZERO_GAMMA_NONNEG:
-        return t1.copy(), t2.copy()
-    return t2.copy(), t1.copy()
-
-
 def to_diag(p: KrausPoint, params: LandscapeParams) -> DiagCoords:
-    """Rotate channel coordinates into the frame that diagonalizes the yield."""
-    cc = coord_change(params)
-    ut1, ut2 = _forward_blocks(cc, p.u1, p.u2)
-    vt1, vt2 = _forward_blocks(cc, p.v1, p.v2)
-    return DiagCoords(ut1=ut1, ut2=ut2, vt1=vt1, vt2=vt2)
+    """The blocks of X B: ``p``'s frame X in N's eigenbasis B (:func:`coord_change`)."""
+    x = p.matrix @ coord_change(params)
+    return DiagCoords(ut1=x[:4, 0], ut2=x[:4, 1], vt1=x[4:, 0], vt2=x[4:, 1])
 
 
 def from_diag(d: DiagCoords, params: LandscapeParams) -> KrausPoint:
     """Inverse of :func:`to_diag`."""
-    cc = coord_change(params)
-    u1, u2 = _backward_blocks(cc, d.ut1, d.ut2)
-    v1, v2 = _backward_blocks(cc, d.vt1, d.vt2)
-    return KrausPoint(u1=u1, u2=u2, v1=v1, v2=v2)
+    x = np.empty((8, 2), dtype=complex)
+    x[:4, 0], x[:4, 1], x[4:, 0], x[4:, 1] = d.ut1, d.ut2, d.vt1, d.vt2
+    return KrausPoint.from_matrix(x @ coord_change(params).conj().T)
 
 
 def euclidean_gradient(p: KrausPoint, params: LandscapeParams):
@@ -369,62 +326,58 @@ def riemannian_gradient(p: KrausPoint, params: LandscapeParams) -> TangentVector
     return TangentVector(base=base, delta=_rgrad_mat(base.frame, params))
 
 
-def saddle_values(params: LandscapeParams) -> tuple[float, ...]:
-    """Critical values strictly between the extremes, possibly empty."""
+def _critical_manifolds(params: LandscapeParams) -> tuple:
+    """The state's critical sub-manifolds as (tag, value, signature) rows.
+
+    The extremes come first, J = 0 and 1 with no saddle signature (None);
+    then the saddles: the mixed saddle at 1/2 for the fully mixed state,
+    the paired saddles at lambda_-/+ for a partially mixed one, and none
+    for a pure state.
+    """
+    rows = ((ManifoldTag.GLOBAL_MIN, 0.0, None), (ManifoldTag.GLOBAL_MAX, 1.0, None))
     case = params.case
     if case == 1:
-        return (0.5,)
+        return rows + ((ManifoldTag.MIXED_SADDLE, 0.5, MorseSignature(6, 6, 16)),)
     if case == 2:
-        return (params.lambda_minus, params.lambda_plus)
-    return ()
-
-
-def _ensure_legal(mid: CriticalManifoldId, params: LandscapeParams) -> None:
-    tag = mid.tag
-    case = params.case
-    if tag in (ManifoldTag.GLOBAL_MIN, ManifoldTag.GLOBAL_MAX):
-        return
-    if tag == ManifoldTag.MIXED_SADDLE:
-        if case != 1:
-            raise IllegalManifoldError(
-                "the mixed saddle exists only for the fully mixed state"
-            )
-        return
-    # Remaining tags are the paired saddles.
-    if case != 2:
-        raise IllegalManifoldError(
-            f"{tag.value} requires 0 < |w| < 1 (state has |w| = {params.norm_w:.6g})"
+        return rows + (
+            (ManifoldTag.SADDLE_MINUS, params.lambda_minus, MorseSignature(8, 6, 14)),
+            (ManifoldTag.SADDLE_PLUS, params.lambda_plus, MorseSignature(6, 8, 14)),
         )
+    return rows
+
+
+def _manifold_row(mid: CriticalManifoldId, params: LandscapeParams) -> tuple:
+    """The table row of ``mid``; :class:`IllegalManifoldError` if the state has none."""
+    for row in _critical_manifolds(params):
+        if row[0] == mid.tag:
+            return row
+    if mid.tag == ManifoldTag.MIXED_SADDLE:
+        raise IllegalManifoldError(
+            "the mixed saddle exists only for the fully mixed state"
+        )
+    raise IllegalManifoldError(
+        f"{mid.tag.value} requires 0 < |w| < 1 (state has |w| = {params.norm_w:.6g})"
+    )
+
+
+def saddle_values(params: LandscapeParams) -> tuple[float, ...]:
+    """Critical values strictly between the extremes, possibly empty."""
+    return tuple(value for _, value, _ in _critical_manifolds(params)[2:])
 
 
 def predicted_value(mid: CriticalManifoldId, params: LandscapeParams) -> float:
     """Exact objective value on the requested critical sub-manifold."""
-    _ensure_legal(mid, params)
-    tag = mid.tag
-    if tag == ManifoldTag.GLOBAL_MIN:
-        return 0.0
-    if tag == ManifoldTag.GLOBAL_MAX:
-        return 1.0
-    if tag == ManifoldTag.SADDLE_MINUS:
-        return params.lambda_minus
-    if tag == ManifoldTag.SADDLE_PLUS:
-        return params.lambda_plus
-    return 0.5
+    return _manifold_row(mid, params)[1]
 
 
 def predicted_morse(mid: CriticalManifoldId, params: LandscapeParams) -> MorseSignature:
     """Exact Hessian inertia on the requested saddle manifold."""
-    _ensure_legal(mid, params)
-    tag = mid.tag
-    if tag == ManifoldTag.SADDLE_MINUS:
-        return MorseSignature(8, 6, 14)
-    if tag == ManifoldTag.SADDLE_PLUS:
-        return MorseSignature(6, 8, 14)
-    if tag == ManifoldTag.MIXED_SADDLE:
-        return MorseSignature(6, 6, 16)
-    raise IllegalManifoldError(
-        "extremal manifolds have semi-definite Hessians; no saddle signature"
-    )
+    signature = _manifold_row(mid, params)[2]
+    if signature is None:
+        raise IllegalManifoldError(
+            "extremal manifolds have semi-definite Hessians; no saddle signature"
+        )
+    return signature
 
 
 def _haar_unit(rng: np.random.Generator) -> np.ndarray:
@@ -480,18 +433,18 @@ def critical_point(
 
     The seed picks the free directions within the sub-manifold; the
     construction itself is exact, so the Riemannian gradient vanishes to
-    rounding error.  The diagonal blocks fill one 8x2 frame, the inverse
-    mixing acts on its two columns, and the frame is checked once, as
-    :meth:`KrausPoint.from_matrix` checks every frame; the point is
-    bitwise the one of :func:`from_diag` on the same blocks.
+    rounding error.  The diagonal blocks fill one 8x2 frame d, the point
+    is d B^H with B = :func:`coord_change`, and the frame is checked once,
+    as :meth:`KrausPoint.from_matrix` checks every frame; the point is
+    bitwise the one of :func:`from_diag` on the same blocks.  A tag the
+    state has no row for in its table of critical manifolds raises
+    :class:`IllegalManifoldError`.
     """
-    _ensure_legal(mid, params)
+    _manifold_row(mid, params)
     rng = np.random.default_rng(seed)
     d = np.empty((8, 2), dtype=complex)
     d[:4, 0], d[:4, 1], d[4:, 0], d[4:, 1] = _critical_diag_blocks(mid, params, rng)
-    w = np.empty_like(d)
-    w[:, 0], w[:, 1] = _backward_blocks(coord_change(params), d[:, 0], d[:, 1])
-    return KrausPoint.from_matrix(w)
+    return KrausPoint.from_matrix(d @ coord_change(params).conj().T)
 
 
 def morse_signature(h: np.ndarray, zero_tol: float = 1e-12) -> MorseSignature:

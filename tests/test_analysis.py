@@ -25,6 +25,7 @@ from krauscape.landscape import (
     CriticalManifoldId,
     LandscapeParams,
     ManifoldTag,
+    _critical_manifolds,
     _objective_mat,
     _rgrad_mat,
     critical_point,
@@ -525,7 +526,7 @@ class TestClassifyRows:
         gnorms = [0.0, 1e-9, np.nextafter(1e-6, 0.0), 1e-6, np.nextafter(1e-6, 1.0), 1e-3]
         v, g = (a.ravel() for a in np.meshgrid(values, gnorms))
         labels = ["non-critical", "ambiguous"] + [
-            CriticalManifoldId(t) for _, t in analysis._candidates(params)]
+            CriticalManifoldId(t) for t, _, _ in _critical_manifolds(params)]
         got = [labels[i] for i in analysis._classify(v, g, params)]
         expected = [_classify_scalar(a, b, params) for a, b in zip(v.tolist(), g.tolist())]
         assert got == expected

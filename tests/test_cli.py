@@ -44,7 +44,21 @@ def bad_file(tmp_path):
     return write_json(tmp_path / "bad.json", doubled)
 
 
+def assert_unread_options_rejected(argv, options, capsys):
+    """Each option the subcommand does not read is a usage error (exit 2)."""
+    for option in options:
+        with pytest.raises(SystemExit) as err:
+            main(argv + option)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 class TestEvaluate:
+    def test_seed_and_tol_are_usage_errors(self, ident_file, capsys):
+        assert_unread_options_rejected(
+            ["evaluate", "--in", ident_file, "--w", "0,0,0.5"],
+            [["--seed", "5"], ["--tol", "zero_tol=1"]], capsys)
+
     def test_identity_channel(self, ident_file, capsys):
         code = main(["evaluate", "--in", ident_file, "--w", "0,0,0.5"])
         assert code == 0
@@ -377,6 +391,11 @@ class TestMorse:
 
 
 class TestLevelset:
+    def test_tol_is_usage_error(self, capsys):
+        assert_unread_options_rejected(
+            ["levelset", "--w", "0,0,0.5", "--seed", "5", "--mu", "1.0"],
+            [["--tol", "bogus=3"]], capsys)
+
     def test_interior_csv(self, capsys):
         code = main(["levelset", "--w", "0,0,0.5", "--seed", "5", "--mu", "0.4"])
         assert code == 0
@@ -476,6 +495,11 @@ class TestLevelset:
 
 
 class TestDilate:
+    def test_seed_and_tol_are_usage_errors(self, ident_file, capsys):
+        assert_unread_options_rejected(
+            ["dilate", "--in", ident_file], [["--seed", "5"], ["--tol", "zero_tol=1"]],
+            capsys)
+
     def test_identity(self, ident_file, capsys):
         code = main(["dilate", "--in", ident_file])
         assert code == 0
@@ -496,6 +520,10 @@ class TestDilate:
 
 
 class TestScan:
+    def test_tol_is_usage_error(self, capsys):
+        assert_unread_options_rejected(
+            ["scan", "--w", "0,0,0.5", "--seed", "1"], [["--tol", "zero_tol=1"]], capsys)
+
     def test_grid_rows(self, capsys):
         code = main(
             [

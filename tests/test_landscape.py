@@ -67,6 +67,30 @@ ALL_W = (
 )
 
 
+def _ball_states():
+    """States over the whole ball and on both sides of the z0 = 0 branch."""
+    axes = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (1, 1, 1), (-0.3, 0.8, -0.5)]
+    norms = (0.0, 1e-15, 1e-13, 1e-9, 0.5, 1 - 1e-9, 1.0)
+    states = [tuple(r * np.asarray(a) / np.linalg.norm(a)) for a in axes for r in norms]
+    # |z0| just under and just over the 1e-14 branch threshold.
+    states += [(x, 0.0, g) for x in (0.99e-14, 1.01e-14)
+               for g in (0.5, -0.5, 1e-13, -1e-13)]
+    return states
+
+
+BALL_STATES = _ball_states()
+
+
+def assert_eigenbasis(params):
+    """B of coord_change is unitary and B^H N B = diag(1 + |w|, 1 - |w|)."""
+    b = coord_change(params)
+    z0, g = params.z0, params.gamma
+    n = np.array([[1 + g, z0], [np.conj(z0), 1 - g]])
+    r = params.norm_w
+    assert np.max(np.abs(b.conj().T @ b - np.eye(2))) <= 1e-14
+    assert np.max(np.abs(b.conj().T @ n @ b - np.diag([1 + r, 1 - r]))) <= 1e-12
+
+
 def legal_manifolds(params):
     ids = [
         CriticalManifoldId(ManifoldTag.GLOBAL_MIN),
@@ -178,20 +202,20 @@ class TestCoordChange:
 
     def test_equatorial_coefficients(self):
         params = LandscapeParams(w=BlochVector(0.6, 0.0, 0.0))
-        change = coord_change(params)
-        assert change.mu == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-        assert change.nu == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-        assert change.phase == pytest.approx(1.0)
+        b = coord_change(params)
+        expected = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)
+        assert np.max(np.abs(b - expected)) <= 1e-15
+        assert not b.flags.writeable
 
     def test_unit_coefficients(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             params = LandscapeParams(w=seeded_w(rng))
-            if abs(params.z0) < 1e-14:
-                continue
-            change = coord_change(params)
-            assert abs(change.mu**2 + change.nu**2 - 1.0) < 1e-12
-            assert abs(abs(change.phase) - 1.0) < 1e-14
+            assert_eigenbasis(params)
+
+    @pytest.mark.parametrize("w", BALL_STATES)
+    def test_eigenbasis_over_the_ball(self, w):
+        assert_eigenbasis(LandscapeParams(w=BlochVector(*w)))
 
     def test_diag_equals_uv(self):
         rng_w = np.random.default_rng(5)
@@ -351,6 +375,33 @@ class TestCriticalStructure:
         assert saddle_values(LandscapeParams(w=(0, 0, 0))) == (0.5,)
         assert saddle_values(LandscapeParams(w=(0, 0, 0.5))) == (0.25, 0.75)
         assert saddle_values(LandscapeParams(w=(0, 0, 1))) == ()
+
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.3, -0.4, 0.2)])
+    @pytest.mark.parametrize(
+        "norm", [0.0, 0.99e-14, 1.01e-14, 1e-9, 0.5, 1 - 1.01e-12, 1 - 0.99e-12, 1.0])
+    def test_table_across_the_case_boundaries(self, axis, norm):
+        # On both sides of the mixed and pure thresholds, a critical point
+        # exists exactly where its value is predicted and takes that value,
+        # and the saddle values are the predicted values of the saddles.
+        w = norm * np.asarray(axis) / np.linalg.norm(axis)
+        params = LandscapeParams(w=BlochVector(*w))
+        saddles = []
+        for tag in ManifoldTag:
+            mid = CriticalManifoldId(tag)
+            try:
+                value = predicted_value(mid, params)
+            except IllegalManifoldError:
+                with pytest.raises(IllegalManifoldError):
+                    critical_point(mid, params, seed=0)
+                continue
+            for seed in range(3):
+                p = critical_point(mid, params, seed=seed)
+                assert abs(objective_uv(p, params) - value) <= 1e-12
+            if tag not in (ManifoldTag.GLOBAL_MIN, ManifoldTag.GLOBAL_MAX):
+                assert 0.0 < value < 1.0
+                saddles.append(value)
+        assert saddle_values(params) == tuple(saddles)
+        assert len(saddles) == {1: 1, 2: 2, 3: 0}[params.case]
 
     def test_pure_state_has_no_saddles(self):
         params = LandscapeParams(w=BlochVector(0.0, 0.0, 1.0))
