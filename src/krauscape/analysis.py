@@ -10,11 +10,16 @@ exact connectivity witness: a closed-form path inside a single level set.
 
 One engine runs the optimizer: every campaign is one call on an
 (N, 8, 2) stack of raw frames that keeps, per run, only the objective
-and gradient norm of each iterate.  Trial points are retracted by the
-closed-form two-column QR of ``stiefel._qf``; each accepted iterate
-gets its gradient and the Hessian's curvature term sym(X^H grad J) from
-one first-order kernel, and the saddle hits of a campaign are counted
-in one vectorised pass.  :func:`optimize` is that engine on a single
+and gradient norm of each iterate.  Its kernels work on the frames'
+float view, (N, 8, 4) real rows [Re x0, Im x0, Re x1, Im x1], on which
+right-multiplication by a complex 2x2 matrix is a real 4x4 product.
+Trial points are retracted by the closed-form two-column QR of
+``stiefel._qf``, and each gets one Gram product G, whose trace is its
+objective.  An accepted trial's G gives its gradient and its Hessian
+factor, with which every CG step applies the Hessian as one stacked
+real product and a projection on four normal directions; CG runs on
+flat (N, 32) float rows.  The saddle hits of a campaign are counted in
+one vectorised pass.  :func:`optimize` is that engine on a single
 frame; validated :class:`KrausPoint` objects are built only where a
 caller receives them.
 
@@ -46,16 +51,19 @@ from .landscape import (
     LandscapeParams,
     _critical_manifolds,
     _first_order,
-    _hess_ambient_mat,
+    _gram,
+    _gram_value,
+    _hess_vec,
+    _normals,
     _objective_mat,
     _rgrad_mat,
+    _weight_factor,
     coord_change,
 )
 from .stiefel import (
     KrausPoint,
     _haar_frame,
     _kraus_points,
-    _project_mat,
     _qf,
 )
 
@@ -247,22 +255,24 @@ class LevelSetPath:
                 raise ValueError("connected path exceeds the chordal step limit")
 
 
-def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Re<a_i, b_i> of two C-contiguous (N, 8, 2) stacks.
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise real inner products of two C-contiguous (N, 32) stacks.
 
     Each row is summed over its own 32 contiguous reals, so a row's value
     does not depend on the other rows of the stack.
     """
-    prod = a.view(np.float64) * b.view(np.float64)
-    return prod.reshape(len(prod), -1).sum(axis=1)
+    return (a * b).sum(axis=1)
 
 
-def _tcg(w, d, sym, radius, sgn, params):
+def _tcg(d, f, nb, radius, sgn):
     """Steihaug-Toint truncated CG on the quadratic model of every row.
 
     Row i maximizes m(eta) = <d, eta> + <eta, A eta> / 2 over tangent
     steps with |eta| <= radius[i], where d is the ascent direction
-    sgn * grad J and A = sgn * Hess J, applied in closed form.  CG stops
+    sgn * grad J and A = sgn * Hess J, applied in closed form by
+    :func:`landscape._hess_vec` with the row's Hessian factor ``f`` and
+    normal directions ``nb``.  Steps and directions are flat (N, 32)
+    float views of 8x2 tangents.  CG stops
     at the boundary (on a step that leaves the region or along a
     direction of non-negative curvature), when the residual falls to
     |d| * min(|d|, _TR_CG_KAPPA), or after _TR_CG_MAX steps.  The model
@@ -275,19 +285,19 @@ def _tcg(w, d, sym, radius, sgn, params):
     m(eta), whether each stopped on the boundary, and the curvature
     <d, A d> met by the first CG step.
     """
-    n = len(w)
+    n = len(d)
     eta = np.empty_like(d)
     gain = np.empty(n)
     boundary = np.empty(n, dtype=bool)
-    rr = _re_inner(d, d)
+    rr = _row_dot(d, d)
     r0 = np.sqrt(rr)
     stop = (r0 * np.minimum(r0, _TR_CG_KAPPA)) ** 2
     act = np.arange(n)
-    wa, sa, r2, e, r, p = w, sym, radius * radius, np.zeros_like(d), d, d
+    fa, nba, r2, e, r, p = f, nb, radius * radius, np.zeros_like(d), d, d
     m, ee, ep, pp = np.zeros(n), np.zeros(n), np.zeros(n), rr
     for j in range(_TR_CG_MAX):
-        hp = _project_mat(wa, _hess_ambient_mat(p, sa, params))
-        kappa = sgn * _re_inner(p, hp)
+        hp = _hess_vec(p, fa, nba)
+        kappa = sgn * _row_dot(p, hp)
         if j == 0:
             curv = kappa
         alpha = rr / np.where(kappa < 0.0, -kappa, 1.0)
@@ -299,9 +309,9 @@ def _tcg(w, d, sym, radius, sgn, params):
             tau = (np.sqrt(ep * ep + pp * (r2 - ee)) - ep) / pp
             step = np.where(out, tau, alpha)
         m = m + step * (rr + 0.5 * step * kappa)
-        e = e + step[:, None, None] * p
-        r = r + (sgn * step)[:, None, None] * hp
-        rr_new = _re_inner(r, r)
+        e = e + step[:, None] * p
+        r = r + (sgn * step)[:, None] * hp
+        rr_new = _row_dot(r, r)
         fin = out | (rr_new <= stop)
         if j == _TR_CG_MAX - 1:
             fin[:] = True
@@ -311,13 +321,13 @@ def _tcg(w, d, sym, radius, sgn, params):
             live = ~fin
             if not live.any():
                 break
-            act, wa, sa, r2, e, r, p, m, ee_new, ep, pp, rr, rr_new, alpha, stop = (
-                act[live], wa[live], sa[live], r2[live], e[live], r[live], p[live],
+            act, fa, nba, r2, e, r, p, m, ee_new, ep, pp, rr, rr_new, alpha, stop = (
+                act[live], fa[live], nba[live], r2[live], e[live], r[live], p[live],
                 m[live], ee_new[live], ep[live], pp[live], rr[live], rr_new[live],
                 alpha[live], stop[live])
         beta = rr_new / rr
         ee, ep, pp = ee_new, beta * (ep + alpha * pp), rr_new + beta * beta * pp
-        p = r + beta[:, None, None] * p
+        p = r + beta[:, None] * p
         rr = rr_new
     return eta, gain, boundary, curv
 
@@ -332,6 +342,12 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     iteration retract only the rows still without an accepted step, and
     the running set is compacted only when a run ends.
 
+    The kernels run on the frames' float views (:func:`landscape._gram`).
+    Each trial point gets one Gram product G, which gives its value
+    J = tr(G) / 2 and, once the trial is accepted, its gradient and
+    Hessian factor (:func:`landscape._first_order`); each iterate's four
+    normal directions are built once for all the CG steps of its trials.
+
     Returns ``(rows, converged, stalled, frames)``: ``rows[i]`` is run i's
     (iterates, 2) float array of (objective, gradient norm), the flags
     are boolean arrays, and ``frames[i]`` is run i's (iterates, 8, 2)
@@ -340,12 +356,16 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     sgn = 1.0 if cfg.direction == "maximize" else -1.0
     n = len(w0)
     ids = np.arange(n)
+    rn = _weight_factor(params)
     w = np.ascontiguousarray(w0, dtype=complex)
-    value = _objective_mat(w, params)
-    # d is the ascent direction sgn * grad J; sym = sym(X^H grad J).
-    grad, sym = _first_order(w, params)
-    d = sgn * grad
-    gnorm = np.sqrt(_re_inner(d, d))
+    xr = w.view(np.float64)
+    g = _gram(xr, rn)
+    value = _gram_value(g)
+    # d is the ascent direction sgn * grad J as flat float rows; f is the
+    # Hessian factor of each frame.
+    grad, f = _first_order(xr, g, rn)
+    d = sgn * grad.reshape(n, 32)
+    gnorm = np.sqrt(_row_dot(d, d))
     radius = np.full(n, _TR_RADIUS_START)
     history = [(ids, value, gnorm, w if keep_frames else None)]
     converged = np.zeros(n, dtype=bool)
@@ -355,8 +375,8 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
         if done.any():
             converged[ids[done]] = True
             live = ~done
-            ids, w, value, d, sym, gnorm, radius = (
-                ids[live], w[live], value[live], d[live], sym[live], gnorm[live],
+            ids, w, value, d, f, gnorm, radius = (
+                ids[live], w[live], value[live], d[live], f[live], gnorm[live],
                 radius[live])
             if not len(ids):
                 break
@@ -364,23 +384,26 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
         floor = _FLOOR_ULPS * np.spacing(np.maximum(1.0, np.abs(value)))
         # Each accepted row sets its radius for the next iteration.
         start_radius, radius = radius, np.empty_like(radius)
-        w_new, v_new = np.empty_like(w), np.empty_like(value)
+        w_new, v_new, g_new = np.empty_like(w), np.empty_like(value), np.empty((len(ids), 4, 4))
         ok = np.zeros(len(ids), dtype=bool)
         # The rows still without an accepted step, compacted when one leaves.
         trial = np.arange(len(ids))
-        tw, td, ts, tv, tr, tf = w, d, sym, value, start_radius, floor
+        tw, td, tf, tv, tr, tfl = w, d, f, value, start_radius, floor
+        tn = _normals(w.view(np.float64))
         for shrink in range(_TR_MAX_SHRINKS):
-            eta, gain, boundary, curv = _tcg(tw, td, ts, tr, sgn, params)
+            eta, gain, boundary, curv = _tcg(td, tf, tn, tr, sgn)
             if shrink == 0:
                 curv0 = curv
-            cand = _qf(tw + eta)
-            v_cand = _objective_mat(cand, params)
+            cand = _qf(tw + eta.view(complex).reshape(tw.shape))
+            g_cand = _gram(cand.view(np.float64), rn)
+            v_cand = _gram_value(g_cand)
             # rho = actual / gain is compared through products: gain > 0.
             actual = sgn * (v_cand - tv)
             accept = (actual >= 0.0) & (actual > _TR_RHO_ACCEPT * gain)
             if accept.any():
                 hit = trial[accept]
                 w_new[hit], v_new[hit], ok[hit] = cand[accept], v_cand[accept], True
+                g_new[hit] = g_cand[accept]
                 ra, got, gn = tr[accept], actual[accept], gain[accept]
                 grow = (got > 0.75 * gn) & boundary[accept]
                 radius[hit] = np.where(
@@ -388,13 +411,13 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
                     np.where(grow, np.minimum(2.0 * ra, _TR_RADIUS_MAX), ra))
             # A rejected trial is retried at a quarter of its radius unless
             # its model gain is already below the resolution of J.
-            more = ~accept & (gain >= tf)
+            more = ~accept & (gain >= tfl)
             if not more.any():
                 break
             if not more.all():
-                trial, tw, td, ts, tv, tr, tf = (
-                    trial[more], tw[more], td[more], ts[more], tv[more], tr[more],
-                    tf[more])
+                trial, tw, td, tf, tn, tv, tr, tfl = (
+                    trial[more], tw[more], td[more], tf[more], tn[more], tv[more],
+                    tr[more], tfl[more])
             tr = 0.25 * tr
         failed = ~ok
         if failed.any():
@@ -407,13 +430,14 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
             at_floor = t * dd + 0.5 * t * t * curv0 < floor
             converged[ids[failed & at_floor]] = True
             stalled[ids[failed & ~at_floor]] = True
-            ids, w_new, v_new, radius = ids[ok], w_new[ok], v_new[ok], radius[ok]
+            ids, w_new, v_new, g_new, radius = (
+                ids[ok], w_new[ok], v_new[ok], g_new[ok], radius[ok])
             if not len(ids):
                 break
         w, value = w_new, v_new
-        grad, sym = _first_order(w, params)
-        d = sgn * grad
-        gnorm = np.sqrt(_re_inner(d, d))
+        grad, f = _first_order(w.view(np.float64), g_new, rn)
+        d = sgn * grad.reshape(len(ids), 32)
+        gnorm = np.sqrt(_row_dot(d, d))
         history.append((ids, value, gnorm, w if keep_frames else None))
     else:
         converged[ids[gnorm < cfg.grad_tol]] = True
@@ -438,10 +462,10 @@ def optimize(
     """Riemannian trust-region iteration with truncated-CG steps.
 
     Each iteration models J around the current frame by its gradient and
-    closed-form Hessian, Hess J[xi] = Proj_X(2 P xi N - xi sym(X^H grad J)),
+    closed-form Hessian, Hess J[xi] = Proj_X(P xi N - xi sym(X^H P X N)),
     and solves the model inside a trust region of radius 1 at the start
     (at most 2) by Steihaug-Toint truncated conjugate gradients.  A trial
-    costs one QR retraction and one objective.  It is accepted when J
+    costs one QR retraction and one Gram product.  It is accepted when J
     moves in the run direction by more than 0.1 of the model's gain
     (rho > 0.1), so the value sequence is monotone; a rejected trial is
     retried within the iteration at a quarter of the radius, so every

@@ -8,6 +8,13 @@ Morse signatures (:func:`_critical_manifolds`), which the predictions,
 the critical-point constructor and the classifier read; Wirtinger
 gradients, the closed-form Riemannian Hessian on the constraint
 manifold, stationarity certificates, and the value-reversing duality.
+
+One first-order kernel (:func:`_first_order`, from the Gram product of
+:func:`_gram`) and one Hessian-vector kernel (:func:`_hess_vec`) serve
+the optimizer, the Morse Hessian, the Riemannian gradient and the
+classifier.  They work on the float view of frames, in which
+right-multiplication by a complex 2x2 matrix is a real 4x4 product
+(:func:`_right_factor`).
 """
 
 from __future__ import annotations
@@ -247,36 +254,134 @@ def _grad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
     return g
 
 
-def _first_order(w: np.ndarray, params: LandscapeParams):
-    """Riemannian gradient and sym(X^H grad J) of frames X; broadcasts.
+def _right_factor(c: np.ndarray) -> np.ndarray:
+    """R(C): right-multiplication by complex 2x2 matrices C on float views.
 
-    Both come from one product X^H grad J of the Euclidean gradient
-    grad J = 2 P X N: the gradient for the real trace metric is its
-    tangent part grad J - X sym(X^H grad J), and sym(X^H grad J) is the
-    curvature term of the Hessian (:func:`_hess_ambient_mat`).
+    The float view of an 8x2 frame X is the 8x4 real array X_r with rows
+    [Re x0, Im x0, Re x1, Im x1]; then (X C)_r = X_r R(C).  Each entry
+    c = a + ib of C becomes the real 2x2 block [[a, b], [-b, a]], so
+    R(A B) = R(A) R(B) and R(C^H) = R(C)^T.  Broadcasts over leading axes.
     """
-    g = 2.0 * _grad_mat(w, params)
-    s = np.swapaxes(w.conj(), -1, -2) @ g
-    sym = 0.5 * (s + np.swapaxes(s.conj(), -1, -2))
-    return g - w @ sym, sym
+    c = np.asarray(c, dtype=complex)
+    re, im = c.real, c.imag
+    # Axes: row of C, its (re, im) part, column of C, its (re, im) part.
+    r = np.empty(c.shape[:-2] + (2, 2, 2, 2))
+    r[..., :, 0, :, 0] = re
+    r[..., :, 0, :, 1] = im
+    r[..., :, 1, :, 0] = -im
+    r[..., :, 1, :, 1] = re
+    return r.reshape(c.shape[:-2] + (4, 4))
+
+
+def _weight_factor(params: LandscapeParams) -> np.ndarray:
+    """R(N) of the state matrix N = [[1 + gamma, z0], [conj(z0), 1 - gamma]]."""
+    g, z0 = params.gamma, params.z0
+    return _right_factor(np.array([[1.0 + g, z0], [np.conj(z0), 1.0 - g]]))
+
+
+def _sym_factor() -> np.ndarray:
+    """The 16x16 L with (T_flat L) = R(S) for T = G + G^T, S = sym(X^H P X N).
+
+    For G = X_r^T Y_r, R(X^H Y) = G - E G E with E = R(i I), so
+    R(S) = (T - E T E) / 2.  Each entry of E T E is plus or minus one
+    entry of T, so every column of L holds two entries +-1/2: the product
+    is one rounded sum of two exact halves, the same in any BLAS kernel.
+    """
+    e = _right_factor(1j * np.eye(2))
+    basis = np.eye(16).reshape(16, 4, 4)
+    return (0.5 * (basis - e @ basis @ e)).reshape(16, 16)
+
+
+# An orthonormal basis H_k of the Hermitian 2x2 matrices for the trace
+# inner product: the two diagonal units, then sigma_x and sigma_y over sqrt 2.
+_HERMITIAN_BASIS = np.array([
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0), 0.0]],
+    [[0.0, -1j / np.sqrt(2.0)], [1j / np.sqrt(2.0), 0.0]],
+])
+_NORMAL_FACTORS = _right_factor(_HERMITIAN_BASIS)
+_SYM_FACTOR = _sym_factor()
+# Selects R(N) for the u-rows of the factor [R(N) - R(S); -R(S)].
+_U_ROWS = np.array([1.0, 0.0]).reshape(2, 1, 1)
+for _table in (_NORMAL_FACTORS, _SYM_FACTOR, _U_ROWS):
+    _table.setflags(write=False)
+
+
+def _gram(xr: np.ndarray, rn: np.ndarray) -> np.ndarray:
+    """G = X_r^T P X_r R(N) of float views X_r of frames; broadcasts.
+
+    ``rn`` is R(N) (:func:`_weight_factor`) and P keeps the u-rows, so
+    G = (U_r^T U_r) R(N) with U_r the first four rows.  The yield is
+    J = Re tr(X^H P X N) / 2 = tr(G) / 2, and G holds sym(X^H P X N) of
+    :func:`_first_order`.  Every product is one 4x4 BLAS product per
+    frame, so a frame's G is bitwise the same alone and in any stack.
+    """
+    u = xr[..., :4, :]
+    # A copy of U_r: numpy runs a product of an array with its own
+    # transpose as a rank-k update plus a triangle copy per frame, several
+    # times slower here than the general product.
+    return (np.swapaxes(u, -1, -2) @ u.copy()) @ rn
+
+
+def _gram_value(g: np.ndarray) -> np.ndarray:
+    """The yield J = tr(G) / 2 of each Gram product of :func:`_gram`."""
+    return 0.5 * np.trace(g, axis1=-2, axis2=-1)
+
+
+def _first_order(xr: np.ndarray, g: np.ndarray, rn: np.ndarray):
+    """Riemannian gradient and Hessian factor of frames from their Gram product.
+
+    For J(X) = Re tr(X^H P X N) / 2 the Euclidean gradient for the real
+    trace metric is P X N, and the Riemannian gradient is its tangent
+    part P X N - X S with S = sym(X^H P X N).  On float views that is
+    one product of the u- and v-rows by F = [R(N) - R(S); -R(S)], which
+    is also the factor of the Hessian-vector product
+    (:func:`_hess_vec`).  ``g`` is :func:`_gram` of ``xr``.  Returns the
+    gradient as float rows (..., 8, 4) and F as (..., 2, 4, 4).
+    """
+    sh = xr.shape[:-2]
+    t = g + np.swapaxes(g, -1, -2)
+    rs = (t.reshape(sh + (16,)) @ _SYM_FACTOR).reshape(sh + (1, 4, 4))
+    f = rn * _U_ROWS - rs
+    grad = xr.reshape(sh + (2, 4, 4)) @ f
+    return grad.reshape(xr.shape), f
+
+
+def _normals(xr: np.ndarray) -> np.ndarray:
+    """The normal directions X H_k of frames, as flat (..., 4, 32) float rows.
+
+    The four are orthonormal for the real trace metric wherever X^H X = I,
+    and span the normal space {X H : H Hermitian}.  Each entry sums one
+    float of X times +-1 or +-1/sqrt 2 and exact zeros, so every BLAS
+    kernel gives the same bits.
+    """
+    sh = xr.shape[:-2]
+    return (xr.reshape(sh + (1, 8, 4)) @ _NORMAL_FACTORS).reshape(sh + (4, 32))
+
+
+def _hess_vec(xi: np.ndarray, f: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Riemannian Hessian-vector products Hess J[xi] on flat (..., 32) float rows.
+
+    Hess J[xi] = Proj_X(P xi N - xi S), S = sym(X^H P X N) (Absil,
+    Mahony and Sepulchre, *Optimization Algorithms on Matrix Manifolds*,
+    2008).  The ambient term is one product of xi's u- and v-rows by the
+    factor F of :func:`_first_order`; the projection subtracts its
+    components along the normal directions ``nb`` of :func:`_normals`.
+    Each product runs per frame, so a row is bitwise the same alone and
+    in any stack.
+    """
+    sh = xi.shape[:-1]
+    a = (xi.reshape(sh + (2, 4, 4)) @ f).reshape(sh + (32,))
+    c = nb @ a[..., None]
+    return a - (np.swapaxes(c, -1, -2) @ nb)[..., 0, :]
 
 
 def _rgrad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
-    """Gradient for the real trace metric, projected onto the tangent space."""
-    return _first_order(w, params)[0]
-
-
-def _hess_ambient_mat(
-    xi: np.ndarray, sym: np.ndarray, params: LandscapeParams
-) -> np.ndarray:
-    """Ambient Hessian term 2 P xi N - xi sym(X^H grad J); broadcasts.
-
-    ``sym`` is the second value of :func:`_first_order` at the base
-    frame X.  Projected onto the tangent space at X, the result is the
-    Riemannian Hessian Hess J[xi] of a tangent ``xi`` (see
-    :func:`hessian_form`).
-    """
-    return 2.0 * _grad_mat(xi, params) - xi @ sym
+    """Riemannian gradient of complex (..., 8, 2) frames, by :func:`_first_order`."""
+    xr = np.ascontiguousarray(w, dtype=complex).view(np.float64)
+    rn = _weight_factor(params)
+    return _first_order(xr, _gram(xr, rn), rn)[0].view(complex)
 
 
 def objective_uv(p: KrausPoint, params: LandscapeParams) -> float:
@@ -475,16 +580,14 @@ def hessian_form(
 ) -> np.ndarray:
     """Closed-form Riemannian Hessian of the yield in an orthonormal tangent basis.
 
-    The yield is the Brockett-type cost J(X) = Re tr(X^H P X N), with P
-    the projector onto the u-rows of the 8x2 frame X and N the 2x2 state
-    matrix, so the Riemannian Hessian for the real trace metric on the
-    Stiefel manifold is Hess J[xi] = Proj_X(2 P xi N - xi sym(X^H grad J))
-    with grad J = 2 P X N the Euclidean gradient (Absil, Mahony and
-    Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008).  The
-    ambient term is :func:`_hess_ambient_mat`, the one the optimizer's
-    Hessian-vector products use.  The returned symmetric matrix is
-    H_ij = Re<t_i, Hess J[t_j]>; the projection drops out because every
-    t_i is tangent.  At a critical point it equals the second
+    The yield is the Brockett-type cost J(X) = Re tr(X^H P X N) / 2, with
+    P the projector onto the u-rows of the 8x2 frame X and N the 2x2
+    state matrix, so the Riemannian Hessian for the real trace metric on
+    the Stiefel manifold is Hess J[xi] = Proj_X(P xi N - xi sym(X^H P X N)),
+    P X N being the Euclidean gradient.  It is applied by
+    :func:`_hess_vec`, the kernel of the optimizer's Hessian-vector
+    products, to every basis tangent.  The returned symmetric matrix is
+    H_ij = Re<t_i, Hess J[t_j]>.  At a critical point it equals the second
     derivative of J(retract(p, s.t)) for any retraction, so its inertia is
     the Morse signature; a warning is issued when the gradient norm
     exceeds 1e-6.  Without ``basis`` the tangent stack of
@@ -492,7 +595,9 @@ def hessian_form(
     used directly, with no basis object.
     """
     w = p.matrix
-    grad, sym = _first_order(w, params)
+    xr = w.view(np.float64)
+    rn = _weight_factor(params)
+    grad, f = _first_order(xr, _gram(xr, rn), rn)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm > 1e-6:
         warnings.warn(
@@ -506,8 +611,8 @@ def hessian_form(
         t = basis.as_array()
     else:
         raise ValueError("tangent basis is not based at the given point")
-    hess_t = _hess_ambient_mat(t, sym, params)
-    out = np.einsum("inj,mnj->im", t.conj(), hess_t).real
+    tr = t.view(np.float64).reshape(len(t), 32)
+    out = tr @ _hess_vec(tr, f, _normals(xr)).T
     return 0.5 * (out + out.T)
 
 

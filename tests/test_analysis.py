@@ -26,8 +26,12 @@ from krauscape.landscape import (
     LandscapeParams,
     ManifoldTag,
     _critical_manifolds,
+    _first_order,
+    _gram,
+    _hess_vec,
+    _normals,
     _objective_mat,
-    _rgrad_mat,
+    _weight_factor,
     critical_point,
     duality_map,
     objective_uv,
@@ -107,10 +111,10 @@ def _nudged(frame, eps):
 
 
 def _wrong_sign(first_order):
-    """``first_order`` with the gradient negated and sym(X^H grad J) kept."""
-    def patched(w, params):
-        grad, sym = first_order(w, params)
-        return -grad, sym
+    """``first_order`` with the gradient negated and the Hessian factor kept."""
+    def patched(xr, g, rn):
+        grad, f = first_order(xr, g, rn)
+        return -grad, f
     return patched
 
 
@@ -222,25 +226,28 @@ class TestTrustRegionStep:
     def _near_max(self, eps):
         params = LandscapeParams(w=(0.3, -0.4, 0.2))
         top = critical_point(CriticalManifoldId(ManifoldTag.GLOBAL_MAX), params, seed=4)
-        x = _nudged(top.matrix, eps)
-        d = _rgrad_mat(x, params)[None]
-        return params, x[None], d, analysis._first_order(x[None], params)[1]
+        x = _nudged(top.matrix, eps)[None]
+        xr = x.view(np.float64)
+        rn = _weight_factor(params)
+        grad, f = _first_order(xr, _gram(xr, rn), rn)
+        return params, x, grad.reshape(1, 32), f, _normals(xr)
 
     def test_interior_step_solves_the_newton_system(self):
-        params, x, d, sym = self._near_max(1e-3)
-        eta, gain, boundary, curv = analysis._tcg(x, d, sym, np.array([2.0]), 1.0, params)
+        params, x, d, f, nb = self._near_max(1e-3)
+        eta, gain, boundary, curv = analysis._tcg(d, f, nb, np.array([2.0]), 1.0)
         assert not boundary[0] and curv[0] < 0.0
-        hvp = _project_mat(x, analysis._hess_ambient_mat(eta, sym, params))
+        hvp = _hess_vec(eta, f, nb)
         r0 = np.linalg.norm(d)
         assert np.linalg.norm(d + hvp) <= r0 * min(r0, analysis._TR_CG_KAPPA)
         # Near the top J is the quadratic model to third order.
-        actual = float(_objective_mat(_qf(x + eta), params)[0] - _objective_mat(x, params)[0])
+        step = eta.view(complex).reshape(x.shape)
+        actual = float(_objective_mat(_qf(x + step), params)[0] - _objective_mat(x, params)[0])
         assert actual == pytest.approx(gain[0], rel=1e-2)
 
     def test_boundary_step_has_the_radius(self):
-        params, x, d, sym = self._near_max(1e-1)
+        params, x, d, f, nb = self._near_max(1e-1)
         radius = np.array([1e-4])
-        eta, gain, boundary, _ = analysis._tcg(x, d, sym, radius, 1.0, params)
+        eta, gain, boundary, _ = analysis._tcg(d, f, nb, radius, 1.0)
         assert boundary[0]
         assert np.linalg.norm(eta) == pytest.approx(1e-4, rel=1e-12)
         assert gain[0] > 0.0
@@ -254,15 +261,16 @@ def descend_alone(w0, params, cfg):
 
 
 class TestEngine:
-    @pytest.mark.parametrize("w, direction", [
-        ((0.0, 0.0, 0.5), "maximize"),
-        ((0.0, 0.0, 0.999), "minimize"),
-        ((0.3, -0.4, 0.2), "minimize"),
-    ])
-    def test_rows_equal_batch_of_one(self, w, direction):
+    @pytest.mark.parametrize("w, direction, starts", [
+        ((0.0, 0.0, 0.5), "maximize", 8),
+        ((0.0, 0.0, 0.999), "minimize", 8),
+        ((0.3, -0.4, 0.2), "minimize", 8),
+        ((0.0, 0.0, 0.5), "maximize", 200),
+    ], ids=["w0-maximize", "w1-minimize", "w2-minimize", "w0-maximize-200"])
+    def test_rows_equal_batch_of_one(self, w, direction, starts):
         params = LandscapeParams(w=w)
         cfg = OptimizerConfig(direction=direction)
-        w0 = analysis._haar_starts(5, 8)
+        w0 = analysis._haar_starts(5, starts)
         rows, converged, stalled, frames = analysis._descend(
             w0, params, cfg, keep_frames=True)
         assert len({len(r) for r in rows}) > 1  # runs end at different iterations

@@ -7,9 +7,13 @@ from krauscape.landscape import (
     _critical_diag_blocks,
     _first_order,
     _grad_mat,
-    _hess_ambient_mat,
+    _gram,
+    _gram_value,
+    _hess_vec,
+    _normals,
     _objective_mat,
     _rgrad_mat,
+    _weight_factor,
     CriticalManifoldId,
     CriticalPointCertificate,
     DiagCoords,
@@ -558,8 +562,9 @@ class TestMorse:
             assert np.array_equal(_grad_mat(frame, params), g)
 
     def test_hessian_form_keeps_its_arithmetic(self):
-        # The ambient term now comes from the optimizer's helper; the matrix
-        # is bitwise the one of the inline formula it replaced.
+        # The Morse Hessian is the optimizer's Hessian-vector kernel applied
+        # to the tangent stack: bitwise the products H_ij = <t_i, Hess J[t_j]>,
+        # and within rounding of the complex formula the kernel replaced.
         cases = (
             ((0.0, 0.0, 0.5), ManifoldTag.SADDLE_MINUS),
             ((0.3, -0.4, 0.2), ManifoldTag.SADDLE_PLUS),
@@ -572,10 +577,14 @@ class TestMorse:
                 p = critical_point(CriticalManifoldId(tag), params, seed=seed)
                 x = p.to_stiefel().frame
                 t = orthonormal_tangent_basis(p.to_stiefel()).as_array()
+                tr = t.view(np.float64).reshape(28, 32)
+                out = tr @ _hvp(x, t, params).view(np.float64).reshape(28, 32).T
+                h = hessian_form(p, params)
+                assert np.array_equal(h, 0.5 * (out + out.T))
                 s = x.conj().T @ (2.0 * _grad_mat(x, params))
                 hess_t = 2.0 * _grad_mat(t, params) - t @ (0.5 * (s + s.conj().T))
-                out = np.einsum("inj,mnj->im", t.conj(), hess_t).real
-                assert np.array_equal(hessian_form(p, params), 0.5 * (out + out.T))
+                ref = np.einsum("inj,mnj->im", t.conj(), hess_t).real
+                assert np.abs(h - 0.5 * (ref + ref.T)).max() <= 1e-14
 
     def test_default_basis_is_the_public_basis(self):
         for w, tag in (
@@ -697,8 +706,16 @@ class TestDuality:
 
 
 def _hvp(x, xi, params):
-    """Hess J[xi] at each frame of a stack, as the optimizer applies it."""
-    return _project_mat(x, _hess_ambient_mat(xi, _first_order(x, params)[1], params))
+    """Hess J[xi] at each frame of a stack, by the kernel the optimizer calls.
+
+    ``x`` and ``xi`` are complex (..., 8, 2) frames and tangents; ``xi``
+    may also be a stack of tangents at one frame.
+    """
+    xr = x.view(np.float64)
+    rn = _weight_factor(params)
+    f = _first_order(xr, _gram(xr, rn), rn)[1]
+    flat = xi.view(np.float64).reshape(xi.shape[:-2] + (32,))
+    return _hess_vec(flat, f, _normals(xr)).view(complex).reshape(xi.shape)
 
 
 def _tangent_stack():
@@ -733,3 +750,87 @@ class TestHessianVector:
         batched = _hvp(x, xi, params)
         for i in range(len(x)):
             assert np.array_equal(_hvp(x[i], xi[i], params), batched[i])
+
+
+def _weight(params):
+    """The 2x2 state matrix N of J = Re tr(X^H P X N) / 2."""
+    g, z0 = params.gamma, params.z0
+    return np.array([[1.0 + g, z0], [np.conj(z0), 1.0 - g]])
+
+
+def _u_rows(x):
+    """P X: the frames with their v-rows set to zero."""
+    px = np.array(x)
+    px[..., 4:, :] = 0.0
+    return px
+
+
+def _sym(a):
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+
+
+def _hess_reference(x, xi, params):
+    """Proj_X(P xi N - xi sym(X^H P X N)) in complex arithmetic."""
+    n = _weight(params)
+    xh = np.swapaxes(x.conj(), -1, -2)
+    amb = _u_rows(xi) @ n - xi @ _sym(xh @ _u_rows(x) @ n)
+    return amb - x @ _sym(xh @ amb)
+
+
+def _frames_and_tangents(count, seed):
+    """``count`` Haar frames and a Ginibre tangent at each."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, count, 8, 2))
+    x = _qf(g[0] + 1j * g[1])
+    return x, _project_mat(x, g[2] + 1j * g[3])
+
+
+class TestFloatViewKernels:
+    """The Gram, first-order and Hessian-vector kernels on the frames' float view."""
+
+    def test_objective_scale(self):
+        # J = Re tr(X^H P X N) / 2, so the Euclidean gradient is P X N.
+        params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
+        x = random_kraus_point(seed=1).matrix
+        n = _weight(params)
+        xpxn = x.conj().T @ _u_rows(x) @ n
+        value = 0.5 * np.trace(xpxn).real
+        assert value == pytest.approx(0.2052, abs=1e-4)
+        xr = x.view(np.float64)
+        rn = _weight_factor(params)
+        g = _gram(xr, rn)
+        assert abs(_gram_value(g) - value) <= 1e-15
+        assert abs(_objective_mat(x, params) - value) <= 1e-15
+        grad = _u_rows(x) @ n - x @ _sym(xpxn)
+        assert np.abs(_first_order(xr, g, rn)[0].view(complex) - grad).max() <= 1e-15
+        assert np.abs(_rgrad_mat(x, params) - grad).max() <= 1e-15
+
+    @pytest.mark.parametrize("size", [2, 3, 40, 200])
+    def test_stacks_equal_single_frames(self, size):
+        # Each frame alone is a fresh batch of one, as in a one-start run.
+        params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
+        rn = _weight_factor(params)
+        x, xi = _frames_and_tangents(size, seed=size)
+
+        def kernels(x, xi):
+            xr = x.view(np.float64)
+            g = _gram(xr, rn)
+            grad, f = _first_order(xr, g, rn)
+            flat = xi.view(np.float64).reshape(len(xi), 32)
+            return _gram_value(g), grad, f, _hess_vec(flat, f, _normals(xr))
+
+        stacked = kernels(x, xi)
+        for i in range(size):
+            alone = kernels(x[i:i + 1].copy(), xi[i:i + 1].copy())
+            for a, b in zip(alone, stacked):
+                assert np.array_equal(a[0], b[i])
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-13, 0.5, 1.0 - 1e-9, 1.0])
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (-0.3, 0.8, -0.5)])
+    def test_hessian_vector_matches_the_complex_formula(self, norm, axis):
+        a = np.asarray(axis) / np.linalg.norm(axis)
+        params = LandscapeParams(w=BlochVector(*(norm * a)))
+        x, xi = _frames_and_tangents(20, seed=7)
+        got = _hvp(x, xi, params)
+        err = np.abs(got - _hess_reference(x, xi, params)).max(axis=(1, 2))
+        assert (err <= 1e-14 * np.linalg.norm(xi, axis=(1, 2))).all()
