@@ -15,10 +15,13 @@ float view, (N, 8, 4) real rows [Re x0, Im x0, Re x1, Im x1], on which
 right-multiplication by a complex 2x2 matrix is a real 4x4 product.
 Trial points are retracted by the closed-form two-column QR of
 ``stiefel._qf``, and each gets one Gram product G, whose trace is its
-objective.  An accepted trial's G gives its gradient and its Hessian
+objective.  The arrays of an iteration's first trial are the
+iteration's result: only rows retried at a quarter radius are written
+into them.  An accepted trial's G gives its gradient and its Hessian
 factor, with which every CG step applies the Hessian as one stacked
-real product and a projection on four normal directions; CG runs on
-flat (N, 32) float rows.  The saddle hits of a campaign are counted in
+real product and a projection on four normal directions; a minimize
+run's sign is folded into that factor, and CG runs on flat (N, 32)
+float rows.  The saddle hits of a campaign are counted in
 one vectorised pass.  :func:`optimize` is that engine on a single
 frame; validated :class:`KrausPoint` objects are built only where a
 caller receives them.
@@ -261,7 +264,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each row is summed over its own 32 contiguous reals, so a row's value
     does not depend on the other rows of the stack.
     """
-    return (a * b).sum(axis=1)
+    return np.add.reduce(a * b, axis=1)
 
 
 def _tcg(d, f, nb, radius, sgn):
@@ -271,9 +274,12 @@ def _tcg(d, f, nb, radius, sgn):
     steps with |eta| <= radius[i], where d is the ascent direction
     sgn * grad J and A = sgn * Hess J, applied in closed form by
     :func:`landscape._hess_vec` with the row's Hessian factor ``f`` and
-    normal directions ``nb``.  Steps and directions are flat (N, 32)
-    float views of 8x2 tangents.  CG stops
-    at the boundary (on a step that leaves the region or along a
+    normal directions ``nb``.  The sign is folded into the factor once
+    per call (A is the product by -f for minimize runs): a +-1 scaling
+    commutes exactly with every product and sum, so each step's
+    arithmetic is bitwise that of sgn times the ascent Hessian.  Steps
+    and directions are flat (N, 32) float views of 8x2 tangents.  CG
+    stops at the boundary (on a step that leaves the region or along a
     direction of non-negative curvature), when the residual falls to
     |d| * min(|d|, _TR_CG_KAPPA), or after _TR_CG_MAX steps.  The model
     gain and the inner products <eta, eta>, <eta, p>, <p, p> of the
@@ -286,6 +292,8 @@ def _tcg(d, f, nb, radius, sgn):
     <d, A d> met by the first CG step.
     """
     n = len(d)
+    if sgn < 0.0:
+        f = -f
     eta = np.empty_like(d)
     gain = np.empty(n)
     boundary = np.empty(n, dtype=bool)
@@ -297,29 +305,29 @@ def _tcg(d, f, nb, radius, sgn):
     m, ee, ep, pp = np.zeros(n), np.zeros(n), np.zeros(n), rr
     for j in range(_TR_CG_MAX):
         hp = _hess_vec(p, fa, nba)
-        kappa = sgn * _row_dot(p, hp)
+        kappa = _row_dot(p, hp)
         if j == 0:
             curv = kappa
         alpha = rr / np.where(kappa < 0.0, -kappa, 1.0)
         ee_new = ee + alpha * (2.0 * ep + alpha * pp)
         out = (kappa >= 0.0) | (ee_new >= r2)
         step = alpha
-        if out.any():
+        if np.logical_or.reduce(out):
             # The positive root tau of |e + tau p| = radius.
             tau = (np.sqrt(ep * ep + pp * (r2 - ee)) - ep) / pp
             step = np.where(out, tau, alpha)
         m = m + step * (rr + 0.5 * step * kappa)
         e = e + step[:, None] * p
-        r = r + (sgn * step)[:, None] * hp
+        r = r + step[:, None] * hp
         rr_new = _row_dot(r, r)
         fin = out | (rr_new <= stop)
         if j == _TR_CG_MAX - 1:
             fin[:] = True
-        if fin.any():
+        if np.logical_or.reduce(fin):
             done = act[fin]
             eta[done], gain[done], boundary[done] = e[fin], m[fin], out[fin]
             live = ~fin
-            if not live.any():
+            if not np.logical_or.reduce(live):
                 break
             act, fa, nba, r2, e, r, p, m, ee_new, ep, pp, rr, rr_new, alpha, stop = (
                 act[live], fa[live], nba[live], r2[live], e[live], r[live], p[live],
@@ -338,15 +346,18 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
 
     Rows share no arithmetic, so each row's run is bitwise the run of a
     batch of one.  Rows advance in lockstep: every row still running
-    accepts one step per iteration.  The trust-region trials of an
-    iteration retract only the rows still without an accepted step, and
-    the running set is compacted only when a run ends.
+    accepts one step per iteration.  The arrays of an iteration's first
+    trust-region trial, with the radius rule applied to every row, are
+    the iteration's result.  A rejected row is retried at a quarter of
+    its radius, and only accepted retries are written into those arrays.
+    The running set is compacted only when a run ends.
 
     The kernels run on the frames' float views (:func:`landscape._gram`).
     Each trial point gets one Gram product G, which gives its value
     J = tr(G) / 2 and, once the trial is accepted, its gradient and
     Hessian factor (:func:`landscape._first_order`); each iterate's four
-    normal directions are built once for all the CG steps of its trials.
+    normal directions are built once for all the CG steps of its trials,
+    and :func:`_tcg` folds the run's sign into the Hessian factor.
 
     Returns ``(rows, converged, stalled, frames)``: ``rows[i]`` is run i's
     (iterates, 2) float array of (objective, gradient norm), the flags
@@ -372,7 +383,7 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     stalled = np.zeros(n, dtype=bool)
     for _ in range(cfg.max_iters):
         done = gnorm < cfg.grad_tol
-        if done.any():
+        if np.logical_or.reduce(done):
             converged[ids[done]] = True
             live = ~done
             ids, w, value, d, f, gnorm, radius = (
@@ -380,61 +391,57 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
                 radius[live])
             if not len(ids):
                 break
-        # Gains below 4 ulps of J are beyond the resolution of J.
-        floor = _FLOOR_ULPS * np.spacing(np.maximum(1.0, np.abs(value)))
-        # Each accepted row sets its radius for the next iteration.
-        start_radius, radius = radius, np.empty_like(radius)
-        w_new, v_new, g_new = np.empty_like(w), np.empty_like(value), np.empty((len(ids), 4, 4))
-        ok = np.zeros(len(ids), dtype=bool)
-        # The rows still without an accepted step, compacted when one leaves.
-        trial = np.arange(len(ids))
-        tw, td, tf, tv, tr, tfl = w, d, f, value, start_radius, floor
+        tw, td, tf, tv, tr = w, d, f, value, radius
         tn = _normals(w.view(np.float64))
         for shrink in range(_TR_MAX_SHRINKS):
             eta, gain, boundary, curv = _tcg(td, tf, tn, tr, sgn)
-            if shrink == 0:
-                curv0 = curv
             cand = _qf(tw + eta.view(complex).reshape(tw.shape))
             g_cand = _gram(cand.view(np.float64), rn)
             v_cand = _gram_value(g_cand)
             # rho = actual / gain is compared through products: gain > 0.
             actual = sgn * (v_cand - tv)
             accept = (actual >= 0.0) & (actual > _TR_RHO_ACCEPT * gain)
-            if accept.any():
+            # An accepted row sets its radius for the next iteration.
+            grow = (actual > 0.75 * gain) & boundary
+            r_cand = np.where(actual < 0.25 * gain, 0.25 * tr,
+                              np.where(grow, np.minimum(2.0 * tr, _TR_RADIUS_MAX), tr))
+            if shrink == 0:
+                w_new, v_new, g_new, r_new, ok, curv0 = cand, v_cand, g_cand, r_cand, accept, curv
+                rejected = not np.logical_and.reduce(ok)
+                if not rejected:
+                    break
+                # Gains below 4 ulps of J are beyond the resolution of J.
+                floor = tfl = _FLOOR_ULPS * np.spacing(np.maximum(1.0, np.abs(value)))
+                trial = np.arange(len(ids))
+            elif np.logical_or.reduce(accept):
                 hit = trial[accept]
-                w_new[hit], v_new[hit], ok[hit] = cand[accept], v_cand[accept], True
-                g_new[hit] = g_cand[accept]
-                ra, got, gn = tr[accept], actual[accept], gain[accept]
-                grow = (got > 0.75 * gn) & boundary[accept]
-                radius[hit] = np.where(
-                    got < 0.25 * gn, 0.25 * ra,
-                    np.where(grow, np.minimum(2.0 * ra, _TR_RADIUS_MAX), ra))
+                w_new[hit], v_new[hit], g_new[hit], r_new[hit], ok[hit] = (
+                    cand[accept], v_cand[accept], g_cand[accept], r_cand[accept], True)
             # A rejected trial is retried at a quarter of its radius unless
             # its model gain is already below the resolution of J.
             more = ~accept & (gain >= tfl)
-            if not more.any():
+            if not np.logical_or.reduce(more):
                 break
-            if not more.all():
-                trial, tw, td, tf, tn, tv, tr, tfl = (
-                    trial[more], tw[more], td[more], tf[more], tn[more], tv[more],
-                    tr[more], tfl[more])
+            trial, tw, td, tf, tn, tv, tr, tfl = (
+                trial[more], tw[more], td[more], tf[more], tn[more], tv[more],
+                tr[more], tfl[more])
             tr = 0.25 * tr
-        failed = ~ok
-        if failed.any():
+        if rejected and not np.logical_and.reduce(ok):
             # The Cauchy step's model gain at the starting radius, capped
             # at _TR_RADIUS_START, decides between the floor and a stall.
+            failed = ~ok
             dd = gnorm * gnorm
-            t = np.minimum(start_radius, _TR_RADIUS_START) / gnorm
+            t = np.minimum(radius, _TR_RADIUS_START) / gnorm
             concave = curv0 < 0.0
             t = np.where(concave, np.minimum(t, dd / np.where(concave, -curv0, 1.0)), t)
             at_floor = t * dd + 0.5 * t * t * curv0 < floor
             converged[ids[failed & at_floor]] = True
             stalled[ids[failed & ~at_floor]] = True
-            ids, w_new, v_new, g_new, radius = (
-                ids[ok], w_new[ok], v_new[ok], g_new[ok], radius[ok])
+            ids, w_new, v_new, g_new, r_new = (
+                ids[ok], w_new[ok], v_new[ok], g_new[ok], r_new[ok])
             if not len(ids):
                 break
-        w, value = w_new, v_new
+        w, value, radius = w_new, v_new, r_new
         grad, f = _first_order(w.view(np.float64), g_new, rn)
         d = sgn * grad.reshape(len(ids), 32)
         gnorm = np.sqrt(_row_dot(d, d))
@@ -442,18 +449,21 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     else:
         converged[ids[gnorm < cfg.grad_tol]] = True
 
-    # Regroup the per-iteration records run by run, in iteration order.
+    # Regroup the per-iteration records run by run, in iteration order:
+    # run i's records are the slice bounds[i]:bounds[i + 1] of the sorted stack.
     run_of = np.concatenate([h[0] for h in history])
     order = np.argsort(run_of, kind="stable")
-    cuts = np.cumsum(np.bincount(run_of, minlength=n))[:-1]
+    bounds = [0] + np.cumsum(np.bincount(run_of, minlength=n)).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
     rows = np.column_stack([
         np.concatenate([h[1] for h in history]),
         np.concatenate([h[2] for h in history]),
-    ])
+    ])[order]
     frames = None
     if keep_frames:
-        frames = np.split(np.concatenate([h[3] for h in history])[order], cuts)
-    return np.split(rows[order], cuts), converged, stalled, frames
+        stack = np.concatenate([h[3] for h in history])[order]
+        frames = [stack[a:b] for a, b in spans]
+    return [rows[a:b] for a, b in spans], converged, stalled, frames
 
 
 def optimize(
@@ -793,7 +803,8 @@ def level_transfer(
     to 1e-9 on the lifted frame and the point validated.
 
     Raises :class:`FlowStallError` with J(p) when the gradient norm at p
-    is below 1e-6, and with the flow's limit J(+-inf) when
+    is below 1e-6 max(min(1, 2 (1 - |w|)), 1e-6), and with the flow's
+    limit J(+-inf) when
     ``target_mu`` lies beyond it: a singular M(0) keeps its rank, so
     from rank-one u-rows J rises at most to the saddle value lambda_+.
     """
@@ -803,7 +814,10 @@ def level_transfer(
     value = float(_objective_mat(w, params))
     if abs(target_mu - value) <= 1e-14:
         return p
-    if np.linalg.norm(_rgrad_mat(w, params)) < _STALL_GRAD:
+    # The gradient shrinks like 1 - |w| near the pure states, so the stall
+    # test scales with it there; nothing changes for |w| <= 1/2.
+    scale = max(min(1.0, 2.0 * (1.0 - params.norm_w)), 1e-6)
+    if np.linalg.norm(_rgrad_mat(w, params)) < _STALL_GRAD * scale:
         raise FlowStallError(value)
     iso, sig, zh = _block_polar(w[None])
     basis = coord_change(params)  # N = basis diag(1 + r, 1 - r) basis^H

@@ -321,12 +321,12 @@ def _gram(xr: np.ndarray, rn: np.ndarray) -> np.ndarray:
     # A copy of U_r: numpy runs a product of an array with its own
     # transpose as a rank-k update plus a triangle copy per frame, several
     # times slower here than the general product.
-    return (np.swapaxes(u, -1, -2) @ u.copy()) @ rn
+    return (u.swapaxes(-1, -2) @ u.copy()) @ rn
 
 
 def _gram_value(g: np.ndarray) -> np.ndarray:
     """The yield J = tr(G) / 2 of each Gram product of :func:`_gram`."""
-    return 0.5 * np.trace(g, axis1=-2, axis2=-1)
+    return 0.5 * g.trace(axis1=-2, axis2=-1)
 
 
 def _first_order(xr: np.ndarray, g: np.ndarray, rn: np.ndarray):
@@ -341,7 +341,7 @@ def _first_order(xr: np.ndarray, g: np.ndarray, rn: np.ndarray):
     gradient as float rows (..., 8, 4) and F as (..., 2, 4, 4).
     """
     sh = xr.shape[:-2]
-    t = g + np.swapaxes(g, -1, -2)
+    t = g + g.swapaxes(-1, -2)
     rs = (t.reshape(sh + (16,)) @ _SYM_FACTOR).reshape(sh + (1, 4, 4))
     f = rn * _U_ROWS - rs
     grad = xr.reshape(sh + (2, 4, 4)) @ f
@@ -374,7 +374,7 @@ def _hess_vec(xi: np.ndarray, f: np.ndarray, nb: np.ndarray) -> np.ndarray:
     sh = xi.shape[:-1]
     a = (xi.reshape(sh + (2, 4, 4)) @ f).reshape(sh + (32,))
     c = nb @ a[..., None]
-    return a - (np.swapaxes(c, -1, -2) @ nb)[..., 0, :]
+    return a - (c.swapaxes(-1, -2) @ nb)[..., 0, :]
 
 
 def _rgrad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:

@@ -360,16 +360,16 @@ def _qf(w: np.ndarray) -> np.ndarray:
     if w.shape[-1:] != (2,):
         raise ValueError(f"QR retraction needs frames of two columns, got shape {w.shape}")
     x1, y = w[..., 0:1], w[..., 1:2]
-    h1 = np.swapaxes(x1.conj(), -1, -2)
+    h1 = x1.conj().swapaxes(-1, -2)
     r11 = np.sqrt((h1 @ x1).real)
-    if (r11 < 1e-12).any():
+    if np.logical_or.reduce(r11 < 1e-12, axis=None):
         raise RuntimeError("rank collapse during QR retraction")
     s = 1.0 / r11
     q1, qh = x1 * s, h1 * s
     y = y - q1 * (qh @ y)
     y = y - q1 * (qh @ y)
-    r22 = np.sqrt((np.swapaxes(y.conj(), -1, -2) @ y).real)
-    if (r22 < 1e-12).any():
+    r22 = np.sqrt((y.conj().swapaxes(-1, -2) @ y).real)
+    if np.logical_or.reduce(r22 < 1e-12, axis=None):
         raise RuntimeError("rank collapse during QR retraction")
     return np.concatenate([q1, y * (1.0 / r22)], axis=-1)
 

@@ -31,6 +31,7 @@ from krauscape.landscape import (
     _hess_vec,
     _normals,
     _objective_mat,
+    _rgrad_mat,
     _weight_factor,
     critical_point,
     duality_map,
@@ -212,6 +213,21 @@ class TestOptimize:
         assert traj.final_value > 1.0 - 1e-12
         assert len(traj.iterates) - 1 <= 50
 
+    def test_precision_floor_from_a_constructed_start(self):
+        # A global-max frame nudged until its gradient norm is just above
+        # grad_tol: J sits within an ulp of 1, and the Cauchy step there
+        # predicts a gain far below 4 ulps of J.
+        params = LandscapeParams(w=(0.0, 0.0, 0.9))
+        cfg = OptimizerConfig(direction="maximize")
+        top = critical_point(CriticalManifoldId(ManifoldTag.GLOBAL_MAX), params, seed=7)
+        start = KrausPoint.from_matrix(_nudged(top.matrix, 1.1e-8))
+        gnorm = np.linalg.norm(_rgrad_mat(start.matrix, params))
+        assert cfg.grad_tol < gnorm < 2.0 * cfg.grad_tol
+        traj = optimize(start, params, cfg)
+        assert traj.terminated == "converged"
+        assert not traj.stalled
+        assert traj.final_grad_norm >= cfg.grad_tol
+
     def test_failure_above_floor_stalls(self, monkeypatch):
         # A gradient of the wrong sign makes every trial lose measurably:
         # that is a stall, not the precision floor.
@@ -294,6 +310,56 @@ class TestEngine:
         assert not stalled.any()
         for i, (r1, c1, s1, _) in enumerate(descend_alone(w0, params, cfg)):
             assert np.array_equal(rows[i], r1)
+            assert converged[i] == c1 and stalled[i] == s1
+
+    def test_retries_beside_first_trial_accepts(self, monkeypatch):
+        # The first trial's arrays are the iteration's result, and a row
+        # retried at a quarter radius is written into them.  In iterations
+        # where every run takes part and runs on, each row's next radius
+        # must follow the radius rule of the trial it accepted, the first
+        # or a retry; at least one iteration mixes the two.
+        iterations = []
+        tcg, normals = analysis._tcg, analysis._normals
+
+        def counted_tcg(d, f, nb, radius, sgn):
+            out = tcg(d, f, nb, radius, sgn)
+            iterations[-1].append((d.copy(), radius.copy(), out[1], out[2]))
+            return out
+
+        def counted_normals(xr):
+            iterations.append([])
+            return normals(xr)
+
+        monkeypatch.setattr(analysis, "_tcg", counted_tcg)
+        monkeypatch.setattr(analysis, "_normals", counted_normals)
+        params = LandscapeParams(w=NEARPURE_W[1])
+        cfg = OptimizerConfig()
+        w0 = analysis._haar_starts(0, 8)
+        n = len(w0)
+        rows, converged, stalled, frames = analysis._descend(w0, params, cfg, keep_frames=True)
+        assert converged.all() and not stalled.any()
+        mixed = 0
+        for j, (calls, after) in enumerate(zip(iterations, iterations[1:])):
+            if len(calls[0][0]) != n or len(after[0][0]) != n:
+                continue
+            mixed += len(calls) > 1 and 0 < len(calls[1][0]) < n
+            d0, r0 = calls[0][:2]
+            for i in range(n):
+                tries = [(r[k], g[k], b[k]) for d, r, g, b in calls
+                         for k in range(len(d)) if np.array_equal(d[k], d0[i])]
+                radius, gain, boundary = tries[-1]
+                assert radius == 0.25 ** (len(tries) - 1) * r0[i]
+                actual = rows[i][j + 1, 0] - rows[i][j, 0]
+                if actual < 0.25 * gain:
+                    radius = 0.25 * radius
+                elif actual > 0.75 * gain and boundary:
+                    radius = min(2.0 * radius, analysis._TR_RADIUS_MAX)
+                assert after[0][1][i] == radius
+        assert mixed
+        monkeypatch.undo()
+        for i, (r1, c1, s1, f1) in enumerate(descend_alone(w0, params, cfg)):
+            assert np.array_equal(rows[i], r1)
+            assert np.array_equal(frames[i], f1)
             assert converged[i] == c1 and stalled[i] == s1
 
     def test_stalled_batch(self, monkeypatch):
@@ -646,10 +712,12 @@ class TestLevelTransfer:
             q = level_transfer(p, PARAMS05, mu)
             assert abs(objective_uv(q, PARAMS05) - mu) <= 1e-12
 
-    @pytest.mark.parametrize("norm", [0.5, 0.999])
+    @pytest.mark.parametrize("norm", [0.5, 0.999, 1.0 - 1e-6])
     def test_rank_one_start_on_the_lower_axis(self, norm):
         # u-rows [0, u] keep M on N's lower eigenvector, so J rises at most
-        # to lambda_-, which the flow nears only at t ~ 1 / (1 - |w|).
+        # to lambda_-, which the flow nears only at t ~ 1 / (1 - |w|).  At
+        # |w| = 1 - 1e-6 the start's gradient norm is 5e-7, which the
+        # stall test, scaled by 2 (1 - |w|) there, lets through.
         params = LandscapeParams(w=(0.0, 0.0, norm))
         p = _rank_one_u_rows(1)
         mu = 0.5 * (objective_uv(p, params) + params.lambda_minus)
@@ -658,6 +726,20 @@ class TestLevelTransfer:
         with pytest.raises(FlowStallError) as err:
             level_transfer(p, params, 0.9)
         assert err.value.value_reached == pytest.approx(params.lambda_minus, abs=1e-12)
+
+    @pytest.mark.parametrize("w", [
+        (0.0, 0.0, 0.5), (0.0, 0.0, 0.9), (0.0, 0.0, 0.999), (0.0, 0.0, 1.0 - 1e-6),
+        (0.0, 0.0, 1.0 - 1e-9), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
+    def test_critical_starts_stall_near_the_pure_states(self, w):
+        # The scaled stall test still refuses every critical start, at
+        # least 1e-12 even on a pure state, far above their gradients.
+        params = LandscapeParams(w=w)
+        for tag, _, _ in _critical_manifolds(params):
+            for seed in range(10):
+                p = critical_point(CriticalManifoldId(tag), params, seed=seed)
+                for mu in (0.3, 0.6):
+                    with pytest.raises(FlowStallError):
+                        level_transfer(p, params, mu)
 
     @pytest.mark.parametrize("tag", [ManifoldTag.SADDLE_MINUS, ManifoldTag.SADDLE_PLUS])
     def test_leaves_a_saddle_neighbourhood(self, tag):

@@ -751,6 +751,19 @@ class TestHessianVector:
         for i in range(len(x)):
             assert np.array_equal(_hvp(x[i], xi[i], params), batched[i])
 
+    @pytest.mark.parametrize("size", [1, 2, 40, 200])
+    def test_negated_factor_negates_bitwise(self, size):
+        # Minimize runs apply -Hess J through the factor -F: a +-1 scaling
+        # commutes exactly with every product and sum of the kernel.
+        params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
+        rn = _weight_factor(params)
+        x, xi = _frames_and_tangents(size, seed=size)
+        xr = x.view(np.float64)
+        f = _first_order(xr, _gram(xr, rn), rn)[1]
+        flat = xi.view(np.float64).reshape(size, 32)
+        nb = _normals(xr)
+        assert np.array_equal(_hess_vec(flat, -f, nb), -_hess_vec(flat, f, nb))
+
 
 def _weight(params):
     """The 2x2 state matrix N of J = Re tr(X^H P X N) / 2."""
