@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -64,9 +65,12 @@ from .landscape import (
     coord_change,
 )
 from .stiefel import (
+    _KRAUS_BLOCKS,
     KrausPoint,
+    _check_frames,
     _haar_frame,
     _kraus_points,
+    _points_of,
     _qf,
 )
 
@@ -948,40 +952,84 @@ def _chord(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _failed_path(
-    a: KrausPoint, b: KrausPoint, mu: float, detail: str,
-    deviation: float = math.inf, step: float = math.inf,
-) -> LevelSetPath:
-    """Failure report that keeps only the two endpoints as waypoints."""
-    return LevelSetPath(
-        mu=mu,
-        waypoints=(a, b),
-        max_value_deviation=deviation,
-        max_step_length=step,
-        status="failed",
-        detail=detail,
-    )
+class _Witness(NamedTuple):
+    """A level-set witness on raw frames: what :func:`levelset_connect` reports.
 
-
-def _finished_path(
-    a: KrausPoint, b: KrausPoint, mu: float, frames: np.ndarray,
-    params: LandscapeParams, detail: str,
-) -> LevelSetPath:
-    """The witness of a refined (M, 8, 2) path, or a failure with ``detail``.
-
-    The waypoints are validated once, as one stack.
+    ``frames`` are the waypoints as one (M, 8, 2) stack, read-only and
+    checked once by the ``KrausPoint`` rule when the path is connected,
+    ``values`` their J and ``steps`` the chord into each waypoint (0 into
+    the first).  A failed witness keeps only the two endpoints.
     """
-    step = float(_norms(frames[1:] - frames[:-1]).max())
-    deviation = float(np.abs(_objective_mat(frames, params) - mu).max())
-    if not (step <= _CHORD_LIMIT and deviation <= 1e-6):
-        return _failed_path(a, b, mu, detail, deviation, step)
-    return LevelSetPath(
-        mu=mu,
-        waypoints=_kraus_points(frames),
-        max_value_deviation=deviation,
-        max_step_length=step,
-        status="connected",
-    )
+
+    frames: np.ndarray
+    values: np.ndarray
+    steps: np.ndarray
+    status: str
+    deviation: float
+    step: float
+    detail: str = ""
+
+
+def _stack_witness(frames: np.ndarray, params: LandscapeParams, mu: float,
+                   status: str, detail: str = "", deviation: float | None = None,
+                   step: float | None = None) -> _Witness:
+    """The witness of an (M, 8, 2) stack, its values and chords taken once.
+
+    ``deviation`` and ``step`` default to the stack's own largest |J - mu|
+    and chord.
+    """
+    values = _objective_mat(frames, params)
+    steps = np.zeros(len(frames))
+    steps[1:] = _norms(frames[1:] - frames[:-1])
+    if deviation is None:
+        deviation = float(np.abs(values - mu).max())
+    if step is None:
+        step = float(steps.max())
+    return _Witness(frames, values, steps, status, deviation, step, detail)
+
+
+def _witness(wa: np.ndarray, wb: np.ndarray, params: LandscapeParams,
+             mu: float) -> _Witness:
+    """:func:`levelset_connect` on the endpoints' 8x2 frames."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError("level must lie in [0, 1]")
+    if _chord(wa, wb) < 1e-12:
+        found = _stack_witness(wa[None], params, mu, "connected")
+        if found.deviation > 1e-8:
+            raise ValueError(f"endpoint a is off the level by {found.deviation:.3e}")
+        return found
+    for name, frame in (("a", wa), ("b", wb)):
+        dev = abs(float(_objective_mat(frame, params)) - mu)
+        if dev > 1e-8:
+            raise ValueError(f"endpoint {name} is off the level by {dev:.3e}")
+
+    ends = np.stack([wa, wb])
+    nodes = _gram_witness(wa, wb)
+    length = _norms(np.diff(nodes(np.linspace(0.0, 1.0, 9)), axis=0)).sum()
+    s = np.linspace(0.0, 1.0, math.ceil(length / (0.85 * _CHORD_LIMIT)) + 1)
+    frames = nodes(s)
+    frames[0], frames[-1] = wa, wb
+    while True:
+        seg = np.flatnonzero(_norms(frames[1:] - frames[:-1]) > 0.95 * _CHORD_LIMIT)
+        if not len(seg):
+            break
+        if len(frames) + len(seg) > 4096:
+            return _stack_witness(
+                ends, params, mu, "failed",
+                "node budget exhausted before reaching the step limit",
+                math.inf, math.inf)
+        mids = 0.5 * (s[seg] + s[seg + 1])
+        s = np.insert(s, seg + 1, mids)
+        frames = np.insert(frames, seg + 1, nodes(mids), axis=0)
+    found = _stack_witness(frames, params, mu, "connected")
+    if not (found.step <= _CHORD_LIMIT and found.deviation <= 1e-6):
+        return _stack_witness(
+            ends, params, mu, "failed",
+            "refinement finished above the step or level tolerance",
+            found.deviation, found.step)
+    _check_frames(frames, _KRAUS_BLOCKS, "channel")
+    frames.setflags(write=False)
+    return found
 
 
 def levelset_connect(
@@ -1000,41 +1048,21 @@ def levelset_connect(
     0.0475, since M(s)^(1/2) is only Hoelder-1/2 in s where M(s) is
     singular.  At most 4096 nodes.  The finished path is checked
     on its own terms: J, feasibility and the chords at every waypoint.
+    A failed path keeps a and b as its waypoints; coincident endpoints
+    give the one waypoint a.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("level must lie in [0, 1]")
-    if _chord(a.matrix, b.matrix) < 1e-12:
-        dev = abs(float(_objective_mat(a.matrix, params)) - mu)
-        if dev > 1e-8:
-            raise ValueError(f"endpoint a is off the level by {dev:.3e}")
-        return LevelSetPath(
-            mu=mu,
-            waypoints=(a,),
-            max_value_deviation=dev,
-            max_step_length=0.0,
-            status="connected",
-        )
-    wa, wb = a.matrix, b.matrix
-    for name, frame in (("a", wa), ("b", wb)):
-        dev = abs(float(_objective_mat(frame, params)) - mu)
-        if dev > 1e-8:
-            raise ValueError(f"endpoint {name} is off the level by {dev:.3e}")
-
-    nodes = _gram_witness(wa, wb)
-    length = _norms(np.diff(nodes(np.linspace(0.0, 1.0, 9)), axis=0)).sum()
-    s = np.linspace(0.0, 1.0, math.ceil(length / (0.85 * _CHORD_LIMIT)) + 1)
-    frames = nodes(s)
-    frames[0], frames[-1] = wa, wb
-    while True:
-        seg = np.flatnonzero(_norms(frames[1:] - frames[:-1]) > 0.95 * _CHORD_LIMIT)
-        if not len(seg):
-            break
-        if len(frames) + len(seg) > 4096:
-            return _failed_path(
-                a, b, mu, "node budget exhausted before reaching the step limit")
-        mids = 0.5 * (s[seg] + s[seg + 1])
-        s = np.insert(s, seg + 1, mids)
-        frames = np.insert(frames, seg + 1, nodes(mids), axis=0)
-    return _finished_path(
-        a, b, mu, frames, params,
-        "refinement finished above the step or level tolerance")
+    found = _witness(a.matrix, b.matrix, params, mu)
+    if found.status == "failed":
+        waypoints = (a, b)
+    elif len(found.frames) == 1:
+        waypoints = (a,)
+    else:
+        waypoints = _points_of(found.frames)
+    return LevelSetPath(
+        mu=mu,
+        waypoints=waypoints,
+        max_value_deviation=found.deviation,
+        max_step_length=found.step,
+        status=found.status,
+        detail=found.detail,
+    )

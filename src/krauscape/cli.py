@@ -25,19 +25,17 @@ from .analysis import (
     FlowStallError,
     OptimizerConfig,
     multi_start,
-    levelset_connect,
     level_transfer,
     _child_rng,
-    _norms,
+    _witness,
 )
 from .landscape import (
     CriticalManifoldId,
     LandscapeParams,
     ManifoldTag,
+    _hessian,
     _objective_mat,
-    _rgrad_mat,
     critical_point,
-    hessian_form,
     morse_signature,
     objective_diag,
     objective_uv,
@@ -51,12 +49,12 @@ from .qcore import (
     DilatedUnitary,
     KrausSet,
     TargetOperator,
+    _dilation_residual,
     bloch_to_density,
     dilate,
     kraus_conjugate,
     objective_trace,
     reduce_target,
-    verify_dilation,
 )
 from .stiefel import (
     KrausPoint,
@@ -220,11 +218,12 @@ def _load_json(path: str) -> dict:
 
 
 def _write_text(text: str, path: str | None) -> None:
+    """Write to stdout, or as UTF-8 bytes in one write to ``path``."""
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +401,11 @@ def _cmd_morse(args) -> int:
     mid = _parse_manifold(args.manifold, args.z)
     predicted = predicted_morse(mid, params)
     point = critical_point(mid, params, seed=args.seed)
-    hess = hessian_form(point, params)
+    # The Hessian and the gradient norm, riemannian_gradient(...).norm(),
+    # from the one gradient pass of hessian_form.
+    hess, grad_norm = _hessian(point, params)
     computed = morse_signature(hess, zero_tol=tols["zero_tol"])
     match = computed == predicted
-    # The norm of the raw gradient frame, as riemannian_gradient(...).norm()
-    # gives it, without a TangentVector check of a second copy.
-    grad_norm = float(np.linalg.norm(_rgrad_mat(point.matrix, params)))
     report = {
         "manifold": mid.tag.value,
         "w": [params.w.alpha, params.w.beta, params.w.gamma],
@@ -460,22 +458,20 @@ def _cmd_levelset(args) -> int:
     params = _parse_w(args.w)
     mu = args.mu
     a, b = _levelset_endpoints(params, mu, args.seed)
-    path = levelset_connect(a, b, params, mu)
-    frames = np.stack([p.matrix for p in path.waypoints])
-    values = _objective_mat(frames, params).tolist()
-    steps = [0.0] + _norms(frames[1:] - frames[:-1]).tolist()
+    # The waypoints of levelset_connect as one stack, with the J values and
+    # chords the witness took for its own check.
+    path = _witness(a.matrix, b.matrix, params, mu)
     rows = [(i, value, abs(value - mu), step)
-            for i, (value, step) in enumerate(zip(values, steps))]
-    rows.append(
-        ("status", path.status, path.max_value_deviation, path.max_step_length)
-    )
+            for i, (value, step) in enumerate(zip(path.values.tolist(),
+                                                  path.steps.tolist()))]
+    rows.append(("status", path.status, path.deviation, path.step))
     if args.format == "json":
         payload = {
-            "mu": path.mu,
+            "mu": mu,
             "status": path.status,
-            "waypoints": len(path.waypoints),
-            "max_value_deviation": path.max_value_deviation,
-            "max_step_length": path.max_step_length,
+            "waypoints": len(path.frames),
+            "max_value_deviation": path.deviation,
+            "max_step_length": path.step,
             "detail": path.detail,
         }
         _write_text(dumps_json(payload), args.out)
@@ -499,12 +495,19 @@ _DILATE_PROBES = (
 )
 
 
+@functools.cache
+def _probe_states() -> np.ndarray:
+    """The density matrices of the dilation probes, as one read-only stack."""
+    states = np.stack([bloch_to_density(w).entries for w in _DILATE_PROBES])
+    states.setflags(write=False)
+    return states
+
+
 def _cmd_dilate(args) -> int:
     k = kraus_from_dict(_load_json(args.infile))
     u = dilate(k)
-    residual = max(
-        verify_dilation(u, k, bloch_to_density(w)) for w in _DILATE_PROBES
-    )
+    # The largest verify_dilation residual over the probes, in one pass.
+    residual = _dilation_residual(u, k, _probe_states())
     gram = u.entries.conj().T @ u.entries
     unitarity = float(np.max(np.abs(gram - np.eye(u.dim))))
     report = unitary_to_dict(u)
@@ -666,8 +669,34 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _subparsers() -> dict:
+    """The subcommands' own parsers in :func:`_parser`, by command name."""
+    parser = _parser()
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with one pass over the arguments.
+
+    The top-level parser hands every argument after the command name to
+    that command's parser, and rejects any argument that parser leaves
+    over.  A known command's arguments go straight to its parser; any
+    other argv, or one with arguments left over, goes to the top-level
+    parser, whose usage error, help text and exit code stay its own.
+    """
+    sub = _subparsers().get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     handler = _HANDLERS[args.command]
     try:
         return handler(args)

@@ -219,26 +219,6 @@ class CriticalPointCertificate:
     constraint_residual: float
 
 
-def _objective_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
-    """Yield on raw 8x2 frames; broadcasts over leading axes.
-
-    Only real elementwise products and sums over the last axis are used,
-    so a frame's value is bitwise the same alone and in any stack (numpy's
-    complex product loops differ between small and large arrays).
-    """
-    u1 = w[..., 0:4, 0]
-    u2 = w[..., 0:4, 1]
-    r1, i1, r2, i2 = u1.real, u1.imag, u2.real, u2.imag
-    n1 = (r1**2 + i1**2).sum(axis=-1)
-    n2 = (r2**2 + i2**2).sum(axis=-1)
-    # Re(z0 <u2, u1>) = Re sum(u1 * conj(s)) with s = conj(z0) * u2.
-    a, b = params.z0.real, params.z0.imag
-    cross = (r1 * (a * r2 + b * i2) + i1 * (a * i2 - b * r2)).sum(axis=-1)
-    gamma = params.gamma
-    val = 0.5 * ((1.0 + gamma) * n1 + (1.0 - gamma) * n2) + cross
-    return val
-
-
 def _grad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
     """Wirtinger gradient (derivative in the conjugated entries) on 8x2 frames.
 
@@ -327,6 +307,17 @@ def _gram(xr: np.ndarray, rn: np.ndarray) -> np.ndarray:
 def _gram_value(g: np.ndarray) -> np.ndarray:
     """The yield J = tr(G) / 2 of each Gram product of :func:`_gram`."""
     return 0.5 * g.trace(axis1=-2, axis2=-1)
+
+
+def _objective_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
+    """Yield on complex (..., 8, 2) frames: :func:`_gram_value` of :func:`_gram`.
+
+    The one value kernel: the optimizer reads J of its float views the
+    same way, so a frame has one value everywhere, bitwise the same
+    alone and in any stack.
+    """
+    xr = np.ascontiguousarray(w, dtype=complex).view(np.float64)
+    return _gram_value(_gram(xr, _weight_factor(params)))
 
 
 def _first_order(xr: np.ndarray, g: np.ndarray, rn: np.ndarray):
@@ -594,16 +585,26 @@ def hessian_form(
     :func:`orthonormal_tangent_basis` is built on the point's frame and
     used directly, with no basis object.
     """
+    return _hessian(p, params, basis)[0]
+
+
+def _hessian(p: KrausPoint, params: LandscapeParams,
+             basis: TangentBasis | None = None) -> tuple[np.ndarray, float]:
+    """:func:`hessian_form` and the Riemannian gradient norm, from one pass.
+
+    The norm is that of the gradient frame the Hessian factor comes with,
+    bitwise ``riemannian_gradient(p, params).norm()``.
+    """
     w = p.matrix
     xr = w.view(np.float64)
     rn = _weight_factor(params)
     grad, f = _first_order(xr, _gram(xr, rn), rn)
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = float(np.linalg.norm(grad.view(complex)))
     if grad_norm > 1e-6:
         warnings.warn(
             f"Hessian requested at a point with gradient norm {grad_norm:.3e}; "
             "the inertia is only meaningful at critical points",
-            stacklevel=2,
+            stacklevel=3,
         )
     if basis is None:
         t = _tangent_stack(w)
@@ -613,7 +614,7 @@ def hessian_form(
         raise ValueError("tangent basis is not based at the given point")
     tr = t.view(np.float64).reshape(len(t), 32)
     out = tr @ _hess_vec(tr, f, _normals(xr)).T
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.T), grad_norm
 
 
 def lagrange_certificate(

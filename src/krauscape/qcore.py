@@ -120,15 +120,32 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_complex(self.entries, (2, 2), "density matrix")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = m[0, 0] + m[1, 1]
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"density matrix trace {tr} is not 1 within 1e-12")
-        lam1, lam2, _ = _eig2_hermitian(m)
-        if lam2 < -1e-12:
-            raise ValueError(f"density matrix has negative eigenvalue {lam2:.3e}")
+        _check_states(m[None])
         object.__setattr__(self, "entries", m)
+
+
+def _check_states(m: np.ndarray) -> None:
+    """Check every matrix of a finite (P, 2, 2) stack as a density matrix.
+
+    The one rule of ``DensityMatrix``: Hermitian, unit trace and smallest
+    eigenvalue (closed form, as in :func:`_eig2_hermitian`) not below
+    zero, each within 1e-12.  The error names the first failing matrix's
+    first failing condition.
+    """
+    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-12
+    tr = m[:, 0, 0] + m[:, 1, 1]
+    unit = np.abs(tr - 1.0) > 1e-12
+    a, c = m[:, 0, 0].real, m[:, 1, 1].real
+    lam2 = 0.5 * (a + c) - np.hypot(0.5 * (a - c), np.abs(m[:, 0, 1]))
+    neg = lam2 < -1e-12
+    bad = herm | unit | neg
+    if bad.any():
+        i = np.argmax(bad)
+        if herm[i]:
+            raise ValueError("density matrix is not Hermitian within 1e-12")
+        if unit[i]:
+            raise ValueError(f"density matrix trace {tr[i]} is not 1 within 1e-12")
+        raise ValueError(f"density matrix has negative eigenvalue {lam2[i]:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,78 +299,63 @@ def objective_trace(k: KrausSet, rho0: DensityMatrix, theta: TargetOperator) -> 
     return float(val.real)
 
 
-def _dilation_columns(k: KrausSet) -> tuple[np.ndarray, np.ndarray]:
-    """The two prescribed unitary columns, one per system basis state.
+def _dilation_columns(k: KrausSet) -> np.ndarray:
+    """The two prescribed unitary columns, one per system basis state, as (2M, 2).
 
     Basis ordering is system-major: index s*M + a holds system state s and
     ancilla state a.  Column s stacks entry (s', s) of operator a at index
     s'*M + a, so the image of |s> x |0> carries K_a |s> in ancilla sector a.
     """
-    m = k.m
-    cols = np.zeros((2 * m, 2), dtype=complex)
-    for a, op in enumerate(k.operators):
-        for s_out in (0, 1):
-            for s_in in (0, 1):
-                cols[s_out * m + a, s_in] = op[s_out, s_in]
-    return cols[:, 0], cols[:, 1]
+    # Axes of the operator stack: operator a, output s', input s.
+    return np.stack(k.operators).swapaxes(0, 1).reshape(2 * k.m, 2)
 
 
 def dilate(k: KrausSet) -> DilatedUnitary:
     """Build a unitary on a 2M-dimensional space that restricts to the channel.
 
     The ancilla starts in its first basis state; the two columns acting on
-    |psi> x |0> are fixed by the Kraus operators and the remaining columns
-    are completed by modified Gram-Schmidt over the standard basis in index
-    order, skipping candidates whose orthogonal remainder is below 1e-8.
+    |psi> x |0> (columns 0 and M) are fixed by the Kraus operators, entry
+    for entry.  The remaining 2M - 2 columns, in index order, are the last
+    2M - 2 columns of one complete QR factorisation of the two prescribed
+    columns: an orthonormal basis of their orthogonal complement.
     """
     m = k.m
-    dim = 2 * m
-    c0, c1 = _dilation_columns(k)
-    u = np.zeros((dim, dim), dtype=complex)
-    u[:, 0] = c0
-    u[:, m] = c1
-    fixed_slots = {0, m}
-    free_slots = [j for j in range(dim) if j not in fixed_slots]
-    chosen = [c0, c1]
-    slot_iter = iter(free_slots)
-
-    def _orthogonalize(idx: int, threshold: float) -> np.ndarray | None:
-        cand = np.zeros(dim, dtype=complex)
-        cand[idx] = 1.0
-        for v in chosen:
-            cand = cand - v * np.vdot(v, cand)
-        norm = np.linalg.norm(cand)
-        if norm < threshold:
-            return None
-        cand = cand / norm
-        # Second orthogonalization pass tightens numerical orthogonality.
-        for v in chosen:
-            cand = cand - v * np.vdot(v, cand)
-        return cand / np.linalg.norm(cand)
-
-    skipped = []
-    for idx in range(dim):
-        if len(chosen) == dim:
-            break
-        cand = _orthogonalize(idx, 1e-8)
-        if cand is None:
-            skipped.append(idx)
-            continue
-        chosen.append(cand)
-        u[:, next(slot_iter)] = cand
-    # Rescue pass: near-parallel candidates may still carry an independent
-    # remainder; only exact dependence (at most two vectors) is unusable.
-    for idx in skipped:
-        if len(chosen) == dim:
-            break
-        cand = _orthogonalize(idx, 1e-15)
-        if cand is None:
-            continue
-        chosen.append(cand)
-        u[:, next(slot_iter)] = cand
-    if len(chosen) != dim:
-        raise RuntimeError("failed to complete dilation basis")
+    cols = _dilation_columns(k)
+    u = np.empty((2 * m, 2 * m), dtype=complex)
+    u[:, [0, m]] = cols
+    free = [j for j in range(1, 2 * m) if j != m]
+    u[:, free] = np.linalg.qr(cols, mode="complete")[0][:, 2:]
     return DilatedUnitary(u, ancilla_dim=m)
+
+
+def _dilation_residual(u: DilatedUnitary, k: KrausSet, rhos: np.ndarray) -> float:
+    """The largest :func:`verify_dilation` residual over a (P, 2, 2) stack of states.
+
+    ``rhos`` holds the entries of valid density matrices.  All P states
+    go through the same evolution, partial trace and comparison as
+    :func:`verify_dilation`, as stacks, so the result equals the maximum
+    of its P values; the channel's outputs are checked once, as one
+    stack, by the rule of ``DensityMatrix``.
+    """
+    m = k.m
+    if u.ancilla_dim != m:
+        raise ValueError(
+            f"dilation has ancilla dimension {u.ancilla_dim}, channel has {m} operators"
+        )
+    # rho x |0><0| for every state: the Kronecker product's entries.
+    big = np.zeros((len(rhos), 2 * m, 2 * m), dtype=complex)
+    big[:, ::m, ::m] = rhos
+    ue = u.entries
+    evolved = ue @ big @ ue.conj().T
+    # Block traces over the ancilla.  Summed along a contiguous last axis,
+    # each diagonal takes the same summation order as a 2D ``trace()``.
+    diag = evolved.reshape(-1, 2, m, 2, m).diagonal(axis1=2, axis2=4)
+    reduced = np.ascontiguousarray(diag).sum(axis=-1)
+    # apply_kraus on every state: the operators' terms, summed in their order.
+    ops = np.stack(k.operators)[:, None]
+    direct = (ops @ rhos @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
+    _check_states(direct)
+    return float(np.abs(reduced - direct).max())
 
 
 def verify_dilation(u: DilatedUnitary, k: KrausSet, rho: DensityMatrix) -> float:

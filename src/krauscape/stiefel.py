@@ -321,6 +321,12 @@ def _kraus_points(frames: np.ndarray) -> tuple:
     frames = np.array(frames, dtype=complex, order="C")
     _check_frames(frames, _KRAUS_BLOCKS, "channel")
     frames.setflags(write=False)
+    return _points_of(frames)
+
+
+def _points_of(frames: np.ndarray) -> tuple:
+    """:class:`KrausPoint` objects of a read-only (M, 8, 2) stack that passed
+    :func:`_check_frames`, built without checking them again."""
     # Axes: frame, row half, row, column; the blocks of every frame at once.
     halves = frames.reshape(-1, 2, 4, 2)
     blocks = (halves[:, 0, :, 0], halves[:, 0, :, 1], halves[:, 1, :, 0],

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import krauscape.analysis as analysis
 import krauscape.cli as cli
 import krauscape.stiefel as stiefel
 from krauscape.analysis import OptimizerConfig, _chord, levelset_connect, rerun_start
@@ -13,10 +14,12 @@ from krauscape.landscape import (
     CriticalManifoldId,
     LandscapeParams,
     ManifoldTag,
+    _objective_mat,
     critical_point,
     objective_uv,
+    riemannian_gradient,
 )
-from krauscape.qcore import KrausSet
+from krauscape.qcore import KrausSet, bloch_to_density, dilate, verify_dilation
 
 IDENT = np.eye(2, dtype=complex)
 DEPHASE = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
@@ -336,6 +339,19 @@ class TestMorse:
         assert checked == [1]
         assert json.loads(capsys.readouterr().out)["computed"] == [6, 8, 14]
 
+    @pytest.mark.parametrize("w, manifold, seed", [
+        ("0,0,0.5", "saddle-minus", 3), ("0.3,-0.4,0.2", "saddle-plus", 1),
+        ("0,0,0", "mixed", 4), ("0,0,1e-5", "saddle-plus", 2),
+    ])
+    def test_grad_norm_is_the_riemannian_gradient_norm(self, w, manifold, seed, capsys):
+        # The reported norm comes from the Hessian's own gradient pass.
+        argv = ["morse", "--w", w, "--seed", str(seed), "--manifold", manifold]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        params = cli._parse_w(w)
+        point = critical_point(cli._parse_manifold(manifold, None), params, seed=seed)
+        assert report["grad_norm"] == riemannian_gradient(point, params).norm()
+
     def test_invalid_zero_tol_exits_2(self, capsys):
         for value in ("nan", "-1"):
             code = main(
@@ -465,6 +481,46 @@ class TestLevelset:
             "detail": "",
         }
 
+    @staticmethod
+    def _rebuilt_csv(path, params, level):
+        """The CSV of a public witness, from its waypoints alone."""
+        frames = np.stack([p.matrix for p in path.waypoints])
+        values = _objective_mat(frames, params).tolist()
+        steps = [0.0] + [_chord(b, a) for a, b in zip(frames[:-1], frames[1:])]
+        rows = [(i, v, abs(v - level), st) for i, (v, st) in enumerate(zip(values, steps))]
+        rows.append(("status", path.status, path.max_value_deviation,
+                     path.max_step_length))
+        return csv_lines(("index", "value", "deviation", "step"), rows).encode()
+
+    @pytest.mark.parametrize("w, mu, seed", [
+        ("0,0,0.5", "0.4", 5), ("0,0,0.5", "0.25", 1), ("0,0,0.5", "1.0", 2),
+        ("0.3,-0.4,0.2", "0.7", 3), ("0,0,0", "0.5", 4), ("0.6,0,0.8", "0.0", 3),
+    ])
+    def test_csv_is_the_public_witness(self, tmp_path, w, mu, seed):
+        # The CLI writes the values and chords its array-level witness took;
+        # the bytes are those rebuilt from levelset_connect's waypoints.
+        out = tmp_path / "path.csv"
+        assert main(["levelset", "--w", w, "--seed", str(seed), "--mu", mu,
+                     "--out", str(out)]) == 0
+        params, level = cli._parse_w(w), float(mu)
+        path = levelset_connect(*cli._levelset_endpoints(params, level, seed), params, level)
+        assert out.read_bytes() == self._rebuilt_csv(path, params, level)
+
+    def test_failed_csv_is_the_public_witness(self, tmp_path, monkeypatch, capsys):
+        # A path whose global phase turns 1000 radians over s would need
+        # about 3e4 nodes at chords of 0.05: the node budget fails the
+        # witness, which keeps the two endpoints as its waypoints.
+        monkeypatch.setattr(analysis, "_gram_witness", lambda wa, wb: (
+            lambda s: np.exp(1000j * s)[:, None, None] * wa))
+        out = tmp_path / "path.csv"
+        assert main(["levelset", "--w", "0,0,0.5", "--seed", "5", "--mu", "0.4",
+                     "--out", str(out)]) == 4
+        assert "node budget exhausted" in capsys.readouterr().err
+        params = cli._parse_w("0,0,0.5")
+        path = levelset_connect(*cli._levelset_endpoints(params, 0.4, 5), params, 0.4)
+        assert path.status == "failed" and len(path.waypoints) == 2
+        assert out.read_bytes() == self._rebuilt_csv(path, params, 0.4)
+
     def test_saddle_guard(self, capsys):
         # A level 4e-4 from the lambda_- saddle value 0.25 connects; no
         # guard refuses it.
@@ -517,6 +573,21 @@ class TestDilate:
 
     def test_infeasible(self, bad_file):
         assert main(["dilate", "--in", bad_file]) == 2
+
+    def test_residual_is_the_largest_probe_residual(self, tmp_path, capsys):
+        # One stacked pass over the probes reports verify_dilation's maximum.
+        for m in (1, 2, 3, 4):
+            frame = stiefel.random_point(2 * m, 2, seed=40 + m).frame
+            k = KrausSet(tuple(frame[[a, m + a]] for a in range(m)))
+            path = write_json(tmp_path / f"k{m}.json", kraus_to_dict(k))
+            assert main(["dilate", "--in", path]) == 0
+            report = json.loads(capsys.readouterr().out)
+            k = cli.kraus_from_dict(cli._load_json(path))
+            u = dilate(k)
+            expected = max(verify_dilation(u, k, bloch_to_density(w))
+                           for w in cli._DILATE_PROBES)
+            assert report["partial_trace_residual"] == expected
+            assert np.array_equal(np.array(report["entries"]), cli.unitary_to_dict(u)["entries"])
 
 
 class TestScan:
@@ -644,6 +715,42 @@ def _per_cell_csv(header, rows):
                 cells.append("%.17g" % float(cell))
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
+
+
+class TestOnePassDispatch:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["-h"],
+        ["morse", "-h"],
+        ["morse", "--w", "0,0,0.5", "--seed", "3", "--manifold", "saddle-minus",
+         "--bogus", "1"],
+        ["morse", "--w", "0,0,0.5", "--manifold", "saddle-minus"],
+        ["scan", "--w", "0,0,0.5", "--seed", "1", "extra"],
+    ])
+    def test_usage_matches_a_fresh_parser(self, argv, capsys):
+        # No argv, an unknown command, help, an unrecognized option and a
+        # missing required option: exit code and messages of build_parser().
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        got = capsys.readouterr()
+        assert err.value.code == fresh.value.code
+        assert (got.out, got.err) == (expected.out, expected.err)
+
+    @pytest.mark.parametrize("argv", [
+        ["morse", "--w", "0,0,0", "--seed", "3", "--manifold", "mixed", "--z=1,-2"],
+        ["optimize", "--w=0,0,0.5", "--seed", "1", "--dir", "max", "--tol",
+         "max_iters=3", "--tol", "grad_tol=1e-6", "--starts", "2"],
+        ["levelset", "--w", "0,0,0.5", "--seed", "2", "--mu", "0.4", "--format", "json"],
+        ["scan", "--seed", "1", "--w", "0,0,0.5", "--grid", "3", "--range", "0.5"],
+        ["evaluate", "--in", "k.json", "--w", "0,0,0.5", "--format", "csv"],
+        ["dilate", "--in", "k.json", "--out", "u.json"],
+    ])
+    def test_namespace_matches_a_fresh_parser(self, argv):
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 class TestCsvLines:

@@ -13,6 +13,7 @@ from krauscape.qcore import (
     DilatedUnitary,
     KrausSet,
     TargetOperator,
+    _dilation_residual,
     apply_kraus,
     bloch_to_density,
     completeness_residual,
@@ -293,6 +294,77 @@ class TestDilation:
     def test_unitary_invariant_enforced(self):
         with pytest.raises(ValueError):
             DilatedUnitary(np.diag([1.0, 2.0]).astype(complex), ancilla_dim=1)
+
+
+def _edge_channels() -> list:
+    """Channels whose prescribed columns sit on or next to standard basis vectors.
+
+    A unitary channel (nothing to complete), the identity with a zero
+    second operator and the dephasing channel (columns equal to basis
+    vectors), and the identity mixed with a bit flip of weight 1e-9
+    (columns within 1e-8 of basis vectors: the candidates a Gram-Schmidt
+    completion over the standard basis skips at a 1e-8 cut).
+    """
+    turn = random_point(2, 2, seed=23).frame
+    eps = 1e-9
+    return [
+        KrausSet((turn,)),
+        KrausSet((IDENTITY2, np.zeros((2, 2), dtype=complex))),
+        KrausSet(DEPHASING),
+        KrausSet((np.sqrt(1.0 - eps**2) * IDENTITY2, eps * PAULI_X)),
+        KrausSet(DAMPING),
+    ]
+
+
+def _probe_states(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    poles = [bloch_to_density(BlochVector(*v)).entries
+             for v in ((0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0))]
+    return np.stack(poles + [random_density(rng).entries for _ in range(3)])
+
+
+class TestDilationCompletion:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_stacked_residual_is_the_largest_probe_residual(self, m):
+        # The stacked pass runs verify_dilation's arithmetic on every state
+        # at once, so it equals the largest per-state value bitwise.
+        for i in range(12):
+            k = random_kraus(m, seed=600 + 10 * m + i)
+            u = dilate(k)
+            states = _probe_states(i)
+            expected = max(verify_dilation(u, k, DensityMatrix(r)) for r in states)
+            assert _dilation_residual(u, k, states) == expected
+
+    def test_stacked_residual_on_edge_channels(self):
+        states = _probe_states(5)
+        for k in _edge_channels():
+            u = dilate(k)
+            expected = max(verify_dilation(u, k, DensityMatrix(r)) for r in states)
+            assert _dilation_residual(u, k, states) == expected
+
+    def test_stacked_residual_keeps_the_output_state_check(self):
+        # Inside the 1e-10 completeness tolerance, the output trace is off
+        # by 2e-11: verify_dilation's output state check refuses it, and so
+        # does the stacked pass, with the same message.
+        k = KrausSet((IDENTITY2 * (1.0 + 1e-11),))
+        u = dilate(k)
+        states = _probe_states(0)
+        with pytest.raises(ValueError) as one:
+            verify_dilation(u, k, DensityMatrix(states[0]))
+        with pytest.raises(ValueError) as stacked:
+            _dilation_residual(u, k, states)
+        assert str(stacked.value) == str(one.value)
+
+    def test_qr_completion_is_unitary_and_keeps_the_prescribed_columns(self):
+        channels = _edge_channels() + [random_kraus(m, seed=700 + m) for m in (1, 2, 3, 4)]
+        for k in channels:
+            u = dilate(k).entries
+            m = k.m
+            assert np.abs(u.conj().T @ u - np.eye(2 * m)).max() <= 1e-12
+            for s_in, col in ((0, 0), (1, m)):
+                prescribed = [k.operators[a][s_out, s_in]
+                              for s_out in range(2) for a in range(m)]
+                assert np.array_equal(u[:, col], prescribed)
 
 
 class TestKrausSetInvariants:
