@@ -99,6 +99,7 @@ _TR_CG_MAX = 28
 _TR_MAX_SHRINKS = 60
 _FLOOR_ULPS = 4
 _CHORD_LIMIT = 0.05
+_NODE_BUDGET = 4096
 _STALL_GRAD = 1e-6
 
 
@@ -197,7 +198,9 @@ class MultiStartReport:
     The campaign's runs come from one batched engine call and are listed
     in start order: ``final_values[i]`` is run i's final objective.
     ``converged`` counts the runs that ended with terminated ==
-    "converged"; ``best_rows`` holds the (objective, gradient norm) pair
+    "converged" and ``stalled`` the runs whose trust region collapsed
+    above the precision floor (:class:`Trajectory`), which count as not
+    converged; ``best_rows`` holds the (objective, gradient norm) pair
     of every iterate of the best run, and ``iterations[i]`` is the number
     of accepted steps of run i.
     """
@@ -213,12 +216,15 @@ class MultiStartReport:
     converged: int = 0
     best_rows: tuple = ()
     iterations: tuple = ()
+    stalled: int = 0
 
     def __post_init__(self):
         if not 0 <= self.reached_global <= self.starts:
             raise ValueError("reached_global must lie in [0, starts]")
         if not 0 <= self.converged <= self.starts:
             raise ValueError("converged must lie in [0, starts]")
+        if not 0 <= self.stalled <= self.starts - self.converged:
+            raise ValueError("stalled must lie in [0, starts - converged]")
         if self.worst_gap < 0:
             raise ValueError("worst_gap must be non-negative")
         object.__setattr__(self, "final_values", tuple(self.final_values))
@@ -661,7 +667,7 @@ def multi_start(
         raise ValueError("an explicit start point requires n_starts == 1")
     target = 1.0 if cfg.direction == "maximize" else 0.0
     w0 = start.matrix[None] if start is not None else _haar_starts(seed, n_starts)
-    rows, converged, _, _ = _descend(w0, params, cfg)
+    rows, converged, stalled, _ = _descend(w0, params, cfg)
 
     finals = np.array([r[-1] for r in rows])
     values = tuple(finals[:, 0].tolist())
@@ -682,6 +688,7 @@ def multi_start(
         converged=int(converged.sum()),
         best_rows=map(tuple, rows[best_index].tolist()),
         iterations=[len(r) - 1 for r in rows],
+        stalled=int(stalled.sum()),
     )
 
 
@@ -988,6 +995,13 @@ def _stack_witness(frames: np.ndarray, params: LandscapeParams, mu: float,
     return _Witness(frames, values, steps, status, deviation, step, detail)
 
 
+def _exhausted(ends: np.ndarray, params: LandscapeParams, mu: float) -> _Witness:
+    """The failed witness of a path that needs more than ``_NODE_BUDGET`` nodes."""
+    return _stack_witness(ends, params, mu, "failed",
+                          "node budget exhausted before reaching the step limit",
+                          math.inf, math.inf)
+
+
 def _witness(wa: np.ndarray, wb: np.ndarray, params: LandscapeParams,
              mu: float) -> _Witness:
     """:func:`levelset_connect` on the endpoints' 8x2 frames."""
@@ -1007,17 +1021,16 @@ def _witness(wa: np.ndarray, wb: np.ndarray, params: LandscapeParams,
     nodes = _gram_witness(wa, wb)
     length = _norms(np.diff(nodes(np.linspace(0.0, 1.0, 9)), axis=0)).sum()
     s = np.linspace(0.0, 1.0, math.ceil(length / (0.85 * _CHORD_LIMIT)) + 1)
+    if len(s) > _NODE_BUDGET:
+        return _exhausted(ends, params, mu)
     frames = nodes(s)
     frames[0], frames[-1] = wa, wb
     while True:
         seg = np.flatnonzero(_norms(frames[1:] - frames[:-1]) > 0.95 * _CHORD_LIMIT)
         if not len(seg):
             break
-        if len(frames) + len(seg) > 4096:
-            return _stack_witness(
-                ends, params, mu, "failed",
-                "node budget exhausted before reaching the step limit",
-                math.inf, math.inf)
+        if len(frames) + len(seg) > _NODE_BUDGET:
+            return _exhausted(ends, params, mu)
         mids = 0.5 * (s[seg] + s[seg + 1])
         s = np.insert(s, seg + 1, mids)
         frames = np.insert(frames, seg + 1, nodes(mids), axis=0)
@@ -1046,7 +1059,9 @@ def levelset_connect(
     9-node pass asks for at chords of 0.0425, which leaves the speed of
     the path in s room to vary, then bisection in s of every chord above
     0.0475, since M(s)^(1/2) is only Hoelder-1/2 in s where M(s) is
-    singular.  At most 4096 nodes.  The finished path is checked
+    singular.  At most 4096 nodes: a path whose first pass or whose
+    next bisection round would exceed them fails with "node budget
+    exhausted before reaching the step limit".  The finished path is checked
     on its own terms: J, feasibility and the chords at every waypoint.
     A failed path keeps a and b as its waypoints; coincident endpoints
     give the one waypoint a.

@@ -6,7 +6,14 @@ significant digits with '\\n' line endings; JSON objects are written with
 sorted keys.  Identical invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 invalid input or illegal combination, 3
-numerical-verification failure, 4 tracer or flow failure.
+numerical-verification failure, 4 tracer or flow failure, or an
+``optimize`` campaign with a run that did not converge.
+
+``scan`` reads each grid frame's J from 2x2 Gram data: the Gram
+matrices of the slice X + s1 D1 + s2 D2 and of its u-rows are
+quadratics in (s1, s2), the QR retraction's R is the Cholesky factor of
+the first, and J is linear in the u-row Gram matrix of the retracted
+frame, so no frame is formed (:func:`_scan_values`).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .landscape import (
     LandscapeParams,
     ManifoldTag,
     _hessian,
-    _objective_mat,
+    _quotient_value,
     critical_point,
     morse_signature,
     objective_diag,
@@ -58,9 +65,9 @@ from .qcore import (
 )
 from .stiefel import (
     KrausPoint,
+    _gram_r,
     _haar_frame,
     _project_mat,
-    _qf,
     constraint_residuals,
     kraus_to_point,
     real_inner,
@@ -368,6 +375,7 @@ def _cmd_optimize(args) -> int:
         "direction": report.direction,
         "reached_global": report.reached_global,
         "converged": report.converged,
+        "stalled": report.stalled,
         "final_values": list(report.final_values),
         "worst_gap": report.worst_gap,
         "classified_saddle_hits": report.classified_saddle_hits,
@@ -389,6 +397,13 @@ def _cmd_optimize(args) -> int:
     if traj_path is not None:
         rows = [(i, value, gnorm) for i, (value, gnorm) in enumerate(report.best_rows)]
         _write_text(csv_lines(("iter", "value", "grad_norm"), rows), traj_path)
+    if report.converged < report.starts:
+        print(
+            f"optimize: {report.starts - report.converged} of {report.starts} runs "
+            f"did not converge ({report.stalled} stalled)",
+            file=sys.stderr,
+        )
+        return 4
     return 0
 
 
@@ -550,12 +565,7 @@ def _cmd_scan(args) -> int:
     d1, d2 = dirs
     s1 = np.linspace(-grid.range1, grid.range1, grid.count1)
     s2 = np.linspace(-grid.range2, grid.range2, grid.count2)
-    deltas = (
-        s1[:, None, None, None] * d1[None, None, :, :]
-        + s2[None, :, None, None] * d2[None, None, :, :]
-    )
-    frames = _qf(w0[None, None, :, :] + deltas)
-    values = _objective_mat(frames, params)
+    values = _scan_values(w0, d1, d2, s1, s2, params)
     if args.format == "json":
         payload = {
             "w": [params.w.alpha, params.w.beta, params.w.gamma],
@@ -571,17 +581,52 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _scan_values(w0: np.ndarray, d1: np.ndarray, d2: np.ndarray, s1: np.ndarray,
+                 s2: np.ndarray, params: LandscapeParams) -> np.ndarray:
+    """J of the QR-retracted frames of X + s1[i] D1 + s2[j] D2, flat with i outer.
+
+    No frame is formed.  For Y = X + s1 D1 + s2 D2, both Y^H Y and the
+    Gram matrix A = Y_u^H Y_u of its u-rows are quadratics in (s1, s2)
+    whose 2x2 coefficients are the products Z_a^H Z_b of Z = (X, D1, D2).
+    Their 8 real entries are one (8, 6) by (6, G) product over the
+    monomials 1, s1, s2, s1^2, s1 s2, s2^2.  The retraction is Y R^-1
+    with R the Cholesky factor of Y^H Y (``stiefel._gram_r``), so its
+    u-rows have the Gram matrix M = R^-H A R^-1, and J follows from M
+    (``landscape._quotient_value``).  The whole computation is entrywise
+    arithmetic on (G,) arrays.
+    """
+    zs = np.concatenate([w0, d1, d2], axis=1)
+    # Monomial k is c_a c_b for c = (1, s1, s2) and the k-th pair (a, b), a <= b.
+    a, b = np.triu_indices(3)
+    coeffs = []
+    for rows in (zs, zs[:4]):
+        p = (rows.conj().T @ rows).reshape(3, 2, 3, 2).swapaxes(1, 2)
+        c = np.where((a == b)[:, None, None], p[a, b], p[a, b] + p[b, a])
+        coeffs += [c[:, 0, 0].real, c[:, 1, 1].real, c[:, 0, 1].real, c[:, 0, 1].imag]
+    t1, t2 = np.repeat(s1, len(s2)), np.tile(s2, len(s1))
+    mono = np.stack([np.ones_like(t1), t1, t2, t1 * t1, t1 * t2, t2 * t2])
+    quad = np.array(coeffs) @ mono
+    r11, r12r, r12i, r22 = _gram_r(quad[:4])
+    a11, a22, a12r, a12i = quad[4:]
+    # R^-1 = [[x, y], [0, z]] with y = -r12 x z, and br + i bi is (A R^-1)_12.
+    x, z = 1.0 / r11, 1.0 / r22
+    yr, yi = -r12r * x * z, -r12i * x * z
+    br, bi = a11 * yr + a12r * z, a11 * yi + a12i * z
+    m22 = yr * br + yi * bi + z * (a12r * yr + a12i * yi + a22 * z)
+    return _quotient_value((x * x * a11, m22, x * br, x * bi), params)
+
+
 def _grid_csv(s1: np.ndarray, s2: np.ndarray, values: np.ndarray) -> str:
     """``csv_lines`` of the rows (s1[i], s2[j], values[i, j]), i outer.
 
-    Each coordinate is formatted once and each J once, by the same
-    %.17g rule, so the text is byte-identical to the row-by-row one.
+    Each coordinate is formatted once, into a template of every line with
+    a %.17g slot for its J, and the J values fill it in one %-operation,
+    so the text is byte-identical to the row-by-row one.
     """
-    c1 = ["%.17g" % x for x in s1.tolist()]
     c2 = ["%.17g" % x for x in s2.tolist()]
-    cells = ["%.17g" % x for x in values.ravel().tolist()]
-    rows = zip(itertools.product(c1, c2), cells)
-    return "s1,s2,J\n" + "".join(f"{a},{b},{c}\n" for (a, b), c in rows)
+    template = "".join(
+        "".join(f"{a},{b},%.17g\n" for b in c2) for a in ("%.17g" % x for x in s1.tolist()))
+    return "s1,s2,J\n" + template % tuple(values.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

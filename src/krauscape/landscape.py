@@ -309,6 +309,18 @@ def _gram_value(g: np.ndarray) -> np.ndarray:
     return 0.5 * g.trace(axis1=-2, axis2=-1)
 
 
+def _quotient_value(m, params: LandscapeParams):
+    """The yield J = Re tr(M N) / 2 of Gram matrices M = U^H U, given entrywise.
+
+    ``m`` holds (m11, m22, Re m12, Im m12) along its first axis; J is
+    linear in M, ((1 + gamma) m11 + (1 - gamma) m22) / 2 + Re(m12 conj(z0)),
+    so a frame's value needs only its 2x2 Gram data.  Works entrywise on
+    arrays of any shape.
+    """
+    g, z0 = params.gamma, params.z0
+    return 0.5 * ((1.0 + g) * m[0] + (1.0 - g) * m[1]) + (z0.real * m[2] + z0.imag * m[3])
+
+
 def _objective_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
     """Yield on complex (..., 8, 2) frames: :func:`_gram_value` of :func:`_gram`.
 

@@ -124,17 +124,18 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
 
 
-def _check_states(m: np.ndarray) -> None:
+def _check_states(m: np.ndarray, trace_tol: float = 1e-12) -> None:
     """Check every matrix of a finite (P, 2, 2) stack as a density matrix.
 
     The one rule of ``DensityMatrix``: Hermitian, unit trace and smallest
     eigenvalue (closed form, as in :func:`_eig2_hermitian`) not below
-    zero, each within 1e-12.  The error names the first failing matrix's
-    first failing condition.
+    zero, each within 1e-12; a channel's outputs have their trace checked
+    within ``trace_tol`` (:func:`_output_trace_tol`).  The error names the
+    first failing matrix's first failing condition.
     """
     herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-12
     tr = m[:, 0, 0] + m[:, 1, 1]
-    unit = np.abs(tr - 1.0) > 1e-12
+    unit = np.abs(tr - 1.0) > trace_tol
     a, c = m[:, 0, 0].real, m[:, 1, 1].real
     lam2 = 0.5 * (a + c) - np.hypot(0.5 * (a - c), np.abs(m[:, 0, 1]))
     neg = lam2 < -1e-12
@@ -144,7 +145,7 @@ def _check_states(m: np.ndarray) -> None:
         if herm[i]:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if unit[i]:
-            raise ValueError(f"density matrix trace {tr[i]} is not 1 within 1e-12")
+            raise ValueError(f"density matrix trace {tr[i]} is not 1 within {trace_tol:g}")
         raise ValueError(f"density matrix has negative eigenvalue {lam2[i]:.3e}")
 
 
@@ -252,17 +253,34 @@ def completeness_residual(k) -> float:
     return _ops_completeness_residual([np.asarray(op, dtype=complex) for op in k])
 
 
+def _output_trace_tol(k: KrausSet) -> float:
+    """How far from 1 the trace of a channel output may lie: 1e-12 + 2 k.tol.
+
+    tr(sum_l K_l rho K_l^+) - 1 = tr(rho E) with E = sum_l K_l^+ K_l - I,
+    and a Hermitian 2x2 E whose entries are at most k.tol in modulus has
+    eigenvalues of modulus at most 2 k.tol, so every state the channel
+    accepts maps within this bound of unit trace.
+    """
+    return 1e-12 + 2.0 * k.tol
+
+
 def apply_kraus(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """Propagate a state through the channel rho -> sum_l K_l rho K_l^+.
 
     A ``KrausSet`` is frozen, its operators are read-only and its
     completeness was checked when it was built, so none is re-checked here.
+    The output is checked by the rule of ``DensityMatrix``, with its trace
+    held to the channel's own tolerance (:func:`_output_trace_tol`).
     """
     out = np.zeros((2, 2), dtype=complex)
     r = rho.entries
     for op in k.operators:
         out += op @ r @ op.conj().T
-    return DensityMatrix(out)
+    _check_states(out[None], _output_trace_tol(k))
+    out.setflags(write=False)
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "entries", out)
+    return state
 
 
 def kraus_conjugate(k: KrausSet, u: np.ndarray) -> KrausSet:
@@ -335,7 +353,7 @@ def _dilation_residual(u: DilatedUnitary, k: KrausSet, rhos: np.ndarray) -> floa
     go through the same evolution, partial trace and comparison as
     :func:`verify_dilation`, as stacks, so the result equals the maximum
     of its P values; the channel's outputs are checked once, as one
-    stack, by the rule of ``DensityMatrix``.
+    stack, by the rule of :func:`apply_kraus`.
     """
     m = k.m
     if u.ancilla_dim != m:
@@ -354,7 +372,7 @@ def _dilation_residual(u: DilatedUnitary, k: KrausSet, rhos: np.ndarray) -> floa
     # apply_kraus on every state: the operators' terms, summed in their order.
     ops = np.stack(k.operators)[:, None]
     direct = (ops @ rhos @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
-    _check_states(direct)
+    _check_states(direct, _output_trace_tol(k))
     return float(np.abs(reduced - direct).max())
 
 

@@ -380,6 +380,28 @@ def _qf(w: np.ndarray) -> np.ndarray:
     return np.concatenate([q1, y * (1.0 / r22)], axis=-1)
 
 
+def _gram_r(g):
+    """The R factor of :func:`_qf` from the Gram data of the frames it retracts.
+
+    ``g`` holds (g11, g22, Re g12, Im g12) of G = W^H W along its first
+    axis.  W = Q R with R = [[r11, r12], [0, r22]] and a positive
+    diagonal, so G = R^H R is its Cholesky factorisation:
+    r11 = sqrt(g11), r12 = g12 / r11 and r22 = sqrt(g22 - |r12|^2).
+    Returns (r11, Re r12, Im r12, r22), entrywise.  Raises the
+    ``RuntimeError`` of :func:`_qf` where r11 or r22 is below 1e-12,
+    tested on their squares so that no root of a negative is taken.
+    """
+    g11, g22, g12r, g12i = g
+    if np.logical_or.reduce(g11 < 1e-24, axis=None):
+        raise RuntimeError("rank collapse during QR retraction")
+    r11 = np.sqrt(g11)
+    r12r, r12i = g12r / r11, g12i / r11
+    d22 = g22 - (r12r * r12r + r12i * r12i)
+    if np.logical_or.reduce(d22 < 1e-24, axis=None):
+        raise RuntimeError("rank collapse during QR retraction")
+    return r11, r12r, r12i, np.sqrt(d22)
+
+
 def project_tangent(x: StiefelPoint, ambient: np.ndarray) -> TangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space."""
     z = np.asarray(ambient, dtype=complex)

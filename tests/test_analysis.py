@@ -514,6 +514,33 @@ class TestMultiStart:
             with pytest.raises(ValueError):
                 MultiStartReport(**fields, converged=bad)
 
+    def test_stalled_count_validation(self):
+        fields = dict(
+            starts=3,
+            seed=0,
+            direction="maximize",
+            reached_global=0,
+            final_values=(0.5, 0.5, 0.5),
+            worst_gap=0.5,
+            classified_saddle_hits=0,
+            best_index=0,
+            converged=1,
+        )
+        assert MultiStartReport(**fields, stalled=2).stalled == 2
+        for bad in (-1, 3):
+            with pytest.raises(ValueError):
+                MultiStartReport(**fields, stalled=bad)
+
+    def test_stalled_runs_are_counted(self, monkeypatch):
+        # The engine's stalled flags reach the report: every run of a
+        # wrong-sign gradient stalls, and none converges.
+        cfg = OptimizerConfig()
+        assert multi_start(PARAMS05, n_starts=4, seed=2, cfg=cfg).stalled == 0
+        monkeypatch.setattr(analysis, "_first_order", _wrong_sign(analysis._first_order))
+        report = multi_start(PARAMS05, n_starts=4, seed=2, cfg=cfg)
+        assert (report.converged, report.stalled) == (0, 4)
+        assert rerun_start(PARAMS05, 2, 0, cfg).stalled
+
     @pytest.mark.parametrize("w", NEARPURE_W)
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
     def test_nearpure_campaign_converges(self, w, direction):

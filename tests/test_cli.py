@@ -1,6 +1,7 @@
 """End-to-end command-line runs through the in-process entry point."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -211,18 +212,51 @@ class TestOptimize:
 
     def test_repeated_calls_share_no_settings(self, tmp_path):
         # One parser serves every call in the process; a --tol given to one
-        # call must not reach the next.
+        # call must not reach the next.  Under the tolerances none of the
+        # three runs converges (exit 4); without them all do (exit 0).
         base = ["optimize", "--w", "0,0,0.5", "--seed", "4", "--direction", "max",
                 "--starts", "3"]
         tol = ["--tol", "max_iters=2", "--tol", "grad_tol=1e-3"]
         first = {}
         for i, extra in enumerate([[], tol, [], tol, [], []]):
             out = tmp_path / f"run{i}.json"
-            assert main(base + extra + ["--out", str(out)]) == 0
-            blobs = (out.read_bytes(), (tmp_path / f"run{i}.json.traj.csv").read_bytes())
+            code = main(base + extra + ["--out", str(out)])
+            blobs = (code, out.read_bytes(),
+                     (tmp_path / f"run{i}.json.traj.csv").read_bytes())
             assert first.setdefault(bool(extra), blobs) == blobs
-        assert first[True] != first[False]
+        assert (first[False][0], first[True][0]) == (0, 4)
+        assert first[True][1:] != first[False][1:]
         assert cli._parser() is cli._parser()
+
+    def test_unconverged_campaign_exits_4(self, capsys):
+        argv = ["optimize", "--w", "0,0,0.5", "--seed", "1", "--starts", "5",
+                "--direction", "max"]
+        assert main(argv + ["--tol", "max_iters=1"]) == 4
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert (report["converged"], report["stalled"]) == (0, 0)
+        assert "5 of 5 runs did not converge (0 stalled)" in captured.err
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["converged"], report["stalled"]) == (5, 0)
+
+    def test_stalled_runs_are_reported(self, monkeypatch, capsys):
+        # A gradient of the wrong sign makes every trial lose measurably, so
+        # every run stalls.
+        first_order = analysis._first_order
+
+        def wrong_sign(xr, g, rn):
+            grad, f = first_order(xr, g, rn)
+            return -grad, f
+
+        monkeypatch.setattr(analysis, "_first_order", wrong_sign)
+        argv = ["optimize", "--w", "0,0,0.5", "--seed", "2", "--starts", "4",
+                "--direction", "min"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert (report["converged"], report["stalled"]) == (0, 4)
+        assert "4 of 4 runs did not converge (4 stalled)" in captured.err
 
     def test_bad_direction(self, capsys):
         code = main(
@@ -521,6 +555,22 @@ class TestLevelset:
         assert path.status == "failed" and len(path.waypoints) == 2
         assert out.read_bytes() == self._rebuilt_csv(path, params, 0.4)
 
+    def test_first_pass_counts_against_the_node_budget(self, monkeypatch):
+        # At a chord limit of 2e-4 the first pass alone would take about
+        # 16600 nodes, past the 4096 budget: the witness fails before
+        # building them.  At 1e-3 it connects within the budget.
+        params = cli._parse_w("0,0,0.5")
+        a, b = cli._levelset_endpoints(params, 0.4, 5)
+        monkeypatch.setattr(analysis, "_CHORD_LIMIT", 2e-4)
+        path = levelset_connect(a, b, params, 0.4)
+        assert path.status == "failed" and len(path.waypoints) == 2
+        assert path.detail == "node budget exhausted before reaching the step limit"
+        monkeypatch.setattr(analysis, "_CHORD_LIMIT", 1e-3)
+        path = levelset_connect(a, b, params, 0.4)
+        assert path.status == "connected"
+        assert len(path.waypoints) <= 4096
+        assert path.max_step_length <= 1e-3
+
     def test_saddle_guard(self, capsys):
         # A level 4e-4 from the lambda_- saddle value 0.25 connects; no
         # guard refuses it.
@@ -573,6 +623,24 @@ class TestDilate:
 
     def test_infeasible(self, bad_file):
         assert main(["dilate", "--in", bad_file]) == 2
+
+    @pytest.mark.parametrize("command", ["dilate", "evaluate"])
+    def test_outputs_follow_the_channel_tolerance(self, tmp_path, command, capsys):
+        # I (1 + 1e-11) passes the 1e-10 completeness check with its output
+        # trace off by 2e-11, which the channel's tolerance allows; at
+        # I (1 + 1e-9) the set itself is refused.
+        argv = [command] + (["--w", "0,0,0.5"] if command == "evaluate" else [])
+        near = write_json(tmp_path / "near.json",
+                          kraus_to_dict(KrausSet((IDENT * (1.0 + 1e-11),))))
+        assert main(argv + ["--in", near]) == 0
+        capsys.readouterr()
+        far = kraus_to_dict(KrausSet((IDENT,)))
+        for row in far["operators"][0]:
+            for entry in row:
+                entry[0] *= 1.0 + 1e-9
+        assert main(argv + ["--in", write_json(tmp_path / "far.json", far)]) == 2
+        err = capsys.readouterr().err
+        assert "completeness residual 2.000000e-09 exceeds tolerance 1.0e-10" in err
 
     def test_residual_is_the_largest_probe_residual(self, tmp_path, capsys):
         # One stacked pass over the probes reports verify_dilation's maximum.
@@ -667,6 +735,51 @@ class TestScan:
             ["scan", "--w", "0,0,0.5", "--seed", "1", "--manifold", "plateau"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("w, manifold", [
+        ("0,0,0", None), ("0,0,1e-13", None), ("0,0,0.5", None), ("0,0,0.54", None),
+        ("0.3,-0.4,0.2", None), ("0,0,0.999999", None), ("0,0,1", None),
+        ("0.6,0,0.8", None), ("0,0,0", "mixed"), ("0,0,0.5", "saddle-minus"),
+        ("0.3,-0.4,0.2", "saddle-plus"), ("0,0,1", "global-max"),
+        ("0,0,0.5", "global-min"),
+    ])
+    def test_values_are_the_retracted_frames(self, monkeypatch, w, manifold):
+        # The Gram-data values equal J of the QR-retracted frames
+        # X + s1 D1 + s2 D2 that the slice describes, within 2e-15.
+        calls, scan_values = [], cli._scan_values
+
+        def recorded(*args):
+            calls.append((args, scan_values(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "_scan_values", recorded)
+        extra = ["--manifold", manifold] if manifold else []
+        for seed in (0, 1):
+            for grid in ("2", "41"):
+                for half in ("0.01", "1", "1e4"):
+                    assert main(["scan", "--w", w, "--seed", str(seed), "--grid", grid,
+                                 "--range", half, "--out", os.devnull] + extra) == 0
+        assert len(calls) == 12
+        for (w0, d1, d2, s1, s2, params), values in calls:
+            frames = (w0 + s1[:, None, None, None] * d1
+                      + s2[None, :, None, None] * d2)
+            expected = _objective_mat(stiefel._qf(frames), params).ravel()
+            assert values.shape == expected.shape
+            assert np.abs(values - expected).max() <= 2e-15
+
+    def test_degenerate_slice_is_a_rank_collapse(self):
+        # A zero frame at the grid's center (r11 = 0), and a frame with two
+        # equal columns (r22 = 0), leave Y^H Y singular.
+        params = cli._parse_w("0,0,0.5")
+        zero = np.zeros((8, 2), dtype=complex)
+        d = zero.copy()
+        d[0, 0] = d[1, 1] = 1.0
+        twin = zero.copy()
+        twin[0] = 1.0
+        s = np.linspace(-1.0, 1.0, 3)
+        for w0, d1 in ((zero, d), (twin, zero)):
+            with pytest.raises(RuntimeError, match="rank collapse during QR retraction"):
+                cli._scan_values(w0, d1, d1, s, s, params)
 
     @pytest.mark.parametrize("grid", [41, 2])
     def test_csv_is_the_row_rule(self, grid, capsys):

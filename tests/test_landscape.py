@@ -12,6 +12,7 @@ from krauscape.landscape import (
     _hess_vec,
     _normals,
     _objective_mat,
+    _quotient_value,
     _rgrad_mat,
     _weight_factor,
     CriticalManifoldId,
@@ -847,3 +848,15 @@ class TestFloatViewKernels:
         got = _hvp(x, xi, params)
         err = np.abs(got - _hess_reference(x, xi, params)).max(axis=(1, 2))
         assert (err <= 1e-14 * np.linalg.norm(xi, axis=(1, 2))).all()
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-13, 0.5, 1.0 - 1e-9, 1.0])
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (-0.3, 0.8, -0.5)])
+    def test_quotient_value_is_the_gram_value(self, norm, axis):
+        # J from the u-row Gram data M = U^H U alone matches the value kernel.
+        a = np.asarray(axis) / np.linalg.norm(axis)
+        params = LandscapeParams(w=BlochVector(*(norm * a)))
+        x, _ = _frames_and_tangents(50, seed=8)
+        m = np.swapaxes(x[:, :4].conj(), -1, -2) @ x[:, :4]
+        entries = (m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real, m[:, 0, 1].imag)
+        expected = _gram_value(_gram(x.view(np.float64), _weight_factor(params)))
+        assert np.abs(_quotient_value(entries, params) - expected).max() <= 2e-15

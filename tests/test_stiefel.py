@@ -10,6 +10,7 @@ from krauscape.stiefel import (
     TangentBasis,
     TangentVector,
     _frame_residuals,
+    _gram_r,
     _kraus_points,
     _project_mat,
     _qf,
@@ -270,6 +271,37 @@ class TestClosedFormQR:
     def test_rejects_other_column_counts(self):
         with pytest.raises(ValueError, match="two columns"):
             _qf(np.ones((8, 3), dtype=complex))
+
+
+def _gram_entries(w):
+    """(g11, g22, Re g12, Im g12) of W^H W for a stack of frames."""
+    g = np.swapaxes(w.conj(), -1, -2) @ w
+    return np.array([g[:, 0, 0].real, g[:, 1, 1].real, g[:, 0, 1].real, g[:, 0, 1].imag])
+
+
+class TestGramR:
+    def test_is_the_r_of_the_closed_form_qr(self):
+        # Q^H W of _qf is R; the Cholesky factor of W^H W gives it to rounding.
+        rng = np.random.default_rng(39)
+        w = np.concatenate([_ginibre_stack(rng, 40), _tangent_steps(rng, 40, 2.0)])
+        r = np.swapaxes(_qf(w).conj(), -1, -2) @ w
+        r11, r12r, r12i, r22 = _gram_r(_gram_entries(w))
+        scale = np.abs(r).max(axis=(1, 2))
+        assert (np.abs(r11 - r[:, 0, 0].real) <= 1e-14 * scale).all()
+        assert (np.abs(r12r + 1j * r12i - r[:, 0, 1]) <= 1e-14 * scale).all()
+        assert (np.abs(r22 - r[:, 1, 1].real) <= 1e-14 * scale).all()
+
+    def test_rank_collapse_raises(self):
+        # The zero column and the parallel pair that _qf refuses.
+        rng = np.random.default_rng(37)
+        stack = _ginibre_stack(rng, 3)
+        zero = stack.copy()
+        zero[1, :, 0] = 0.0
+        parallel = stack.copy()
+        parallel[2, :, 1] = (0.3 - 2j) * parallel[2, :, 0]
+        for w in (zero, parallel):
+            with pytest.raises(RuntimeError, match="rank collapse during QR retraction"):
+                _gram_r(_gram_entries(w))
 
 
 class TestSampling:
