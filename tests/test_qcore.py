@@ -364,6 +364,17 @@ class TestDilationCompletion:
         states = _probe_states(0)
         expected = max(verify_dilation(u, k, DensityMatrix(r)) for r in states)
         assert _dilation_residual(u, k, states) == expected
+        # An input of trace 1 + 1e-9, built around DensityMatrix's own
+        # check, maps outside that tolerance: both paths refuse it with the
+        # same message.
+        off = states[:1] * (1.0 + 1e-9)
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "entries", off[0])
+        with pytest.raises(ValueError, match="is not 1 within 2.01e-10") as one:
+            verify_dilation(u, k, rho)
+        with pytest.raises(ValueError) as stacked:
+            _dilation_residual(u, k, off)
+        assert str(stacked.value) == str(one.value)
 
     def test_qr_completion_is_unitary_and_keeps_the_prescribed_columns(self):
         channels = _edge_channels() + [random_kraus(m, seed=700 + m) for m in (1, 2, 3, 4)]
