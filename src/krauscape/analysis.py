@@ -19,9 +19,10 @@ objective.  The arrays of an iteration's first trial are the
 iteration's result: only rows retried at a quarter radius are written
 into them.  An accepted trial's G gives its gradient and its Hessian
 factor, with which every CG step applies the Hessian as one stacked
-real product and a projection on four normal directions; a minimize
-run's sign is folded into that factor, and CG runs on flat (N, 32)
-float rows.  The saddle hits of a campaign are counted in
+real product and a projection on four normal directions, on flat
+(N, 32) float rows.  The engine only minimizes: a maximize run is the
+minimize run of its dual frame, u- and v-rows swapped, read back as
+1 - J.  The saddle hits of a campaign are counted in
 one vectorised pass.  :func:`optimize` is that engine on a single
 frame; validated :class:`KrausPoint` objects are built only where a
 caller receives them.
@@ -53,6 +54,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .landscape import (
     CriticalManifoldId,
     LandscapeParams,
+    _DUAL_ROWS,
     _critical_manifolds,
     _first_order,
     _gram,
@@ -97,7 +99,6 @@ _TR_RHO_ACCEPT = 0.1
 _TR_CG_KAPPA = 0.1
 _TR_CG_MAX = 28
 _TR_MAX_SHRINKS = 60
-_FLOOR_ULPS = 4
 _CHORD_LIMIT = 0.05
 _NODE_BUDGET = 4096
 _STALL_GRAD = 1e-6
@@ -147,26 +148,16 @@ class Trajectory:
 
     ``iterates`` holds (point, objective, gradient norm) triples: the
     start, then one per accepted trust-region step, so the objective
-    sequence is monotone in the run direction.  ``terminated``
-    is "converged" or "max_iters".  Only :func:`optimize` and
-    :func:`rerun_start` build a Trajectory; a campaign keeps raw frames
-    and (objective, gradient norm) rows instead.
-
-    A run converges when the gradient norm drops below ``grad_tol``, or
-    when it reaches the precision floor of J.  Near J = 1 a gradient norm
-    of 1e-8 leaves every value difference a step could make below one
-    ulp, so no trial is accepted although the run sits at the optimum.
-    An iteration therefore gives up once a rejected trial's model gain
-    is below the float resolution of J (4 ulps of max(1, |J|)), since
-    smaller radii predict smaller gains.  The run then ends at the floor
-    when the Cauchy step, the model's best step along the gradient,
-    gains less than that resolution within the iteration's starting
-    radius capped at the initial radius 1: a larger radius remembered
-    from long steps along a flat direction could promise a gain that
-    only the quadratic model, not J on the manifold, supports.  The run
-    ends as "converged" with ``stalled`` False.  A run whose radius
-    collapses while that Cauchy gain is above the floor sets ``stalled``
-    and counts as max_iters.
+    sequence is monotone in the run direction.  A maximize run is the
+    minimize run of the dual frames (u- and v-rows swapped), so its
+    objectives are 1 - J of the dual iterates and lie in [0, 1].
+    ``terminated`` is "converged" when the gradient norm dropped below
+    ``grad_tol``, else "max_iters".  ``stalled`` is set when an
+    iteration's radius collapsed, quartered _TR_MAX_SHRINKS times with no
+    trial accepted; such a run counts as max_iters.  Only
+    :func:`optimize` and :func:`rerun_start` build a Trajectory; a
+    campaign keeps raw frames and (objective, gradient norm) rows
+    instead.
     """
 
     iterates: tuple
@@ -196,13 +187,14 @@ class MultiStartReport:
     """Aggregate of a seeded multi-start campaign.
 
     The campaign's runs come from one batched engine call and are listed
-    in start order: ``final_values[i]`` is run i's final objective.
+    in start order: ``final_values[i]`` is run i's final objective
+    (1 - J of the dual run for maximize, :class:`Trajectory`).
     ``converged`` counts the runs that ended with terminated ==
     "converged" and ``stalled`` the runs whose trust region collapsed
-    above the precision floor (:class:`Trajectory`), which count as not
-    converged; ``best_rows`` holds the (objective, gradient norm) pair
-    of every iterate of the best run, and ``iterations[i]`` is the number
-    of accepted steps of run i.
+    (:class:`Trajectory`), which count as not converged; ``best_rows``
+    holds the (objective, gradient norm) pair of every iterate of the
+    best run, and ``iterations[i]`` is the number of accepted steps of
+    run i.
     """
 
     starts: int
@@ -277,33 +269,27 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a * b, axis=1)
 
 
-def _tcg(d, f, nb, radius, sgn):
+def _tcg(d, f, nb, radius):
     """Steihaug-Toint truncated CG on the quadratic model of every row.
 
     Row i maximizes m(eta) = <d, eta> + <eta, A eta> / 2 over tangent
-    steps with |eta| <= radius[i], where d is the ascent direction
-    sgn * grad J and A = sgn * Hess J, applied in closed form by
-    :func:`landscape._hess_vec` with the row's Hessian factor ``f`` and
-    normal directions ``nb``.  The sign is folded into the factor once
-    per call (A is the product by -f for minimize runs): a +-1 scaling
-    commutes exactly with every product and sum, so each step's
-    arithmetic is bitwise that of sgn times the ascent Hessian.  Steps
-    and directions are flat (N, 32) float views of 8x2 tangents.  CG
-    stops at the boundary (on a step that leaves the region or along a
-    direction of non-negative curvature), when the residual falls to
-    |d| * min(|d|, _TR_CG_KAPPA), or after _TR_CG_MAX steps.  The model
-    gain and the inner products <eta, eta>, <eta, p>, <p, p> of the
-    iterate and the search direction p follow the CG recurrences (Conn,
-    Gould & Toint, *Trust-Region Methods*, 2000).  Rows leave the stack
-    as they stop and share no arithmetic.
+    steps with |eta| <= radius[i], where A is applied in closed form by
+    :func:`landscape._hess_vec` with the row's factor ``f`` and normal
+    directions ``nb``.  :func:`_descend` passes the data of -J, d = -grad J
+    and the negated Hessian factor, so the model's gain is the predicted
+    decrease of J.  Steps and directions are flat (N, 32) float views of
+    8x2 tangents.  CG stops at the boundary (on a step that leaves the
+    region or along a direction of non-negative curvature), when the
+    residual falls to |d| * min(|d|, _TR_CG_KAPPA), or after _TR_CG_MAX
+    steps.  The model gain and the inner products <eta, eta>, <eta, p>,
+    <p, p> of the iterate and the search direction p follow the CG
+    recurrences (Conn, Gould & Toint, *Trust-Region Methods*, 2000).
+    Rows leave the stack as they stop and share no arithmetic.
 
-    Returns ``(eta, gain, boundary, curv)``: the steps, their model gains
-    m(eta), whether each stopped on the boundary, and the curvature
-    <d, A d> met by the first CG step.
+    Returns ``(eta, gain, boundary)``: the steps, their model gains
+    m(eta), and whether each stopped on the boundary.
     """
     n = len(d)
-    if sgn < 0.0:
-        f = -f
     eta = np.empty_like(d)
     gain = np.empty(n)
     boundary = np.empty(n, dtype=bool)
@@ -316,8 +302,6 @@ def _tcg(d, f, nb, radius, sgn):
     for j in range(_TR_CG_MAX):
         hp = _hess_vec(p, fa, nba)
         kappa = _row_dot(p, hp)
-        if j == 0:
-            curv = kappa
         alpha = rr / np.where(kappa < 0.0, -kappa, 1.0)
         ee_new = ee + alpha * (2.0 * ep + alpha * pp)
         out = (kappa >= 0.0) | (ee_new >= r2)
@@ -347,45 +331,54 @@ def _tcg(d, f, nb, radius, sgn):
         ee, ep, pp = ee_new, beta * (ep + alpha * pp), rr_new + beta * beta * pp
         p = r + beta[:, None] * p
         rr = rr_new
-    return eta, gain, boundary, curv
+    return eta, gain, boundary
 
 
 def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
              keep_frames: bool = False):
     """Run the optimizer of :func:`optimize` on every frame of an (N, 8, 2) stack.
 
+    The engine only minimizes.  A maximize batch runs as the minimize
+    run of its dual frames, u- and v-rows swapped (``_DUAL_ROWS``), since
+    J(dual X) = 1 - J(X): its values are read back as 1 - J, which stays
+    monotone, and its frames are swapped back.  Near J = 1 the value
+    tr(G) / 2 resolves J only to an ulp of 1; near J = 0 it resolves J,
+    its gradient and its Hessian factor to relative precision, so a run
+    next to either extreme reaches ``grad_tol``.
+
     Rows share no arithmetic, so each row's run is bitwise the run of a
     batch of one.  Rows advance in lockstep: every row still running
     accepts one step per iteration.  The arrays of an iteration's first
     trust-region trial, with the radius rule applied to every row, are
     the iteration's result.  A rejected row is retried at a quarter of
-    its radius, and only accepted retries are written into those arrays.
+    its radius, and only accepted retries are written into those arrays;
+    a row with no accepted trial after _TR_MAX_SHRINKS radii stalls.
     The running set is compacted only when a run ends.
 
     The kernels run on the frames' float views (:func:`landscape._gram`).
     Each trial point gets one Gram product G, which gives its value
     J = tr(G) / 2 and, once the trial is accepted, its gradient and
-    Hessian factor (:func:`landscape._first_order`); each iterate's four
-    normal directions are built once for all the CG steps of its trials,
-    and :func:`_tcg` folds the run's sign into the Hessian factor.
+    Hessian factor (:func:`landscape._first_order`), both negated for
+    :func:`_tcg`; each iterate's four normal directions are built once
+    for all the CG steps of its trials.
 
     Returns ``(rows, converged, stalled, frames)``: ``rows[i]`` is run i's
     (iterates, 2) float array of (objective, gradient norm), the flags
     are boolean arrays, and ``frames[i]`` is run i's (iterates, 8, 2)
     stack of frames when ``keep_frames`` is set, else ``frames`` is None.
     """
-    sgn = 1.0 if cfg.direction == "maximize" else -1.0
+    dual = cfg.direction == "maximize"
     n = len(w0)
     ids = np.arange(n)
     rn = _weight_factor(params)
-    w = np.ascontiguousarray(w0, dtype=complex)
+    w = np.ascontiguousarray(w0[:, _DUAL_ROWS] if dual else w0, dtype=complex)
     xr = w.view(np.float64)
     g = _gram(xr, rn)
     value = _gram_value(g)
-    # d is the ascent direction sgn * grad J as flat float rows; f is the
-    # Hessian factor of each frame.
+    # d is the descent direction -grad J as flat float rows; f is the
+    # negated Hessian factor of each frame.
     grad, f = _first_order(xr, g, rn)
-    d = sgn * grad.reshape(n, 32)
+    d, f = -grad.reshape(n, 32), -f
     gnorm = np.sqrt(_row_dot(d, d))
     radius = np.full(n, _TR_RADIUS_START)
     history = [(ids, value, gnorm, w if keep_frames else None)]
@@ -404,56 +397,43 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
         tw, td, tf, tv, tr = w, d, f, value, radius
         tn = _normals(w.view(np.float64))
         for shrink in range(_TR_MAX_SHRINKS):
-            eta, gain, boundary, curv = _tcg(td, tf, tn, tr, sgn)
+            eta, gain, boundary = _tcg(td, tf, tn, tr)
             cand = _qf(tw + eta.view(complex).reshape(tw.shape))
             g_cand = _gram(cand.view(np.float64), rn)
             v_cand = _gram_value(g_cand)
             # rho = actual / gain is compared through products: gain > 0.
-            actual = sgn * (v_cand - tv)
+            actual = tv - v_cand
             accept = (actual >= 0.0) & (actual > _TR_RHO_ACCEPT * gain)
             # An accepted row sets its radius for the next iteration.
             grow = (actual > 0.75 * gain) & boundary
             r_cand = np.where(actual < 0.25 * gain, 0.25 * tr,
                               np.where(grow, np.minimum(2.0 * tr, _TR_RADIUS_MAX), tr))
             if shrink == 0:
-                w_new, v_new, g_new, r_new, ok, curv0 = cand, v_cand, g_cand, r_cand, accept, curv
+                w_new, v_new, g_new, r_new, ok = cand, v_cand, g_cand, r_cand, accept
                 rejected = not np.logical_and.reduce(ok)
                 if not rejected:
                     break
-                # Gains below 4 ulps of J are beyond the resolution of J.
-                floor = tfl = _FLOOR_ULPS * np.spacing(np.maximum(1.0, np.abs(value)))
                 trial = np.arange(len(ids))
             elif np.logical_or.reduce(accept):
                 hit = trial[accept]
                 w_new[hit], v_new[hit], g_new[hit], r_new[hit], ok[hit] = (
                     cand[accept], v_cand[accept], g_cand[accept], r_cand[accept], True)
-            # A rejected trial is retried at a quarter of its radius unless
-            # its model gain is already below the resolution of J.
-            more = ~accept & (gain >= tfl)
+            # A rejected trial is retried at a quarter of its radius.
+            more = ~accept
             if not np.logical_or.reduce(more):
                 break
-            trial, tw, td, tf, tn, tv, tr, tfl = (
-                trial[more], tw[more], td[more], tf[more], tn[more], tv[more],
-                tr[more], tfl[more])
+            trial, tw, td, tf, tn, tv, tr = (
+                trial[more], tw[more], td[more], tf[more], tn[more], tv[more], tr[more])
             tr = 0.25 * tr
         if rejected and not np.logical_and.reduce(ok):
-            # The Cauchy step's model gain at the starting radius, capped
-            # at _TR_RADIUS_START, decides between the floor and a stall.
-            failed = ~ok
-            dd = gnorm * gnorm
-            t = np.minimum(radius, _TR_RADIUS_START) / gnorm
-            concave = curv0 < 0.0
-            t = np.where(concave, np.minimum(t, dd / np.where(concave, -curv0, 1.0)), t)
-            at_floor = t * dd + 0.5 * t * t * curv0 < floor
-            converged[ids[failed & at_floor]] = True
-            stalled[ids[failed & ~at_floor]] = True
+            stalled[ids[~ok]] = True
             ids, w_new, v_new, g_new, r_new = (
                 ids[ok], w_new[ok], v_new[ok], g_new[ok], r_new[ok])
             if not len(ids):
                 break
         w, value, radius = w_new, v_new, r_new
         grad, f = _first_order(w.view(np.float64), g_new, rn)
-        d = sgn * grad.reshape(len(ids), 32)
+        d, f = -grad.reshape(len(ids), 32), -f
         gnorm = np.sqrt(_row_dot(d, d))
         history.append((ids, value, gnorm, w if keep_frames else None))
     else:
@@ -465,13 +445,16 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     order = np.argsort(run_of, kind="stable")
     bounds = [0] + np.cumsum(np.bincount(run_of, minlength=n)).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))
+    values = np.concatenate([h[1] for h in history])
     rows = np.column_stack([
-        np.concatenate([h[1] for h in history]),
+        1.0 - values if dual else values,
         np.concatenate([h[2] for h in history]),
     ])[order]
     frames = None
     if keep_frames:
         stack = np.concatenate([h[3] for h in history])[order]
+        if dual:
+            stack = stack[:, _DUAL_ROWS]
         frames = [stack[a:b] for a, b in spans]
     return [rows[a:b] for a, b in spans], converged, stalled, frames
 
@@ -492,8 +475,9 @@ def optimize(
     recorded iterate is an accepted step.  After an accepted step the
     radius shrinks fourfold when rho < 0.25 and doubles when rho > 0.75
     on the region's boundary.  Terminates at ``grad_tol``, at
-    ``max_iters``, at the precision floor of J, or when the radius
-    collapses above it (``stalled``); see :class:`Trajectory`.
+    ``max_iters``, or when the radius collapses (``stalled``).  A
+    maximize run minimizes J of the dual frame and reports 1 - J, which
+    resolves J near 1 to relative precision; see :class:`Trajectory`.
 
     This is the campaign engine of :func:`multi_start` on a batch of one
     frame, so a run here is bitwise the same run inside any campaign.
@@ -655,11 +639,12 @@ def multi_start(
     ``seed`` must be a non-negative integer.  All starts
     run as one (N, 8, 2) batch of the optimizer engine, whose rows do not
     depend on each other, so each run is bitwise the run of that start
-    alone (:func:`rerun_start`).  Saddle hits are classified from each
-    run's final objective and gradient norm, all runs in one pass.  An
-    explicit ``start`` replaces the Haar draw and requires
-    ``n_starts == 1``; it documents the behavior of runs launched exactly
-    on a critical manifold.
+    alone (:func:`rerun_start`); a maximize campaign runs as the minimize
+    campaign of the dual starts, with values 1 - J.  Saddle hits are
+    classified from each run's final objective and gradient norm, all
+    runs in one pass.  An explicit ``start`` replaces the Haar draw and
+    requires ``n_starts == 1``; it documents the behavior of runs
+    launched exactly on a critical manifold.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")

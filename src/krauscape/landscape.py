@@ -663,10 +663,16 @@ def lagrange_certificate(
     )
 
 
+# The row order of the dual frame, u-rows (0-3) and v-rows (4-7) swapped;
+# the optimizer runs a maximize batch as the minimize batch of its duals.
+_DUAL_ROWS = np.r_[4:8, 0:4]
+_DUAL_ROWS.setflags(write=False)
+
+
 def duality_map(p: KrausPoint) -> KrausPoint:
     """Swap the two operator rows: (u1,u2,v1,v2) -> (v1,v2,u1,u2).
 
     An involution of the constraint manifold; the objective values of a
     point and its image always sum to one.
     """
-    return KrausPoint(u1=p.v1, u2=p.v2, v1=p.u1, v2=p.u2)
+    return KrausPoint.from_matrix(p.matrix[_DUAL_ROWS])

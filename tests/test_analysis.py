@@ -201,22 +201,24 @@ class TestOptimize:
             Trajectory(iterates=(), terminated="done")
 
     def test_precision_floor_is_converged(self):
-        # Near J = 1 at |w| = 0.9 this run ends with a gradient norm above
-        # grad_tol (1.04e-8) that no step can raise J by measurably: the
-        # Cauchy step predicts a gain below 4 ulps of J.
+        # Near J = 1 at |w| = 0.9 the u-row value resolves J only to an ulp
+        # of 1.  The maximize run is the minimize run of the dual frame,
+        # which resolves 1 - J to relative precision, so it passes grad_tol
+        # (1 - J ~ 1e-46) instead of stopping at a floor above it.
         params = LandscapeParams(w=(0.0, 0.0, 0.9))
         cfg = OptimizerConfig(direction="maximize")
         traj = optimize(random_kraus_point(seed=55), params, cfg)
-        assert traj.final_grad_norm >= cfg.grad_tol
+        assert traj.final_grad_norm < cfg.grad_tol
         assert traj.terminated == "converged"
         assert not traj.stalled
-        assert traj.final_value > 1.0 - 1e-12
+        assert traj.final_value == 1.0
+        assert objective_uv(duality_map(traj.final_point), params) < 1e-40
         assert len(traj.iterates) - 1 <= 50
 
     def test_precision_floor_from_a_constructed_start(self):
         # A global-max frame nudged until its gradient norm is just above
-        # grad_tol: J sits within an ulp of 1, and the Cauchy step there
-        # predicts a gain far below 4 ulps of J.
+        # grad_tol: J sits within an ulp of 1, and 1 - J of the dual frame
+        # still resolves a Newton step to grad_tol.
         params = LandscapeParams(w=(0.0, 0.0, 0.9))
         cfg = OptimizerConfig(direction="maximize")
         top = critical_point(CriticalManifoldId(ManifoldTag.GLOBAL_MAX), params, seed=7)
@@ -226,11 +228,13 @@ class TestOptimize:
         traj = optimize(start, params, cfg)
         assert traj.terminated == "converged"
         assert not traj.stalled
-        assert traj.final_grad_norm >= cfg.grad_tol
+        assert traj.final_grad_norm < cfg.grad_tol
+        assert traj.final_value == 1.0
+        assert len(traj.iterates) - 1 == 1
 
     def test_failure_above_floor_stalls(self, monkeypatch):
-        # A gradient of the wrong sign makes every trial lose measurably:
-        # that is a stall, not the precision floor.
+        # A gradient of the wrong sign makes every trial lose measurably,
+        # so the radius collapses: that is a stall.
         monkeypatch.setattr(analysis, "_first_order", _wrong_sign(analysis._first_order))
         traj = optimize(random_kraus_point(seed=3), PARAMS05)
         assert traj.stalled
@@ -250,7 +254,8 @@ class TestTrustRegionStep:
 
     def test_interior_step_solves_the_newton_system(self):
         params, x, d, f, nb = self._near_max(1e-3)
-        eta, gain, boundary, curv = analysis._tcg(d, f, nb, np.array([2.0]), 1.0)
+        eta, gain, boundary = analysis._tcg(d, f, nb, np.array([2.0]))
+        curv = analysis._row_dot(d, _hess_vec(d, f, nb))
         assert not boundary[0] and curv[0] < 0.0
         hvp = _hess_vec(eta, f, nb)
         r0 = np.linalg.norm(d)
@@ -263,7 +268,7 @@ class TestTrustRegionStep:
     def test_boundary_step_has_the_radius(self):
         params, x, d, f, nb = self._near_max(1e-1)
         radius = np.array([1e-4])
-        eta, gain, boundary, _ = analysis._tcg(d, f, nb, radius, 1.0)
+        eta, gain, boundary = analysis._tcg(d, f, nb, radius)
         assert boundary[0]
         assert np.linalg.norm(eta) == pytest.approx(1e-4, rel=1e-12)
         assert gain[0] > 0.0
@@ -297,15 +302,16 @@ class TestEngine:
 
     def test_mixed_endings_in_one_batch(self):
         # At |w| = 0.9 with max_iters 6: start 0 reaches grad_tol after 5
-        # iterations, start 55 ends at the precision floor after 5, and
-        # start 5 is still running after 6.
+        # iterations, start 55 reaches it in the last of the 6, and start 5
+        # is still running after 6.
         params = LandscapeParams(w=(0.0, 0.0, 0.9))
         cfg = OptimizerConfig(max_iters=6)
         w0 = np.stack([random_kraus_point(seed=s).matrix for s in (0, 55, 5)])
         rows, converged, stalled, _ = analysis._descend(w0, params, cfg)
-        assert [len(r) - 1 for r in rows] == [5, 5, 6]
+        assert [len(r) - 1 for r in rows] == [5, 6, 6]
         assert rows[0][-1, 1] < cfg.grad_tol
-        assert rows[1][-1, 1] >= cfg.grad_tol
+        assert rows[1][-1, 1] < cfg.grad_tol
+        assert rows[2][-1, 1] >= cfg.grad_tol
         assert converged.tolist() == [True, True, False]
         assert not stalled.any()
         for i, (r1, c1, s1, _) in enumerate(descend_alone(w0, params, cfg)):
@@ -321,8 +327,8 @@ class TestEngine:
         iterations = []
         tcg, normals = analysis._tcg, analysis._normals
 
-        def counted_tcg(d, f, nb, radius, sgn):
-            out = tcg(d, f, nb, radius, sgn)
+        def counted_tcg(d, f, nb, radius):
+            out = tcg(d, f, nb, radius)
             iterations[-1].append((d.copy(), radius.copy(), out[1], out[2]))
             return out
 
@@ -385,6 +391,7 @@ class TestEngine:
             assert len(r) - 1 <= 25
             assert abs(r[-1, 0] - target) <= 1e-6
             assert (sgn * np.diff(r[:, 0]) >= 0).all()
+            assert ((0.0 <= r[:, 0]) & (r[:, 0] <= 1.0)).all()
 
     def test_haar_starts_equal_haar_frames(self):
         stack = analysis._haar_starts(17, 40)
