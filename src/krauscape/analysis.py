@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .landscape import (
     CriticalManifoldId,
@@ -70,7 +69,6 @@ from .stiefel import (
     _KRAUS_BLOCKS,
     KrausPoint,
     _check_frames,
-    _haar_frame,
     _kraus_points,
     _points_of,
     _qf,
@@ -494,129 +492,39 @@ def optimize(
 
 
 def _child_rng(seed: int, index: int) -> np.random.Generator:
+    """numpy's child stream (seed, index), the endpoint draws of ``levelset`` and ``scan``."""
     ss = np.random.SeedSequence(seed, spawn_key=(index,))
     return np.random.default_rng(ss)
 
 
-# NumPy's SeedSequence hash (NEP 19, numpy/random/bit_generator.pyx):
-# 32-bit multiply-xorshift words, a running multiplier per stage.
-_M32 = 0xFFFFFFFF
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+def _haar_starts(seed: int, n: int) -> np.ndarray:
+    """Haar frames of starts 0..n-1, the first n frames of one seeded stream.
 
-
-def _hash_consts(init: int, mult: int, count: int) -> list:
-    """The running hash multiplier: init, init*mult, ... (count + 1 values)."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _M32)
-    return out
-
-
-_HASH_A4 = _hash_consts(_HASH_INIT_A, _HASH_MULT_A, 20)  # a seed of <= 4 words
-_HASH_B = np.array(_hash_consts(_HASH_INIT_B, _HASH_MULT_B, 8), np.uint32)
-_HASH_B_XOR, _HASH_B_MUL = _HASH_B[:8].reshape(2, 4), _HASH_B[1:].reshape(2, 4)
-_POOL_PAIRS = [(None, src, dst) for src in range(4) for dst in range(4) if src != dst]
-
-
-def _seed_pool(seed: int):
-    """The pool of ``SeedSequence(seed, spawn_key=(i,))`` before i is mixed in.
-
-    The seed's little-endian 32-bit words, padded with zeros to the pool
-    size 4 (a spawned sequence always pads), are hashed into the pool and
-    cross-mixed; any words past the fourth are mixed into every pool
-    word.  None of this depends on i.  Returns the pool and the five
-    multipliers that mix the spawn word in.
+    The 32 normals of every start come from one
+    ``default_rng(seed).standard_normal((n, 2, 8, 2))`` draw, which one
+    batched QR finishes.  NumPy fills the draw in order, so start i is
+    the i-th Haar frame of the stream and the same for any n >= i + 1.
+    ``seed`` must be a non-negative integer; numpy integers are accepted.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    words = [seed & _M32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _M32)
-    words += [0] * (4 - len(words))
-    h = _HASH_A4 if len(words) == 4 else _hash_consts(
-        _HASH_INIT_A, _HASH_MULT_A, 4 * len(words) + 4)
-    pool = []
-    for k, w in enumerate(words[:4]):
-        v = (w ^ h[k]) * h[k + 1] & _M32
-        pool.append(v ^ v >> 16)
-    # Then hashmix(source) goes into pool[dst]: pool[src] for each ordered
-    # pair of pool words, then each extra seed word for every pool word.
-    k = 4
-    for w, src, dst in _POOL_PAIRS + [(w, 0, dst) for w in words[4:] for dst in range(4)]:
-        v = ((pool[src] if w is None else w) ^ h[k]) * h[k + 1] & _M32
-        r = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _M32
-        pool[dst] = r ^ r >> 16
-        k += 1
-    return pool, h[k:k + 5]
-
-
-def _child_words(seed: int, n: int) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)``, i < n.
-
-    Row i of the (n, 4) result.  The spawn word i (one 32-bit word, as
-    i < 2**32) is mixed into the seed's pool for all rows at once, and
-    the 8 output words are hashed from the pool, also for all rows.
-    """
-    pool, h = _seed_pool(seed)
-    h = np.array(h, np.uint32)
-    v = (np.arange(n, dtype=np.uint32)[:, None] ^ h[:4]) * h[1:]
-    v ^= v >> 16
-    p = np.array([_MIX_MULT_L * x & _M32 for x in pool], np.uint32) - v * _MIX_MULT_R
-    p ^= p >> 16
-    out = (p[:, None, :] ^ _HASH_B_XOR) * _HASH_B_MUL
-    out ^= out >> 16
-    # Pairs of 32-bit words are little-endian 64-bit words, as in NumPy.
-    return out.reshape(n, 8).astype("<u4", copy=False).view("<u8").astype(
-        np.uint64, copy=False)
-
-
-class _ChildSeed(ISeedSequence):
-    """Seeds a bit generator with a child's precomputed state words.
-
-    A bit generator seeds itself from whatever ``generate_state`` returns
-    (the ``ISeedSequence`` contract), so PCG64 seeded from this object is
-    PCG64 seeded from the child ``SeedSequence`` whose words it holds.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("child seed holds generate_state(4, np.uint64) only")
-        return self.words
-
-
-def _haar_starts(seed: int, n: int) -> np.ndarray:
-    """Haar frames of starts 0..n-1, each drawn from its own child stream.
-
-    Start i's stream is ``_child_rng(seed, i)``, built without a
-    ``SeedSequence`` per start: the seed's entropy pool is hashed once,
-    the spawn word i and the output hash run for all starts as uint32
-    arrays (:func:`_child_words`), and each start's PCG64 is seeded from
-    its own words through :class:`_ChildSeed`.  Those are the words the
-    child ``SeedSequence`` gives PCG64, so every stream is the same
-    generator, and frame i equals ``_haar_frame(8, 2, _child_rng(seed,
-    i))`` bitwise for any n.  A negative seed raises ``ValueError``.
-    The 32 normals of each start go into one (n, 2, 8, 2) buffer, which
-    one batched QR finishes.
-    """
-    words = _child_words(seed, n)
-    g = np.empty((n, 2, 8, 2))
-    for i in range(n):
-        np.random.Generator(np.random.PCG64(_ChildSeed(words[i]))).standard_normal(out=g[i])
+    g = np.random.default_rng(seed).standard_normal((n, 2, 8, 2))
     return _qf(g[:, 0] + 1j * g[:, 1])
 
 
 def rerun_start(
     params: LandscapeParams, seed: int, index: int, cfg: OptimizerConfig
 ) -> Trajectory:
-    """Re-run one multi-start member deterministically."""
-    start = KrausPoint.from_matrix(_haar_frame(8, 2, _child_rng(seed, index)))
+    """Re-run one multi-start member deterministically.
+
+    Redraws the campaign's first ``index + 1`` Haar frames
+    (:func:`_haar_starts`) and runs frame ``index``, so the run is bitwise
+    run ``index`` of any campaign of the same seed with more starts.
+    """
+    if index < 0:
+        raise ValueError(f"start index must be non-negative, got {index}")
+    start = KrausPoint.from_matrix(_haar_starts(seed, index + 1)[index])
     return optimize(start, params, cfg)
 
 
@@ -629,14 +537,10 @@ def multi_start(
 ) -> MultiStartReport:
     """Seeded Haar multi-start campaign with deterministic aggregation.
 
-    Start i uses the child stream of (seed, i), the generator
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, so a start's
-    frame does not depend on ``n_starts``.  The streams are built in one
-    pass (:func:`_haar_starts`): the seed is hashed once by NumPy's
-    ``SeedSequence`` rule, only the spawn word differs per start, and each
-    PCG64 is seeded from the same state words that the child
-    ``SeedSequence`` would give it, so the draws are exactly NumPy's.
-    ``seed`` must be a non-negative integer.  All starts
+    Start i is the i-th Haar frame of the one stream
+    ``default_rng(seed)``, all starts drawn in one pass
+    (:func:`_haar_starts`), so a start's frame does not depend on
+    ``n_starts``.  ``seed`` must be a non-negative integer.  All starts
     run as one (N, 8, 2) batch of the optimizer engine, whose rows do not
     depend on each other, so each run is bitwise the run of that start
     alone (:func:`rerun_start`); a maximize campaign runs as the minimize

@@ -31,10 +31,10 @@ from .stiefel import (
     KrausPoint,
     TangentBasis,
     TangentVector,
+    _frame_residuals,
     _haar_frame,
     _tangent_stack,
     _validate_blocks,
-    _worst_residual,
 )
 
 __all__ = [
@@ -217,21 +217,6 @@ class CriticalPointCertificate:
     eta3: complex
     stationarity_residual: float
     constraint_residual: float
-
-
-def _grad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
-    """Wirtinger gradient (derivative in the conjugated entries) on 8x2 frames.
-
-    Linear in ``w``; broadcasts over leading axes.
-    """
-    u1 = w[..., 0:4, 0]
-    u2 = w[..., 0:4, 1]
-    gamma = params.gamma
-    z0 = params.z0
-    g = np.zeros(w.shape, dtype=complex)
-    g[..., 0:4, 0] = 0.5 * ((1.0 + gamma) * u1 + np.conj(z0) * u2)
-    g[..., 0:4, 1] = 0.5 * (z0 * u1 + (1.0 - gamma) * u2)
-    return g
 
 
 def _right_factor(c: np.ndarray) -> np.ndarray:
@@ -417,10 +402,13 @@ def from_diag(d: DiagCoords, params: LandscapeParams) -> KrausPoint:
 
 
 def euclidean_gradient(p: KrausPoint, params: LandscapeParams):
-    """Wirtinger gradient blocks (dJ/du1*, dJ/du2*, 0, 0)."""
-    g = _grad_mat(p.matrix, params)
+    """Wirtinger gradient blocks (dJ/du1*, dJ/du2*, 0, 0).
+
+    The u-rows of P X N / 2, taken on the float view as U_r R(N) / 2.
+    """
+    g = (0.5 * (p.matrix[:4].view(np.float64) @ _weight_factor(params))).view(complex)
     zero = np.zeros(4, dtype=complex)
-    return g[0:4, 0], g[0:4, 1], zero, zero.copy()
+    return g[:, 0], g[:, 1], zero, zero.copy()
 
 
 def riemannian_gradient(p: KrausPoint, params: LandscapeParams) -> TangentVector:
@@ -643,23 +631,26 @@ def lagrange_certificate(
                eta3 v1 + eta2 v2 = 0
 
     with eta1, eta2 real and eta3 complex, that is G + X L = 0 for the
-    frame X, the gradient G and the Hermitian L = [[eta1, eta3],
+    frame X, the gradient G = P X N / 2 and the Hermitian L = [[eta1, eta3],
     [conj(eta3), eta2]].  Since X^H X = I, the least-squares multipliers
-    are L = -sym(X^H G) in closed form; ``stationarity_residual`` is
-    |G + X L| and is small exactly at critical points.
+    are L = -sym(X^H G) = -S / 2 in closed form, S = sym(X^H P X N), read
+    from the v-row block -R(S) of :func:`_first_order`'s factor; G + X L
+    is half the Riemannian gradient, so ``stationarity_residual`` is
+    half its norm and is small exactly at critical points.
+    ``constraint_residual`` is the largest entry of |X^H X - I|.
     """
     w = p.matrix
-    g = _grad_mat(w, params)
-    s = w.conj().T @ g
-    lam = -0.5 * (s + s.conj().T)
-    residual = float(np.linalg.norm(g + w @ lam))
+    xr = w.view(np.float64)
+    rn = _weight_factor(params)
+    grad, f = _first_order(xr, _gram(xr, rn), rn)
+    lam = 0.5 * f[1]  # R(L) = -R(S) / 2
     return CriticalPointCertificate(
         point=p,
-        eta1=float(lam[0, 0].real),
-        eta2=float(lam[1, 1].real),
-        eta3=complex(lam[0, 1]),
-        stationarity_residual=residual,
-        constraint_residual=_worst_residual(p.u1, p.u2, p.v1, p.v2),
+        eta1=float(lam[0, 0]),
+        eta2=float(lam[2, 2]),
+        eta3=complex(lam[0, 2], lam[0, 3]),
+        stationarity_residual=0.5 * float(np.linalg.norm(grad.view(complex))),
+        constraint_residual=float(_frame_residuals(w[None])[0]),
     )
 
 

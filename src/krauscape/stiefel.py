@@ -45,13 +45,8 @@ def _as_c4(a, what: str) -> np.ndarray:
     return v
 
 
-def _worst_residual(u1, u2, v1, v2) -> float:
-    phi1, phi2, phi3 = constraint_residuals(u1, u2, v1, v2)
-    return max(abs(phi1), abs(phi2), abs(phi3))
-
-
 def _frame_residuals(frames: np.ndarray) -> np.ndarray:
-    """Largest entry of |X^H X - I| of every frame of an (M, 8, 2) stack.
+    """Largest entry of |X^H X - I| of every frame of an (M, n, 2) stack.
 
     Only real elementwise products and sums over the last axis are used,
     so a frame's residual is bitwise the same alone and in any stack.
@@ -142,13 +137,12 @@ class StiefelPoint:
 
     def __post_init__(self):
         _require_two_columns(self.k)
-        f = np.array(self.frame, dtype=complex)
+        f = np.array(self.frame, dtype=complex, order="C")
         if f.shape != (self.n, self.k):
             raise ValueError(f"frame must have shape {(self.n, self.k)}, got {f.shape}")
         if not np.all(np.isfinite(f.real)) or not np.all(np.isfinite(f.imag)):
             raise ValueError("frame contains non-finite entries")
-        gram = f.conj().T @ f
-        if np.abs(gram - np.eye(self.k)).max() > 1e-10:
+        if not _frame_residuals(f[None])[0] <= 1e-10:
             raise ValueError("frame columns are not orthonormal within 1e-10")
         f.setflags(write=False)
         object.__setattr__(self, "frame", f)
@@ -216,11 +210,7 @@ class TangentVector:
             raise ValueError("tangent delta shape does not match the base frame")
         if not np.isfinite(d).all():
             raise ValueError("tangent delta contains non-finite entries")
-        x = self.base.frame
-        sym = x.conj().T @ d
-        sym = sym + sym.conj().T
-        if not (np.abs(sym).max() <= 1e-10):
-            raise ValueError("delta is not tangent at the base point within 1e-10")
+        _check_tangent(self.base.frame, d[None], "delta")
         d.setflags(write=False)
         object.__setattr__(self, "delta", d)
 
@@ -271,13 +261,23 @@ def _check_tangent_stack(frame: np.ndarray, stack: np.ndarray) -> None:
     parts = stack.view(np.float64).reshape(m, -1)
     if not np.isfinite(parts).all():
         raise ValueError("basis vector contains non-finite entries")
-    # Axes: frame column, delta, delta column; all X^H D in one product.
-    s = (frame.conj().T @ stack.transpose(1, 0, 2).reshape(n, m * k)).reshape(k, m, k)
-    if not (np.abs(s + s.transpose(2, 1, 0).conj()).max() <= 1e-10):
-        raise ValueError("basis vector is not tangent at the base point within 1e-10")
+    _check_tangent(frame, stack, "basis vector")
     # Re<D_i, D_j> is the real dot product of the real and imaginary parts.
     if not (np.abs(parts @ parts.T - np.eye(m)).max() <= 1e-10):
         raise ValueError("tangent basis is not orthonormal within 1e-10")
+
+
+def _check_tangent(frame: np.ndarray, stack: np.ndarray, what: str) -> None:
+    """Check that every delta D of a (dim, n, k) stack is tangent at the frame X.
+
+    The one tangency rule: the entries of X^H D + D^H X within 1e-10, a
+    NaN failing.  ``what`` names a delta in the error.
+    """
+    m, n, k = stack.shape
+    # Axes: frame column, delta, delta column; all X^H D in one product.
+    s = (frame.conj().T @ stack.transpose(1, 0, 2).reshape(n, m * k)).reshape(k, m, k)
+    if not (np.abs(s + s.transpose(2, 1, 0).conj()).max() <= 1e-10):
+        raise ValueError(f"{what} is not tangent at the base point within 1e-10")
 
 
 def constraint_residuals(u1, u2, v1, v2) -> tuple[float, float, complex]:
@@ -297,17 +297,20 @@ def constraint_residuals(u1, u2, v1, v2) -> tuple[float, float, complex]:
 
 
 def kraus_to_point(k: KrausSet) -> KrausPoint:
-    """Stack operator entries into frame coordinates, padding to four operators."""
-    res = np.zeros((4, 4), dtype=complex)  # rows: u1, u2, v1, v2
+    """Stack operator entries into frame coordinates, padding to four operators.
+
+    Row i of the frame is the first row of operator i, and row 4 + i its
+    second row.  A frame that fails the rule of ``KrausPoint`` raises
+    ``CompletenessError`` with its largest entry of |X^H X - I|.
+    """
+    frame = np.zeros((2, 4, 2), dtype=complex)
     for idx, op in enumerate(k.operators):
-        res[0, idx] = op[0, 0]
-        res[1, idx] = op[0, 1]
-        res[2, idx] = op[1, 0]
-        res[3, idx] = op[1, 1]
+        frame[:, idx] = op
+    frame = frame.reshape(8, 2)
     try:
-        return KrausPoint(u1=res[0], u2=res[1], v1=res[2], v2=res[3])
+        return KrausPoint.from_matrix(frame)
     except ValueError:
-        raise CompletenessError(_worst_residual(*res), k.tol) from None
+        raise CompletenessError(float(_frame_residuals(frame[None])[0]), k.tol) from None
 
 
 def _kraus_points(frames: np.ndarray) -> tuple:

@@ -40,6 +40,7 @@ from krauscape.landscape import (
 )
 from krauscape.stiefel import (
     KrausPoint,
+    _haar_frame,
     _project_mat,
     _qf,
     constraint_residuals,
@@ -340,7 +341,9 @@ class TestEngine:
         monkeypatch.setattr(analysis, "_normals", counted_normals)
         params = LandscapeParams(w=NEARPURE_W[1])
         cfg = OptimizerConfig()
-        w0 = analysis._haar_starts(0, 8)
+        # The frames of numpy's child streams (0, i): a batch in which some
+        # iterations mix first-trial accepts with retries.
+        w0 = np.stack([_haar_frame(8, 2, analysis._child_rng(0, i)) for i in range(8)])
         n = len(w0)
         rows, converged, stalled, frames = analysis._descend(w0, params, cfg, keep_frames=True)
         assert converged.all() and not stalled.any()
@@ -393,31 +396,9 @@ class TestEngine:
             assert (sgn * np.diff(r[:, 0]) >= 0).all()
             assert ((0.0 <= r[:, 0]) & (r[:, 0] <= 1.0)).all()
 
-    def test_haar_starts_equal_haar_frames(self):
-        stack = analysis._haar_starts(17, 40)
-        for i in range(40):
-            frame = analysis._haar_frame(8, 2, analysis._child_rng(17, i))
-            assert np.array_equal(stack[i], frame)
-
-
-# One to five 32-bit entropy words, on both sides of each word boundary.
-STREAM_SEEDS = [0, 1, 2**31 - 2, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 9, 2**73 + 12345,
-                2**96, 2**100 + 3, 2**128 + 1, 2**159 + 7]
-
 
 class TestChildStreams:
-    """The one-pass Haar starts against numpy's SeedSequence and PCG64."""
-
-    @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_streams_are_numpy_child_streams(self, seed):
-        for n in (1, 2, 40, 300):
-            words = analysis._child_words(seed, n)
-            stack = analysis._haar_starts(seed, n)
-            for i in range(n):
-                child = np.random.SeedSequence(seed, spawn_key=(i,))
-                assert np.array_equal(words[i], child.generate_state(4, np.uint64))
-                frame = analysis._haar_frame(8, 2, analysis._child_rng(seed, i))
-                assert np.array_equal(stack[i].view(float), frame.view(float))
+    """The Haar starts of a campaign: the leading frames of one seeded stream."""
 
     @pytest.mark.parametrize("seed", [3, 2**64 + 9, 2**100 + 3])
     def test_prefix_of_a_longer_campaign(self, seed):
@@ -445,10 +426,27 @@ class TestChildStreams:
         assert report.final_values[1] == rerun_start(
             PARAMS05, 10**26, 1, OptimizerConfig()).final_value
 
-    def test_child_seed_serves_only_pcg64_words(self):
-        seed = analysis._ChildSeed(analysis._child_words(5, 1)[0])
-        with pytest.raises(ValueError, match="generate_state"):
-            seed.generate_state(8, np.uint32)
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_rerun_is_the_campaign_run(self, direction):
+        # rerun_start(seed, i) redraws i + 1 frames; its run must be run i
+        # of the 40-start campaign bitwise, and the campaign's run i must
+        # be the rerun's.
+        cfg = OptimizerConfig(direction=direction)
+        rows, converged, stalled, frames = analysis._descend(
+            analysis._haar_starts(13, 40), PARAMS05, cfg, keep_frames=True)
+        report = multi_start(PARAMS05, 40, 13, cfg)
+        for i in (0, 17, 39):
+            traj = rerun_start(PARAMS05, 13, i, cfg)
+            assert np.array_equal(np.array([(v, g) for _, v, g in traj.iterates]), rows[i])
+            assert np.array_equal(np.stack([p.matrix for p, _, _ in traj.iterates]), frames[i])
+            assert (traj.terminated == "converged") == converged[i]
+            assert traj.stalled == stalled[i]
+            assert report.final_values[i] == traj.final_value
+            assert report.iterations[i] == len(traj.iterates) - 1
+
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(ValueError, match="start index must be non-negative"):
+            rerun_start(PARAMS05, 0, -1, OptimizerConfig())
 
 
 class TestMultiStart:

@@ -6,7 +6,6 @@ import pytest
 from krauscape.landscape import (
     _critical_diag_blocks,
     _first_order,
-    _grad_mat,
     _gram,
     _gram_value,
     _hess_vec,
@@ -555,13 +554,6 @@ class TestMorse:
             p = critical_point(CriticalManifoldId(tag), params, seed=seed)
             assert morse_signature(hessian_form(p, params)) == expected
 
-    def test_grad_mat_broadcasts_bitwise(self):
-        params = LandscapeParams(w=BlochVector(0.3, -0.4, 0.2))
-        stack = np.stack([random_kraus_point(seed=s).matrix for s in range(4)])
-        batched = _grad_mat(stack, params)
-        for frame, g in zip(stack, batched):
-            assert np.array_equal(_grad_mat(frame, params), g)
-
     def test_hessian_form_keeps_its_arithmetic(self):
         # The Morse Hessian is the optimizer's Hessian-vector kernel applied
         # to the tangent stack: bitwise the products H_ij = <t_i, Hess J[t_j]>,
@@ -582,8 +574,13 @@ class TestMorse:
                 out = tr @ _hvp(x, t, params).view(np.float64).reshape(28, 32).T
                 h = hessian_form(p, params)
                 assert np.array_equal(h, 0.5 * (out + out.T))
-                s = x.conj().T @ (2.0 * _grad_mat(x, params))
-                hess_t = 2.0 * _grad_mat(t, params) - t @ (0.5 * (s + s.conj().T))
+                # The Euclidean gradient P X N, on X and on every delta.
+                n = np.array([[1 + params.gamma, params.z0],
+                              [np.conj(params.z0), 1 - params.gamma]])
+                p_x_n, p_t_n = x @ n, t @ n
+                p_x_n[4:], p_t_n[:, 4:] = 0.0, 0.0
+                s = x.conj().T @ p_x_n
+                hess_t = p_t_n - t @ (0.5 * (s + s.conj().T))
                 ref = np.einsum("inj,mnj->im", t.conj(), hess_t).real
                 assert np.abs(h - 0.5 * (ref + ref.T)).max() <= 1e-14
 
@@ -662,7 +659,10 @@ class TestCertificates:
         for seed in range(20):
             params = LandscapeParams(w=BlochVector(*(0.5 * rng.uniform(-1.0, 1.0, 3))))
             p = random_kraus_point(seed=100 + seed)
-            g = _grad_mat(p.matrix, params)
+            # The Wirtinger gradient P X N / 2 on the u-rows.
+            n = np.array([[1 + params.gamma, params.z0],
+                          [np.conj(params.z0), 1 - params.gamma]])
+            g = 0.5 * (p.matrix[0:4] @ n)
             zero = np.zeros(4, dtype=complex)
             cols = np.column_stack([
                 np.concatenate([p.u1, zero, p.v1, zero]),
