@@ -491,12 +491,6 @@ def optimize(
     )
 
 
-def _child_rng(seed: int, index: int) -> np.random.Generator:
-    """numpy's child stream (seed, index), the endpoint draws of ``levelset`` and ``scan``."""
-    ss = np.random.SeedSequence(seed, spawn_key=(index,))
-    return np.random.default_rng(ss)
-
-
 def _haar_starts(seed: int, n: int) -> np.ndarray:
     """Haar frames of starts 0..n-1, the first n frames of one seeded stream.
 
@@ -598,7 +592,7 @@ def classify_critical(p: KrausPoint, params: LandscapeParams):
     label = _classify(np.reshape(_objective_mat(w, params), 1), np.reshape(gnorm, 1),
                       params)[0]
     labels = ("non-critical", "ambiguous") + tuple(
-        CriticalManifoldId(tag) for tag, _, _ in _critical_manifolds(params))
+        CriticalManifoldId(tag) for tag, _, _, _ in _critical_manifolds(params))
     return labels[label]
 
 
@@ -617,7 +611,7 @@ def _classify(values: np.ndarray, gnorms: np.ndarray, params: LandscapeParams):
     when another candidate lies within 2e-6 of it, near the fully mixed
     state and near the pure states alike (see :func:`classify_critical`).
     """
-    cand = np.array([value for _, value, _ in _critical_manifolds(params)])
+    cand = np.array([value for _, value, _, _ in _critical_manifolds(params)])
     order = np.argsort(cand, kind="stable")
     diff = np.abs(values[:, None] - cand[order])
     best = order[diff.argmin(axis=1)]

@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +32,14 @@ from .analysis import (
     OptimizerConfig,
     multi_start,
     level_transfer,
-    _child_rng,
+    _haar_starts,
     _witness,
 )
 from .landscape import (
     CriticalManifoldId,
     LandscapeParams,
     ManifoldTag,
+    _critical_frames,
     _hessian,
     _quotient_value,
     critical_point,
@@ -59,7 +59,6 @@ from .qcore import (
     _dilation_residual,
     bloch_to_density,
     dilate,
-    kraus_conjugate,
     objective_trace,
     reduce_target,
 )
@@ -73,24 +72,7 @@ from .stiefel import (
     real_inner,
 )
 
-__all__ = ["main", "GridSpec"]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Two-axis tangent slice: per-axis sample counts and scalar ranges."""
-
-    count1: int
-    count2: int
-    range1: float
-    range2: float
-
-    def __post_init__(self):
-        if self.count1 < 2 or self.count2 < 2:
-            raise ValueError("grid counts must be at least 2")
-        for r in (self.range1, self.range2):
-            if not (math.isfinite(r) and r > 0):
-                raise ValueError("grid ranges must be finite and positive")
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +282,9 @@ def _cmd_evaluate(args) -> int:
     k = kraus_from_dict(_load_json(args.infile))
     theta = theta_from_dict(_load_json(args.theta)) if args.theta else THETA0
     scale, offset, basis = reduce_target(theta)
-    reduced = kraus_conjugate(k, basis)
+    # Tr[Phi(rho) Theta] = scale Tr[Phi'(rho) diag(1, 0)] + offset for the
+    # channel K' = U^H K, which rotates the output only, not the input.
+    reduced = KrausSet(tuple(basis.conj().T @ op for op in k.operators), tol=k.tol)
     p = kraus_to_point(reduced)
     j_trace = objective_trace(k, bloch_to_density(params.w), theta)
     j_uv = scale * objective_uv(p, params) + offset
@@ -457,15 +441,19 @@ def _cmd_morse(args) -> int:
 
 
 def _levelset_endpoints(params: LandscapeParams, mu: float, seed: int):
+    """The two endpoints of ``levelset``: frames 0 and 1 of ``default_rng(seed)``.
+
+    Inside (0, 1) they are the level transfers of the Haar frames
+    :func:`_haar_starts` ``(seed, 2)``; at an extreme level, within 1e-9
+    of 0 or 1, they are the frames :func:`_critical_frames` draws on that
+    extreme's sub-manifold.
+    """
     if mu >= 1.0 - 1e-9 or mu <= 1e-9:
         tag = ManifoldTag.GLOBAL_MAX if mu >= 0.5 else ManifoldTag.GLOBAL_MIN
-        mid = CriticalManifoldId(tag)
-        return (
-            critical_point(mid, params, seed=2 * seed),
-            critical_point(mid, params, seed=2 * seed + 1),
-        )
-    a = KrausPoint.from_matrix(_haar_frame(8, 2, _child_rng(seed, 0)))
-    b = KrausPoint.from_matrix(_haar_frame(8, 2, _child_rng(seed, 1)))
+        frames = _critical_frames(CriticalManifoldId(tag), params,
+                                  np.random.default_rng(seed), 2)
+        return tuple(map(KrausPoint.from_matrix, frames))
+    a, b = map(KrausPoint.from_matrix, _haar_starts(seed, 2))
     return level_transfer(a, params, mu), level_transfer(b, params, mu)
 
 
@@ -542,16 +530,18 @@ def _cmd_dilate(args) -> int:
 
 def _cmd_scan(args) -> int:
     params = _parse_w(args.w)
-    grid = GridSpec(
-        count1=args.grid, count2=args.grid, range1=args.range, range2=args.range
-    )
+    if args.grid < 2:
+        raise ValueError("grid counts must be at least 2")
+    if not (math.isfinite(args.range) and args.range > 0):
+        raise ValueError("grid ranges must be finite and positive")
+    # The base frame, then the two directions, from the one stream.
+    rng = np.random.default_rng(args.seed)
     if args.manifold:
         mid = _parse_manifold(args.manifold, args.z)
-        base = critical_point(mid, params, seed=2 * args.seed)
+        base = _critical_frames(mid, params, rng, 1)[0]
     else:
-        base = KrausPoint.from_matrix(_haar_frame(8, 2, _child_rng(args.seed, 0)))
-    w0 = base.matrix
-    rng = _child_rng(args.seed, 1)
+        base = _haar_frame(8, 2, rng)
+    w0 = KrausPoint.from_matrix(base).matrix
     dirs = []
     for _ in range(2):
         raw = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
@@ -563,15 +553,14 @@ def _cmd_scan(args) -> int:
             raise ValueError("degenerate tangent directions; change the seed")
         dirs.append(d / norm)
     d1, d2 = dirs
-    s1 = np.linspace(-grid.range1, grid.range1, grid.count1)
-    s2 = np.linspace(-grid.range2, grid.range2, grid.count2)
+    s1 = s2 = np.linspace(-args.range, args.range, args.grid)
     values = _scan_values(w0, d1, d2, s1, s2, params)
     if args.format == "json":
         payload = {
             "w": [params.w.alpha, params.w.beta, params.w.gamma],
             "seed": args.seed,
-            "grid": [grid.count1, grid.count2],
-            "range": [grid.range1, grid.range2],
+            "grid": [args.grid, args.grid],
+            "range": [args.range, args.range],
             "rows": [[a, b, c] for (a, b), c in zip(
                 itertools.product(s1.tolist(), s2.tolist()), values.ravel().tolist())],
         }

@@ -3,9 +3,9 @@
 The yield J = tr(M N) / 2 in channel coordinates (M = U^H U, the Gram
 matrix of the frame's u-rows; N the 2x2 state matrix) and in the
 diagonal coordinates of N's eigenbasis (:func:`coord_change`); one
-table of each state's critical sub-manifolds with their values and
-Morse signatures (:func:`_critical_manifolds`), which the predictions,
-the critical-point constructor and the classifier read; Wirtinger
+table of each state's critical sub-manifolds with their values, Morse
+signatures and block masks (:func:`_critical_manifolds`), which the
+predictions, the critical-frame draw and the classifier read; Wirtinger
 gradients, the closed-form Riemannian Hessian on the constraint
 manifold, stationarity certificates, and the value-reversing duality.
 
@@ -32,7 +32,7 @@ from .stiefel import (
     TangentBasis,
     TangentVector,
     _frame_residuals,
-    _haar_frame,
+    _qf,
     _tangent_stack,
     _validate_blocks,
 )
@@ -423,21 +423,31 @@ def riemannian_gradient(p: KrausPoint, params: LandscapeParams) -> TangentVector
 
 
 def _critical_manifolds(params: LandscapeParams) -> tuple:
-    """The state's critical sub-manifolds as (tag, value, signature) rows.
+    """The state's critical sub-manifolds as (tag, value, signature, mask) rows.
 
     The extremes come first, J = 0 and 1 with no saddle signature (None);
     then the saddles: the mixed saddle at 1/2 for the fully mixed state,
     the paired saddles at lambda_-/+ for a partially mixed one, and none
-    for a pure state.
+    for a pure state.  In N's eigenbasis a sub-manifold is the set of
+    frames X B whose blocks, (u-rows, v-rows) by (column 0, column 1),
+    vanish where the 2x2 ``mask`` is 0: its u-row Gram matrix is 0 or I
+    at the extremes, and P_- or P_+ at the saddles.  A pure state has
+    lambda_- = 0, so one more block is free at its extremes: ut2 at the
+    minimum and vt2 at the maximum.  The mixed saddle's mask is that of
+    its boundary chart z = None.
     """
-    rows = ((ManifoldTag.GLOBAL_MIN, 0.0, None), (ManifoldTag.GLOBAL_MAX, 1.0, None))
     case = params.case
+    free = int(case == 3)
+    low, high = ((0, free), (1, 1)), ((1, 1), (0, free))
+    minus, plus = ((0, 1), (1, 0)), ((1, 0), (0, 1))
+    rows = ((ManifoldTag.GLOBAL_MIN, 0.0, None, low),
+            (ManifoldTag.GLOBAL_MAX, 1.0, None, high))
     if case == 1:
-        return rows + ((ManifoldTag.MIXED_SADDLE, 0.5, MorseSignature(6, 6, 16)),)
+        return rows + ((ManifoldTag.MIXED_SADDLE, 0.5, MorseSignature(6, 6, 16), minus),)
     if case == 2:
         return rows + (
-            (ManifoldTag.SADDLE_MINUS, params.lambda_minus, MorseSignature(8, 6, 14)),
-            (ManifoldTag.SADDLE_PLUS, params.lambda_plus, MorseSignature(6, 8, 14)),
+            (ManifoldTag.SADDLE_MINUS, params.lambda_minus, MorseSignature(8, 6, 14), minus),
+            (ManifoldTag.SADDLE_PLUS, params.lambda_plus, MorseSignature(6, 8, 14), plus),
         )
     return rows
 
@@ -458,7 +468,7 @@ def _manifold_row(mid: CriticalManifoldId, params: LandscapeParams) -> tuple:
 
 def saddle_values(params: LandscapeParams) -> tuple[float, ...]:
     """Critical values strictly between the extremes, possibly empty."""
-    return tuple(value for _, value, _ in _critical_manifolds(params)[2:])
+    return tuple(row[1] for row in _critical_manifolds(params)[2:])
 
 
 def predicted_value(mid: CriticalManifoldId, params: LandscapeParams) -> float:
@@ -476,50 +486,27 @@ def predicted_morse(mid: CriticalManifoldId, params: LandscapeParams) -> MorseSi
     return signature
 
 
-def _haar_unit(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return v / np.linalg.norm(v)
+def _critical_frames(mid: CriticalManifoldId, params: LandscapeParams,
+                     rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next ``n`` random frames of ``rng`` on a critical sub-manifold, (n, 8, 2).
 
-
-def _critical_diag_blocks(
-    mid: CriticalManifoldId, params: LandscapeParams, rng: np.random.Generator
-):
-    """Diagonal-coordinate blocks of a random point on the sub-manifold."""
-    zero = np.zeros(4, dtype=complex)
-    tag = mid.tag
-    case = params.case
-    if tag == ManifoldTag.GLOBAL_MIN:
-        if case == 3:
-            vt1 = _haar_unit(rng)
-            ut2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            vt2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            vt2 = vt2 - vt1 * np.vdot(vt1, vt2)
-            scale = math.sqrt(np.vdot(ut2, ut2).real + np.vdot(vt2, vt2).real)
-            return zero, ut2 / scale, vt1, vt2 / scale
-        frame = _haar_frame(4, 2, rng)
-        return zero, zero.copy(), frame[:, 0], frame[:, 1]
-    if tag == ManifoldTag.GLOBAL_MAX:
-        if case == 3:
-            ut1 = _haar_unit(rng)
-            ut2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            ut2 = ut2 - ut1 * np.vdot(ut1, ut2)
-            vt2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            scale = math.sqrt(np.vdot(ut2, ut2).real + np.vdot(vt2, vt2).real)
-            return ut1, ut2 / scale, zero, vt2 / scale
-        frame = _haar_frame(4, 2, rng)
-        return frame[:, 0], frame[:, 1], zero, zero.copy()
-    if tag == ManifoldTag.SADDLE_MINUS:
-        return zero, _haar_unit(rng), _haar_unit(rng), zero.copy()
-    if tag == ManifoldTag.SADDLE_PLUS:
-        return _haar_unit(rng), zero, zero.copy(), _haar_unit(rng)
-    # Mixed saddle of the fully mixed state.
+    One ``rng.standard_normal((n, 2, 8, 2))`` draw, the real then the
+    imaginary parts, is zeroed off the row's block mask
+    (:func:`_critical_manifolds`) and finished by one batched QR; an
+    off-mask block stays exactly zero through it.  The frames in N's
+    eigenbasis turn back by B^H (:func:`coord_change`), or, on the mixed
+    saddle's chart z, by s [[-conj(z), 1], [1, z]] with
+    s = 1 / sqrt(1 + |z|^2), which maps the boundary chart's blocks
+    (0, a, b, 0) to (s a, z s a, -conj(z) s b, s b); B is I there.  A tag
+    the state has no row for raises :class:`IllegalManifoldError`.
+    """
+    mask = np.repeat(_manifold_row(mid, params)[3], 4, axis=0)
+    g = rng.standard_normal((n, 2, 8, 2)) * mask
+    q = _qf(g[:, 0] + 1j * g[:, 1])
     if mid.z is None:
-        return zero, _haar_unit(rng), _haar_unit(rng), zero.copy()
-    z = complex(mid.z)
-    a = _haar_unit(rng)
-    b = _haar_unit(rng)
-    s = 1.0 / math.sqrt(1.0 + abs(z) ** 2)
-    return s * a, z * s * a, -np.conj(z) * s * b, s * b
+        return q @ coord_change(params).conj().T
+    s = 1.0 / math.sqrt(1.0 + abs(mid.z) ** 2)
+    return q @ (s * np.array([[-mid.z.conjugate(), 1.0], [1.0, mid.z]]))
 
 
 def critical_point(
@@ -527,20 +514,16 @@ def critical_point(
 ) -> KrausPoint:
     """Exact random point on a critical sub-manifold.
 
-    The seed picks the free directions within the sub-manifold; the
-    construction itself is exact, so the Riemannian gradient vanishes to
-    rounding error.  The diagonal blocks fill one 8x2 frame d, the point
-    is d B^H with B = :func:`coord_change`, and the frame is checked once,
-    as :meth:`KrausPoint.from_matrix` checks every frame; the point is
-    bitwise the one of :func:`from_diag` on the same blocks.  A tag the
-    state has no row for in its table of critical manifolds raises
+    The first frame of :func:`_critical_frames` for the stream
+    ``default_rng(seed)``: the seed picks the free directions within the
+    sub-manifold, and the construction is exact, so the Riemannian
+    gradient vanishes to rounding error.  The frame is checked once, as
+    :meth:`KrausPoint.from_matrix` checks every frame.  A tag the state
+    has no row for in its table of critical manifolds raises
     :class:`IllegalManifoldError`.
     """
-    _manifold_row(mid, params)
-    rng = np.random.default_rng(seed)
-    d = np.empty((8, 2), dtype=complex)
-    d[:4, 0], d[:4, 1], d[4:, 0], d[4:, 1] = _critical_diag_blocks(mid, params, rng)
-    return KrausPoint.from_matrix(d @ coord_change(params).conj().T)
+    return KrausPoint.from_matrix(
+        _critical_frames(mid, params, np.random.default_rng(seed), 1)[0])
 
 
 def morse_signature(h: np.ndarray, zero_tol: float = 1e-12) -> MorseSignature:

@@ -341,9 +341,11 @@ class TestEngine:
         monkeypatch.setattr(analysis, "_normals", counted_normals)
         params = LandscapeParams(w=NEARPURE_W[1])
         cfg = OptimizerConfig()
-        # The frames of numpy's child streams (0, i): a batch in which some
-        # iterations mix first-trial accepts with retries.
-        w0 = np.stack([_haar_frame(8, 2, analysis._child_rng(0, i)) for i in range(8)])
+        # The Haar frames of numpy's child streams (0, i): a batch in which
+        # some iterations mix first-trial accepts with retries.
+        w0 = np.stack([
+            _haar_frame(8, 2, np.random.default_rng(np.random.SeedSequence(0, spawn_key=(i,))))
+            for i in range(8)])
         n = len(w0)
         rows, converged, stalled, frames = analysis._descend(w0, params, cfg, keep_frames=True)
         assert converged.all() and not stalled.any()
@@ -632,7 +634,7 @@ class TestClassifyRows:
         gnorms = [0.0, 1e-9, np.nextafter(1e-6, 0.0), 1e-6, np.nextafter(1e-6, 1.0), 1e-3]
         v, g = (a.ravel() for a in np.meshgrid(values, gnorms))
         labels = ["non-critical", "ambiguous"] + [
-            CriticalManifoldId(t) for t, _, _ in _critical_manifolds(params)]
+            CriticalManifoldId(t) for t, _, _, _ in _critical_manifolds(params)]
         got = [labels[i] for i in analysis._classify(v, g, params)]
         expected = [_classify_scalar(a, b, params) for a, b in zip(v.tolist(), g.tolist())]
         assert got == expected
@@ -766,7 +768,7 @@ class TestLevelTransfer:
         # The scaled stall test still refuses every critical start, at
         # least 1e-12 even on a pure state, far above their gradients.
         params = LandscapeParams(w=w)
-        for tag, _, _ in _critical_manifolds(params):
+        for tag, _, _, _ in _critical_manifolds(params):
             for seed in range(10):
                 p = critical_point(CriticalManifoldId(tag), params, seed=seed)
                 for mu in (0.3, 0.6):

@@ -9,18 +9,28 @@ import pytest
 import krauscape.analysis as analysis
 import krauscape.cli as cli
 import krauscape.stiefel as stiefel
-from krauscape.analysis import OptimizerConfig, _chord, levelset_connect, rerun_start
+from krauscape.analysis import (
+    FlowStallError,
+    OptimizerConfig,
+    _chord,
+    _haar_starts,
+    level_transfer,
+    levelset_connect,
+    rerun_start,
+)
 from krauscape.cli import csv_lines, kraus_to_dict, main, point_to_dict
 from krauscape.landscape import (
     CriticalManifoldId,
     LandscapeParams,
     ManifoldTag,
+    _critical_frames,
     _objective_mat,
     critical_point,
     objective_uv,
     riemannian_gradient,
 )
 from krauscape.qcore import KrausSet, bloch_to_density, dilate, verify_dilation
+from krauscape.stiefel import KrausPoint
 
 IDENT = np.eye(2, dtype=complex)
 DEPHASE = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
@@ -90,6 +100,26 @@ class TestEvaluate:
         assert lines[0] == "key,value"
         table = dict(line.split(",", 1) for line in lines[1:])
         assert float(table["j_trace"]) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("w", ["0,0,0.5", "0.3,-0.4,0.2"])
+    def test_target_forms_agree(self, tmp_path, w, capsys):
+        # The frame form reduces Tr[Phi(rho) Theta] by rotating the channel's
+        # output into Theta's eigenbasis, for any Hermitian target.
+        a, b = np.sqrt(0.7), np.sqrt(0.3)
+        damping = KrausSet((np.array([[1.0, 0.0], [0.0, a]]),
+                            np.array([[0.0, b], [0.0, 0.0]])))
+        kraus = write_json(tmp_path / "damping.json", kraus_to_dict(damping))
+        g = np.random.default_rng(8).standard_normal((2, 2, 2))
+        g = g[0] + 1j * g[1]
+        targets = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                   np.diag([0.0, 1.0]), g + g.conj().T)
+        for theta in targets:
+            entries = [[[z.real, z.imag] for z in row] for row in np.asarray(theta, complex)]
+            path = write_json(tmp_path / "theta.json", {"entries": entries})
+            assert main(["evaluate", "--in", kraus, "--w", w, "--theta", path]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["residual_trace_uv"] <= 1e-12
+            assert report["residual_uv_diag"] <= 1e-12
 
     def test_infeasible_file(self, bad_file, capsys):
         code = main(["evaluate", "--in", bad_file, "--w", "0,0,0.5"])
@@ -386,6 +416,20 @@ class TestMorse:
         point = critical_point(cli._parse_manifold(manifold, None), params, seed=seed)
         assert report["grad_norm"] == riemannian_gradient(point, params).norm()
 
+    def test_csv_rows(self, capsys):
+        argv = ["morse", "--w", "0,0,0.5", "--seed", "3", "--manifold", "saddle-minus"]
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert lines[0] == "key,value"
+        assert lines[1:] == [
+            "manifold,saddle-minus",
+            "predicted_positive,8", "predicted_negative,6", "predicted_zero,14",
+            "computed_positive,8", "computed_negative,6", "computed_zero,14",
+            "match,true", "grad_norm,%.17g" % report["grad_norm"],
+        ]
+
     def test_invalid_zero_tol_exits_2(self, capsys):
         for value in ("nan", "-1"):
             code = main(
@@ -557,8 +601,9 @@ class TestLevelset:
 
     def test_first_pass_counts_against_the_node_budget(self, monkeypatch):
         # At a chord limit of 2e-4 the first pass alone would take about
-        # 16600 nodes, past the 4096 budget: the witness fails before
-        # building them.  At 1e-3 it connects within the budget.
+        # 17700 nodes, past the 4096 budget: the witness fails before
+        # building them.  At 1e-3 it connects within the budget, in 3534
+        # waypoints.
         params = cli._parse_w("0,0,0.5")
         a, b = cli._levelset_endpoints(params, 0.4, 5)
         monkeypatch.setattr(analysis, "_CHORD_LIMIT", 2e-4)
@@ -570,6 +615,34 @@ class TestLevelset:
         assert path.status == "connected"
         assert len(path.waypoints) <= 4096
         assert path.max_step_length <= 1e-3
+
+    @pytest.mark.parametrize("w", ["0,0,0.5", "0.3,-0.4,0.2", "0.6,0,0.8"])
+    def test_endpoints_are_frames_0_and_1_of_the_stream(self, w):
+        # Inside (0, 1) the endpoints are the level transfers of the first
+        # two Haar frames of default_rng(seed); at an extreme level they are
+        # the first two frames drawn on that extreme's sub-manifold.
+        params = cli._parse_w(w)
+        for seed in (0, 5):
+            frames = _haar_starts(seed, 2)
+            got = cli._levelset_endpoints(params, 0.4, seed)
+            for p, frame in zip(got, frames):
+                expected = level_transfer(KrausPoint.from_matrix(frame), params, 0.4)
+                assert np.array_equal(p.matrix, expected.matrix)
+            for mu, tag in ((0.0, ManifoldTag.GLOBAL_MIN), (1.0, ManifoldTag.GLOBAL_MAX)):
+                frames = _critical_frames(CriticalManifoldId(tag), params,
+                                          np.random.default_rng(seed), 2)
+                got = cli._levelset_endpoints(params, mu, seed)
+                assert len(got) == 2
+                for p, frame in zip(got, frames):
+                    assert np.array_equal(p.matrix, frame)
+
+    def test_flow_stall_exits_4(self, monkeypatch, capsys):
+        def stall(p, params, mu):
+            raise FlowStallError(0.25)
+
+        monkeypatch.setattr(cli, "level_transfer", stall)
+        assert main(["levelset", "--w", "0,0,0.5", "--seed", "5", "--mu", "0.4"]) == 4
+        assert "krauscape levelset: gradient flow stalled" in capsys.readouterr().err
 
     def test_saddle_guard(self, capsys):
         # A level 4e-4 from the lambda_- saddle value 0.25 connects; no
@@ -729,6 +802,14 @@ class TestScan:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_grid_and_range_are_checked(self, capsys):
+        argv = ["scan", "--w", "0,0,0.5", "--seed", "1"]
+        assert main(argv + ["--grid", "1"]) == 2
+        assert "grid counts must be at least 2" in capsys.readouterr().err
+        for half in ("0", "-1", "nan", "inf"):
+            assert main(argv + ["--range", half]) == 2
+            assert "grid ranges must be finite and positive" in capsys.readouterr().err
 
     def test_unknown_manifold(self):
         code = main(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from krauscape.landscape import (
-    _critical_diag_blocks,
+    _critical_manifolds,
     _first_order,
     _gram,
     _gram_value,
@@ -435,18 +435,26 @@ class TestCriticalStructure:
         ],
     )
     def test_frame_equals_the_diagonal_coordinate_path(self, w, tags):
-        # critical_point mixes the columns of one frame; the point is bitwise
-        # the one built through DiagCoords and from_diag.
+        # In N's eigenbasis every block off the row's mask vanishes, and on
+        # the mixed saddle's chart z the blocks satisfy ut2 = z ut1 and
+        # vt1 = -conj(z) vt2.
         params = LandscapeParams(w=BlochVector(*w))
+        masks = {tag: mask for tag, _, _, mask in _critical_manifolds(params)}
         mids = [CriticalManifoldId(ManifoldTag(tag)) for tag in tags]
         if params.case == 1:
             mids.append(CriticalManifoldId(ManifoldTag.MIXED_SADDLE, z=0.3 - 0.7j))
         for mid in mids:
             for seed in range(4):
-                blocks = _critical_diag_blocks(mid, params, np.random.default_rng(seed))
-                ref = from_diag(DiagCoords(*blocks), params)
-                p = critical_point(mid, params, seed=seed)
-                assert np.array_equal(p.matrix, ref.matrix)
+                d = to_diag(critical_point(mid, params, seed=seed), params)
+                if mid.z is not None:
+                    assert np.abs(d.ut2 - mid.z * d.ut1).max() <= 1e-15
+                    assert np.abs(d.vt1 + np.conj(mid.z) * d.vt2).max() <= 1e-15
+                    continue
+                blocks = ((d.ut1, d.ut2), (d.vt1, d.vt2))
+                for row in range(2):
+                    for col in range(2):
+                        if not masks[mid.tag][row][col]:
+                            assert np.abs(blocks[row][col]).max() <= 1e-15
 
     def test_seed_moves_within_manifold(self):
         params = LandscapeParams(w=BlochVector(0.0, 0.0, 0.5))
