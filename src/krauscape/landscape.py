@@ -29,7 +29,6 @@ import numpy as np
 from .qcore import BlochVector
 from .stiefel import (
     KrausPoint,
-    TangentBasis,
     TangentVector,
     _frame_residuals,
     _qf,
@@ -49,7 +48,6 @@ __all__ = [
     "objective_uv",
     "objective_diag",
     "to_diag",
-    "from_diag",
     "euclidean_gradient",
     "riemannian_gradient",
     "critical_point",
@@ -186,8 +184,9 @@ class CriticalManifoldId:
             if self.tag != ManifoldTag.MIXED_SADDLE:
                 raise ValueError("chart parameter z applies to the mixed saddle only")
             z = complex(self.z)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError("chart parameter z must be finite")
+            # A modulus past the float range makes abs(z) raise OverflowError.
+            if not math.isfinite(math.hypot(z.real, z.imag)):
+                raise ValueError("chart parameter z and its modulus must be finite")
             object.__setattr__(self, "z", z)
 
 
@@ -394,13 +393,6 @@ def to_diag(p: KrausPoint, params: LandscapeParams) -> DiagCoords:
     return DiagCoords(ut1=x[:4, 0], ut2=x[:4, 1], vt1=x[4:, 0], vt2=x[4:, 1])
 
 
-def from_diag(d: DiagCoords, params: LandscapeParams) -> KrausPoint:
-    """Inverse of :func:`to_diag`."""
-    x = np.empty((8, 2), dtype=complex)
-    x[:4, 0], x[:4, 1], x[4:, 0], x[4:, 1] = d.ut1, d.ut2, d.vt1, d.vt2
-    return KrausPoint.from_matrix(x @ coord_change(params).conj().T)
-
-
 def euclidean_gradient(p: KrausPoint, params: LandscapeParams):
     """Wirtinger gradient blocks (dJ/du1*, dJ/du2*, 0, 0).
 
@@ -505,7 +497,7 @@ def _critical_frames(mid: CriticalManifoldId, params: LandscapeParams,
     q = _qf(g[:, 0] + 1j * g[:, 1])
     if mid.z is None:
         return q @ coord_change(params).conj().T
-    s = 1.0 / math.sqrt(1.0 + abs(mid.z) ** 2)
+    s = 1.0 / math.hypot(1.0, abs(mid.z))
     return q @ (s * np.array([[-mid.z.conjugate(), 1.0], [1.0, mid.z]]))
 
 
@@ -547,12 +539,8 @@ def morse_signature(h: np.ndarray, zero_tol: float = 1e-12) -> MorseSignature:
     return MorseSignature(n_pos, n_neg, eigs.size - n_pos - n_neg)
 
 
-def hessian_form(
-    p: KrausPoint,
-    params: LandscapeParams,
-    basis: TangentBasis | None = None,
-) -> np.ndarray:
-    """Closed-form Riemannian Hessian of the yield in an orthonormal tangent basis.
+def hessian_form(p: KrausPoint, params: LandscapeParams) -> np.ndarray:
+    """Closed-form Riemannian Hessian of the yield in the public tangent basis.
 
     The yield is the Brockett-type cost J(X) = Re tr(X^H P X N) / 2, with
     P the projector onto the u-rows of the 8x2 frame X and N the 2x2
@@ -560,19 +548,18 @@ def hessian_form(
     the Stiefel manifold is Hess J[xi] = Proj_X(P xi N - xi sym(X^H P X N)),
     P X N being the Euclidean gradient.  It is applied by
     :func:`_hess_vec`, the kernel of the optimizer's Hessian-vector
-    products, to every basis tangent.  The returned symmetric matrix is
+    products, to every tangent t_i of the stack that
+    :func:`orthonormal_tangent_basis` holds at the point's frame, built
+    with no basis object.  The returned symmetric matrix is
     H_ij = Re<t_i, Hess J[t_j]>.  At a critical point it equals the second
     derivative of J(retract(p, s.t)) for any retraction, so its inertia is
     the Morse signature; a warning is issued when the gradient norm
-    exceeds 1e-6.  Without ``basis`` the tangent stack of
-    :func:`orthonormal_tangent_basis` is built on the point's frame and
-    used directly, with no basis object.
+    exceeds 1e-6.
     """
-    return _hessian(p, params, basis)[0]
+    return _hessian(p, params)[0]
 
 
-def _hessian(p: KrausPoint, params: LandscapeParams,
-             basis: TangentBasis | None = None) -> tuple[np.ndarray, float]:
+def _hessian(p: KrausPoint, params: LandscapeParams) -> tuple[np.ndarray, float]:
     """:func:`hessian_form` and the Riemannian gradient norm, from one pass.
 
     The norm is that of the gradient frame the Hessian factor comes with,
@@ -589,12 +576,7 @@ def _hessian(p: KrausPoint, params: LandscapeParams,
             "the inertia is only meaningful at critical points",
             stacklevel=3,
         )
-    if basis is None:
-        t = _tangent_stack(w)
-    elif np.array_equal(basis.base.frame, w):
-        t = basis.as_array()
-    else:
-        raise ValueError("tangent basis is not based at the given point")
+    t = _tangent_stack(w)
     tr = t.view(np.float64).reshape(len(t), 32)
     out = tr @ _hess_vec(tr, f, _normals(xr)).T
     return 0.5 * (out + out.T), grad_norm

@@ -22,10 +22,7 @@ __all__ = [
     "DilatedUnitary",
     "THETA0",
     "bloch_to_density",
-    "density_to_bloch",
     "apply_kraus",
-    "completeness_residual",
-    "kraus_conjugate",
     "reduce_target",
     "objective_trace",
     "dilate",
@@ -101,6 +98,10 @@ class BlochVector:
             val = float(getattr(self, name))
             if not math.isfinite(val):
                 raise ValueError(f"Stokes component {name} must be finite")
+            # Checked before the norm is taken, whose squares overflow
+            # for components above ~1e154.
+            if abs(val) > 1.0 + 1e-12:
+                raise ValueError(f"Stokes component {name} = {val!r} exceeds 1")
             object.__setattr__(self, name, val)
         if self.norm() > 1.0 + 1e-12:
             raise ValueError(f"Stokes vector norm {self.norm()!r} exceeds 1")
@@ -189,13 +190,16 @@ class KrausSet:
     """Between one and four 2x2 Kraus operators summing to the identity.
 
     The trace-preservation residual ``max_ij |sum_l K_l^+ K_l - I|_ij``
-    must stay below ``tol`` (default 1e-10).
+    must stay below ``tol`` (default 1e-10).  A non-finite or negative
+    ``tol`` raises ``ValueError``.
     """
 
     operators: tuple
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not (0.0 <= self.tol < math.inf):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol!r}")
         ops = tuple(_as_complex(op, (2, 2), "Kraus operator") for op in self.operators)
         if not 1 <= len(ops) <= 4:
             raise ValueError(f"expected 1..4 Kraus operators, got {len(ops)}")
@@ -237,22 +241,6 @@ def bloch_to_density(w: BlochVector) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def density_to_bloch(rho: DensityMatrix) -> BlochVector:
-    """Extract the Stokes vector; exact inverse of :func:`bloch_to_density`."""
-    m = rho.entries
-    alpha = float((m[0, 1] + m[1, 0]).real)
-    beta = float((m[1, 0] - m[0, 1]).imag)
-    gamma = float((m[0, 0] - m[1, 1]).real)
-    return BlochVector(alpha, beta, gamma)
-
-
-def completeness_residual(k) -> float:
-    """Trace-preservation residual of a KrausSet or a raw operator list."""
-    if isinstance(k, KrausSet):
-        return _ops_completeness_residual(k.operators)
-    return _ops_completeness_residual([np.asarray(op, dtype=complex) for op in k])
-
-
 def _output_trace_tol(k: KrausSet) -> float:
     """How far from 1 the trace of a channel output may lie: 1e-12 + 2 k.tol.
 
@@ -281,12 +269,6 @@ def apply_kraus(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     state = object.__new__(DensityMatrix)
     object.__setattr__(state, "entries", out)
     return state
-
-
-def kraus_conjugate(k: KrausSet, u: np.ndarray) -> KrausSet:
-    """Conjugate every operator by a 2x2 unitary: K_l -> U^+ K_l U."""
-    u = np.asarray(u, dtype=complex)
-    return KrausSet(tuple(u.conj().T @ op @ u for op in k.operators), tol=k.tol)
 
 
 def reduce_target(theta: TargetOperator) -> tuple[float, float, np.ndarray]:

@@ -3,8 +3,9 @@
 A two-level channel with up to four Kraus operators is a pair of
 orthonormal vectors in C^8: the first-column entries of all operators
 stacked over the second-column entries.  This module supplies the frame
-type, the channel <-> frame correspondence, tangent-space projection,
-the QR retraction, Haar sampling, and orthonormal tangent bases.
+type, the channel <-> frame correspondence, the QR retraction, Haar
+sampling, and orthonormal tangent bases; tangent-space projection
+(:func:`_project_mat`) is internal.
 Every frame has two columns (k = 2); :class:`StiefelPoint` and
 :func:`random_point` reject any other k.
 """
@@ -25,7 +26,6 @@ __all__ = [
     "kraus_to_point",
     "point_to_kraus",
     "constraint_residuals",
-    "project_tangent",
     "retract",
     "random_point",
     "random_kraus_point",
@@ -403,14 +403,6 @@ def _gram_r(g):
     if np.logical_or.reduce(d22 < 1e-24, axis=None):
         raise RuntimeError("rank collapse during QR retraction")
     return r11, r12r, r12i, np.sqrt(d22)
-
-
-def project_tangent(x: StiefelPoint, ambient: np.ndarray) -> TangentVector:
-    """Orthogonal projection of an ambient matrix onto the tangent space."""
-    z = np.asarray(ambient, dtype=complex)
-    if z.shape != (x.n, x.k):
-        raise ValueError(f"ambient matrix must have shape {(x.n, x.k)}")
-    return TangentVector(base=x, delta=_project_mat(x.frame, z))
 
 
 def _project_mat(frame: np.ndarray, z: np.ndarray) -> np.ndarray:

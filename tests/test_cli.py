@@ -360,6 +360,27 @@ class TestMorse:
         report = json.loads(capsys.readouterr().out)
         assert report["computed"] == [6, 6, 16]
 
+    @pytest.mark.parametrize("z", ["1e160,0", "1e200,0", "3e160,-2e170"])
+    def test_mixed_chart_at_huge_z(self, z, capsys):
+        # |z|^2 overflows a float here; the chart's scale must not.
+        code = main(["morse", "--w", "0,0,0", "--seed", "1", "--manifold", "mixed", f"--z={z}"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["computed"] == [6, 6, 16]
+        assert report["grad_norm"] <= 1e-15
+
+    def test_chart_modulus_past_the_float_range_exits_2(self, capsys):
+        code = main(["morse", "--w", "0,0,0", "--seed", "1", "--manifold", "mixed",
+                     "--z=1.5e308,1.5e308"])
+        assert code == 2
+        assert "modulus must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("w", ["1e200,0,0", "0,0,1e155"])
+    def test_huge_stokes_component_exits_2(self, w, capsys):
+        code = main(["morse", "--w", w, "--seed", "1", "--manifold", "global-min"])
+        assert code == 2
+        assert "exceeds 1" in capsys.readouterr().err
+
     def test_forced_mismatch_exits_3(self, capsys):
         code = main(
             [
@@ -781,6 +802,14 @@ class TestScan:
         ]
         assert len(center) == 1
         assert float(center[0].split(",")[2]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mixed_chart_at_huge_z(self, capsys):
+        code = main(["scan", "--w", "0,0,0", "--seed", "1", "--grid", "3",
+                     "--manifold", "mixed", "--z=1e200,0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[5].startswith("0,0,")
+        assert float(lines[5].split(",")[2]) == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic(self, tmp_path):
         outs = []

@@ -16,10 +16,7 @@ from krauscape.qcore import (
     _dilation_residual,
     apply_kraus,
     bloch_to_density,
-    completeness_residual,
-    density_to_bloch,
     dilate,
-    kraus_conjugate,
     objective_trace,
     reduce_target,
     verify_dilation,
@@ -75,29 +72,10 @@ class TestBlochMaps:
         with pytest.raises(ValueError):
             BlochVector(1.0, 0.5, 0.0)
 
-    def test_back_mixed(self):
-        w = density_to_bloch(DensityMatrix(np.diag([0.5, 0.5]).astype(complex)))
-        assert abs(w.alpha) < 1e-15 and abs(w.beta) < 1e-15 and abs(w.gamma) < 1e-15
-
-    def test_back_north_pole(self):
-        w = density_to_bloch(DensityMatrix(np.diag([1.0, 0.0]).astype(complex)))
-        assert abs(w.gamma - 1.0) < 1e-15
-
-    def test_back_generic(self):
-        rho = DensityMatrix(
-            np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]], dtype=complex)
-        )
-        w = density_to_bloch(rho)
-        assert abs(w.alpha - 0.2) < 1e-14
-        assert abs(w.beta - 0.4) < 1e-14
-        assert abs(w.gamma - 0.2) < 1e-14
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            rho = random_density(rng)
-            back = bloch_to_density(density_to_bloch(rho))
-            assert np.max(np.abs(back.entries - rho.entries)) < 1e-12
+    @pytest.mark.parametrize("w", [(1e200, 0.0, 0.0), (0.0, 0.0, 1e155), (0.0, -1e300, 0.0)])
+    def test_rejects_a_component_whose_square_overflows(self, w):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            BlochVector(*w)
 
 
 class TestDensityMatrixInvariants:
@@ -174,13 +152,20 @@ class TestApplyKraus:
 
 class TestCompletenessResidual:
     def test_identity(self):
-        assert completeness_residual(KrausSet((IDENTITY2,))) == 0.0
+        assert KrausSet((IDENTITY2,), tol=0.0).m == 1
 
     def test_double_identity(self):
-        assert completeness_residual([IDENTITY2, IDENTITY2]) == pytest.approx(1.0)
+        with pytest.raises(CompletenessError) as err:
+            KrausSet((IDENTITY2, IDENTITY2))
+        assert err.value.residual == 1.0
 
     def test_damping_pair(self):
-        assert completeness_residual(KrausSet(DAMPING)) <= 1e-15
+        assert KrausSet(DAMPING, tol=1e-15).m == 2
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            KrausSet((3.0 * IDENTITY2,), tol=tol)
 
 
 class TestReduceTarget:
@@ -211,7 +196,8 @@ class TestReduceTarget:
             theta = TargetOperator((h + h.conj().T) / 2)
             scale, offset, basis = reduce_target(theta)
             lhs = objective_trace(k, rho, theta)
-            rotated_k = kraus_conjugate(k, basis)
+            rotated_k = KrausSet(
+                tuple(basis.conj().T @ op @ basis for op in k.operators), tol=k.tol)
             rotated_rho = DensityMatrix(basis.conj().T @ rho.entries @ basis)
             rhs = scale * objective_trace(rotated_k, rotated_rho, THETA0) + offset
             assert abs(lhs - rhs) < 1e-12
