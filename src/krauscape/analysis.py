@@ -267,7 +267,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a * b, axis=1)
 
 
-def _tcg(d, f, nb, radius):
+def _tcg(d, dd, dn, f, nb, radius):
     """Steihaug-Toint truncated CG on the quadratic model of every row.
 
     Row i maximizes m(eta) = <d, eta> + <eta, A eta> / 2 over tangent
@@ -276,60 +276,67 @@ def _tcg(d, f, nb, radius):
     directions ``nb``.  :func:`_descend` passes the data of -J, d = -grad J
     and the negated Hessian factor, so the model's gain is the predicted
     decrease of J.  Steps and directions are flat (N, 32) float views of
-    8x2 tangents.  CG stops at the boundary (on a step that leaves the
+    8x2 tangents; ``dd`` holds <d, d> of every row (:func:`_row_dot`) and
+    ``dn`` its square root, |d|, which the caller has for its ``grad_tol``
+    test.  CG stops at the boundary (on a step that leaves the
     region or along a direction of non-negative curvature), when the
     residual falls to |d| * min(|d|, _TR_CG_KAPPA), or after _TR_CG_MAX
     steps.  The model gain and the inner products <eta, eta>, <eta, p>,
     <p, p> of the iterate and the search direction p follow the CG
     recurrences (Conn, Gould & Toint, *Trust-Region Methods*, 2000).
-    Rows leave the stack as they stop and share no arithmetic.
+    Rows leave the stack as they stop and share no arithmetic.  When all
+    rows stop at the same CG step, its running arrays are the result:
+    no result arrays are allocated and nothing is scattered.
 
     Returns ``(eta, gain, boundary)``: the steps, their model gains
     m(eta), and whether each stopped on the boundary.
     """
     n = len(d)
-    eta = np.empty_like(d)
-    gain = np.empty(n)
-    boundary = np.empty(n, dtype=bool)
-    rr = _row_dot(d, d)
-    r0 = np.sqrt(rr)
-    stop = (r0 * np.minimum(r0, _TR_CG_KAPPA)) ** 2
-    act = np.arange(n)
+    stop = (dn * np.minimum(dn, _TR_CG_KAPPA)) ** 2
+    act = None
     fa, nba, r2, e, r, p = f, nb, radius * radius, np.zeros_like(d), d, d
-    m, ee, ep, pp = np.zeros(n), np.zeros(n), np.zeros(n), rr
+    # Every update makes a new array, so the three recurrences can start
+    # from one array of zeros.
+    m = ee = ep = np.zeros(n)
+    pp = rr = dd
     for j in range(_TR_CG_MAX):
         hp = _hess_vec(p, fa, nba)
         kappa = _row_dot(p, hp)
         alpha = rr / np.where(kappa < 0.0, -kappa, 1.0)
-        ee_new = ee + alpha * (2.0 * ep + alpha * pp)
+        ap = alpha * pp
+        ee_new = ee + alpha * (2.0 * ep + ap)
         out = (kappa >= 0.0) | (ee_new >= r2)
         step = alpha
-        if np.logical_or.reduce(out):
+        if np.count_nonzero(out):
             # The positive root tau of |e + tau p| = radius.
             tau = (np.sqrt(ep * ep + pp * (r2 - ee)) - ep) / pp
             step = np.where(out, tau, alpha)
         m = m + step * (rr + 0.5 * step * kappa)
-        e = e + step[:, None] * p
-        r = r + step[:, None] * hp
+        sc = step[:, None]
+        e, r = e + sc * p, r + sc * hp
         rr_new = _row_dot(r, r)
         fin = out | (rr_new <= stop)
-        if j == _TR_CG_MAX - 1:
-            fin[:] = True
-        if np.logical_or.reduce(fin):
+        stopped = np.count_nonzero(fin)
+        if stopped == len(fin) or j == _TR_CG_MAX - 1:
+            if act is None:
+                return e, m, out
+            eta[act], gain[act], boundary[act] = e, m, out
+            return eta, gain, boundary
+        if stopped:
+            if act is None:
+                eta, gain, boundary = np.empty_like(d), np.empty(n), np.empty(n, dtype=bool)
+                act = np.arange(n)
             done = act[fin]
             eta[done], gain[done], boundary[done] = e[fin], m[fin], out[fin]
             live = ~fin
-            if not np.logical_or.reduce(live):
-                break
-            act, fa, nba, r2, e, r, p, m, ee_new, ep, pp, rr, rr_new, alpha, stop = (
+            act, fa, nba, r2, e, r, p, m, ee_new, ep, ap, pp, rr, rr_new, stop = (
                 act[live], fa[live], nba[live], r2[live], e[live], r[live], p[live],
-                m[live], ee_new[live], ep[live], pp[live], rr[live], rr_new[live],
-                alpha[live], stop[live])
+                m[live], ee_new[live], ep[live], ap[live], pp[live], rr[live],
+                rr_new[live], stop[live])
         beta = rr_new / rr
-        ee, ep, pp = ee_new, beta * (ep + alpha * pp), rr_new + beta * beta * pp
+        ee, ep, pp = ee_new, beta * (ep + ap), rr_new + beta * beta * pp
         p = r + beta[:, None] * p
         rr = rr_new
-    return eta, gain, boundary
 
 
 def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
@@ -377,25 +384,26 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     # negated Hessian factor of each frame.
     grad, f = _first_order(xr, g, rn)
     d, f = -grad.reshape(n, 32), -f
-    gnorm = np.sqrt(_row_dot(d, d))
+    dd = _row_dot(d, d)
+    gnorm = np.sqrt(dd)
     radius = np.full(n, _TR_RADIUS_START)
     history = [(ids, value, gnorm, w if keep_frames else None)]
     converged = np.zeros(n, dtype=bool)
     stalled = np.zeros(n, dtype=bool)
     for _ in range(cfg.max_iters):
         done = gnorm < cfg.grad_tol
-        if np.logical_or.reduce(done):
+        if np.count_nonzero(done):
             converged[ids[done]] = True
             live = ~done
-            ids, w, value, d, f, gnorm, radius = (
-                ids[live], w[live], value[live], d[live], f[live], gnorm[live],
-                radius[live])
+            ids, w, value, d, dd, f, gnorm, radius = (
+                ids[live], w[live], value[live], d[live], dd[live], f[live],
+                gnorm[live], radius[live])
             if not len(ids):
                 break
-        tw, td, tf, tv, tr = w, d, f, value, radius
+        tw, td, tdd, tdn, tf, tv, tr = w, d, dd, gnorm, f, value, radius
         tn = _normals(w.view(np.float64))
         for shrink in range(_TR_MAX_SHRINKS):
-            eta, gain, boundary = _tcg(td, tf, tn, tr)
+            eta, gain, boundary = _tcg(td, tdd, tdn, tf, tn, tr)
             cand = _qf(tw + eta.view(complex).reshape(tw.shape))
             g_cand = _gram(cand.view(np.float64), rn)
             v_cand = _gram_value(g_cand)
@@ -406,24 +414,26 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
             grow = (actual > 0.75 * gain) & boundary
             r_cand = np.where(actual < 0.25 * gain, 0.25 * tr,
                               np.where(grow, np.minimum(2.0 * tr, _TR_RADIUS_MAX), tr))
+            hits = np.count_nonzero(accept)
             if shrink == 0:
                 w_new, v_new, g_new, r_new, ok = cand, v_cand, g_cand, r_cand, accept
-                rejected = not np.logical_and.reduce(ok)
+                rejected = hits < len(accept)
                 if not rejected:
                     break
                 trial = np.arange(len(ids))
-            elif np.logical_or.reduce(accept):
+            elif hits:
                 hit = trial[accept]
                 w_new[hit], v_new[hit], g_new[hit], r_new[hit], ok[hit] = (
                     cand[accept], v_cand[accept], g_cand[accept], r_cand[accept], True)
+                if hits == len(accept):
+                    break
             # A rejected trial is retried at a quarter of its radius.
             more = ~accept
-            if not np.logical_or.reduce(more):
-                break
-            trial, tw, td, tf, tn, tv, tr = (
-                trial[more], tw[more], td[more], tf[more], tn[more], tv[more], tr[more])
+            trial, tw, td, tdd, tdn, tf, tn, tv, tr = (
+                trial[more], tw[more], td[more], tdd[more], tdn[more], tf[more],
+                tn[more], tv[more], tr[more])
             tr = 0.25 * tr
-        if rejected and not np.logical_and.reduce(ok):
+        if rejected and np.count_nonzero(ok) < len(ok):
             stalled[ids[~ok]] = True
             ids, w_new, v_new, g_new, r_new = (
                 ids[ok], w_new[ok], v_new[ok], g_new[ok], r_new[ok])
@@ -432,7 +442,8 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
         w, value, radius = w_new, v_new, r_new
         grad, f = _first_order(w.view(np.float64), g_new, rn)
         d, f = -grad.reshape(len(ids), 32), -f
-        gnorm = np.sqrt(_row_dot(d, d))
+        dd = _row_dot(d, d)
+        gnorm = np.sqrt(dd)
         history.append((ids, value, gnorm, w if keep_frames else None))
     else:
         converged[ids[gnorm < cfg.grad_tol]] = True

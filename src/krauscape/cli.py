@@ -5,9 +5,10 @@ numbers serialize as [re, im] pairs everywhere; CSV cells use 17
 significant digits with '\\n' line endings; JSON objects are written with
 sorted keys.  Identical invocations produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 invalid input or illegal combination, 3
-numerical-verification failure, 4 tracer or flow failure, or an
-``optimize`` campaign with a run that did not converge.
+Exit codes: 0 success, 2 invalid input, an illegal combination or a
+size whose arrays cannot be allocated, 3 numerical-verification
+failure, 4 tracer or flow failure, or an ``optimize`` campaign with a
+run that did not converge.
 
 ``scan`` reads each grid frame's J from 2x2 Gram data: the Gram
 matrices of the slice X + s1 D1 + s2 D2 and of its u-rows are
@@ -353,6 +354,10 @@ def _cmd_optimize(args) -> int:
             raise ValueError("--seed is required unless --start-file is given")
         seed = 0
     report = multi_start(params, args.starts, seed, cfg, start=start)
+    # The median of the iteration counts, as np.median gives it.
+    its = sorted(report.iterations)
+    half = len(its) // 2
+    p50 = float(its[half]) if len(its) % 2 else (its[half - 1] + its[half]) / 2
     payload = {
         "starts": report.starts,
         "seed": report.seed,
@@ -366,8 +371,8 @@ def _cmd_optimize(args) -> int:
         "best_index": report.best_index,
         "best_value": report.final_values[report.best_index],
         "iterations": {
-            "p50": float(np.median(report.iterations)),
-            "max": max(report.iterations),
+            "p50": p50,
+            "max": its[-1],
         },
     }
     if args.format == "csv":
@@ -737,7 +742,7 @@ def main(argv=None) -> int:
     except FlowStallError as exc:
         print(f"krauscape {args.command}: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, MemoryError) as exc:
         print(f"krauscape {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ right-multiplication by a complex 2x2 matrix is a real 4x4 product
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -478,22 +479,29 @@ def predicted_morse(mid: CriticalManifoldId, params: LandscapeParams) -> MorseSi
     return signature
 
 
+@functools.cache
+def _frame_mask(blocks: tuple) -> np.ndarray:
+    """The read-only (8, 2) frame mask of a 2x2 block mask, built once per mask."""
+    mask = np.repeat(blocks, 4, axis=0)
+    mask.flags.writeable = False
+    return mask
+
+
 def _critical_frames(mid: CriticalManifoldId, params: LandscapeParams,
                      rng: np.random.Generator, n: int) -> np.ndarray:
     """The next ``n`` random frames of ``rng`` on a critical sub-manifold, (n, 8, 2).
 
     One ``rng.standard_normal((n, 2, 8, 2))`` draw, the real then the
     imaginary parts, is zeroed off the row's block mask
-    (:func:`_critical_manifolds`) and finished by one batched QR; an
-    off-mask block stays exactly zero through it.  The frames in N's
-    eigenbasis turn back by B^H (:func:`coord_change`), or, on the mixed
-    saddle's chart z, by s [[-conj(z), 1], [1, z]] with
+    (:func:`_critical_manifolds`, as :func:`_frame_mask`) and finished
+    by one batched QR; an off-mask block stays exactly zero through it.
+    The frames in N's eigenbasis turn back by B^H (:func:`coord_change`),
+    or, on the mixed saddle's chart z, by s [[-conj(z), 1], [1, z]] with
     s = 1 / sqrt(1 + |z|^2), which maps the boundary chart's blocks
     (0, a, b, 0) to (s a, z s a, -conj(z) s b, s b); B is I there.  A tag
     the state has no row for raises :class:`IllegalManifoldError`.
     """
-    mask = np.repeat(_manifold_row(mid, params)[3], 4, axis=0)
-    g = rng.standard_normal((n, 2, 8, 2)) * mask
+    g = rng.standard_normal((n, 2, 8, 2)) * _frame_mask(_manifold_row(mid, params)[3])
     q = _qf(g[:, 0] + 1j * g[:, 1])
     if mid.z is None:
         return q @ coord_change(params).conj().T

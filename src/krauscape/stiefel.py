@@ -371,16 +371,18 @@ def _qf(w: np.ndarray) -> np.ndarray:
     x1, y = w[..., 0:1], w[..., 1:2]
     h1 = x1.conj().swapaxes(-1, -2)
     r11 = np.sqrt((h1 @ x1).real)
-    if np.logical_or.reduce(r11 < 1e-12, axis=None):
+    if np.count_nonzero(r11 < 1e-12):
         raise RuntimeError("rank collapse during QR retraction")
     s = 1.0 / r11
-    q1, qh = x1 * s, h1 * s
+    q = np.empty(w.shape, dtype=complex)
+    q1, qh = np.multiply(x1, s, out=q[..., 0:1]), h1 * s
     y = y - q1 * (qh @ y)
     y = y - q1 * (qh @ y)
     r22 = np.sqrt((y.conj().swapaxes(-1, -2) @ y).real)
-    if np.logical_or.reduce(r22 < 1e-12, axis=None):
+    if np.count_nonzero(r22 < 1e-12):
         raise RuntimeError("rank collapse during QR retraction")
-    return np.concatenate([q1, y * (1.0 / r22)], axis=-1)
+    np.multiply(y, 1.0 / r22, out=q[..., 1:2])
+    return q
 
 
 def _gram_r(g):
@@ -395,12 +397,12 @@ def _gram_r(g):
     tested on their squares so that no root of a negative is taken.
     """
     g11, g22, g12r, g12i = g
-    if np.logical_or.reduce(g11 < 1e-24, axis=None):
+    if np.count_nonzero(g11 < 1e-24):
         raise RuntimeError("rank collapse during QR retraction")
     r11 = np.sqrt(g11)
     r12r, r12i = g12r / r11, g12i / r11
     d22 = g22 - (r12r * r12r + r12i * r12i)
-    if np.logical_or.reduce(d22 < 1e-24, axis=None):
+    if np.count_nonzero(d22 < 1e-24):
         raise RuntimeError("rank collapse during QR retraction")
     return r11, r12r, r12i, np.sqrt(d22)
 

@@ -255,7 +255,8 @@ class TestTrustRegionStep:
 
     def test_interior_step_solves_the_newton_system(self):
         params, x, d, f, nb = self._near_max(1e-3)
-        eta, gain, boundary = analysis._tcg(d, f, nb, np.array([2.0]))
+        dd = analysis._row_dot(d, d)
+        eta, gain, boundary = analysis._tcg(d, dd, np.sqrt(dd), f, nb, np.array([2.0]))
         curv = analysis._row_dot(d, _hess_vec(d, f, nb))
         assert not boundary[0] and curv[0] < 0.0
         hvp = _hess_vec(eta, f, nb)
@@ -269,10 +270,57 @@ class TestTrustRegionStep:
     def test_boundary_step_has_the_radius(self):
         params, x, d, f, nb = self._near_max(1e-1)
         radius = np.array([1e-4])
-        eta, gain, boundary = analysis._tcg(d, f, nb, radius)
+        dd = analysis._row_dot(d, d)
+        eta, gain, boundary = analysis._tcg(d, dd, np.sqrt(dd), f, nb, radius)
         assert boundary[0]
         assert np.linalg.norm(eta) == pytest.approx(1e-4, rel=1e-12)
         assert gain[0] > 0.0
+
+    @staticmethod
+    def _tcg_rows(monkeypatch, d, f, nb, radius):
+        """One _tcg call and the row count of each of its CG steps."""
+        rows = []
+        hess_vec = analysis._hess_vec
+
+        def counted(p, fa, nba):
+            rows.append(len(p))
+            return hess_vec(p, fa, nba)
+
+        monkeypatch.setattr(analysis, "_hess_vec", counted)
+        dd = analysis._row_dot(d, d)
+        out = analysis._tcg(d, dd, np.sqrt(dd), f, nb, radius)
+        monkeypatch.undo()
+        return out, rows
+
+    @pytest.mark.parametrize("picks, batch_rows", [
+        # Start 0 at its Haar frame stops on the boundary at step 1, and
+        # start 1 at its converged frame inside after 4 steps.
+        ([(0, 0, 1.0, 1, True), (1, -1, 2.0, 4, False)], [2, 1, 1, 1]),
+        # Three rows stop at step 2, two inside and one on the boundary.
+        ([(0, 1, 2.0, 2, False), (2, 1, 2.0, 2, False), (3, 1, 2.0, 2, True)], [3, 3]),
+    ], ids=["staggered", "together"])
+    def test_rows_equal_batch_of_one(self, monkeypatch, picks, batch_rows):
+        # Frames (run, iterate) of a minimize campaign with the data that
+        # _descend passes: the negated gradient and Hessian factor.
+        params = LandscapeParams(w=(0.3, -0.4, 0.2))
+        _, _, _, frames = analysis._descend(
+            analysis._haar_starts(3, 4), params, OptimizerConfig(direction="minimize"),
+            keep_frames=True)
+        x = np.stack([frames[run][it] for run, it, *_ in picks])
+        radius = np.array([pick[2] for pick in picks])
+        xr = x.view(np.float64)
+        rn = _weight_factor(params)
+        grad, f = _first_order(xr, _gram(xr, rn), rn)
+        d, f, nb = -grad.reshape(len(x), 32), -f, _normals(xr)
+        (eta, gain, boundary), rows = self._tcg_rows(monkeypatch, d, f, nb, radius)
+        assert rows == batch_rows
+        for i, (_, _, _, steps, on_boundary) in enumerate(picks):
+            one, rows = self._tcg_rows(
+                monkeypatch, d[i:i + 1], f[i:i + 1], nb[i:i + 1], radius[i:i + 1])
+            assert len(rows) == steps and boundary[i] == on_boundary
+            assert np.array_equal(eta[i:i + 1], one[0])
+            assert np.array_equal(gain[i:i + 1], one[1])
+            assert np.array_equal(boundary[i:i + 1], one[2])
 
 
 def descend_alone(w0, params, cfg):
@@ -328,8 +376,8 @@ class TestEngine:
         iterations = []
         tcg, normals = analysis._tcg, analysis._normals
 
-        def counted_tcg(d, f, nb, radius):
-            out = tcg(d, f, nb, radius)
+        def counted_tcg(d, dd, dn, f, nb, radius):
+            out = tcg(d, dd, dn, f, nb, radius)
             iterations[-1].append((d.copy(), radius.copy(), out[1], out[2]))
             return out
 

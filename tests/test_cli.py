@@ -331,6 +331,28 @@ class TestOptimize:
         best_rows = (tmp_path / "r.json.traj.csv").read_text().splitlines()[1:]
         assert len(best_rows) - 1 == counts[report["best_index"]]
 
+    def test_iterations_median_of_an_even_count(self, capsys):
+        # Seed 0's four runs take 7, 5, 5 and 6 iterations: the median of an
+        # even count is halfway between the middle pair, as np.median has it.
+        argv = ["optimize", "--w", "0,0,0.999", "--seed", "0", "--direction", "max",
+                "--starts", "4"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        cfg = OptimizerConfig(direction="maximize")
+        params = LandscapeParams(w=(0.0, 0.0, 0.999))
+        counts = [len(rerun_start(params, 0, i, cfg).iterates) - 1 for i in range(4)]
+        assert report["iterations"]["p50"] == float(np.median(counts))
+        assert report["iterations"]["p50"] % 1.0 == 0.5
+
+    def test_huge_start_count_exits_2(self, capsys):
+        # 10**15 starts need a 227 PiB draw, past any address space, so the
+        # allocation fails without touching memory.
+        code = main(["optimize", "--w", "0,0,0.5", "--seed", "1", "--direction", "min",
+                     "--starts", str(10**15)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("krauscape optimize: ") and "Unable to allocate" in err
+
 
 class TestMorse:
     def test_saddle_minus_match(self, capsys):
@@ -890,6 +912,14 @@ class TestScan:
         for w0, d1 in ((zero, d), (twin, zero)):
             with pytest.raises(RuntimeError, match="rank collapse during QR retraction"):
                 cli._scan_values(w0, d1, d1, s, s, params)
+
+    def test_huge_grid_exits_2(self, capsys):
+        # A 5000000-point axis is a 40 MB array; its 2.5e13-point grid
+        # (about 200 TB) is past any address space and fails to allocate.
+        code = main(["scan", "--w", "0,0,0.5", "--seed", "1", "--grid", "5000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("krauscape scan: ") and "Unable to allocate" in err
 
     @pytest.mark.parametrize("grid", [41, 2])
     def test_csv_is_the_row_rule(self, grid, capsys):
