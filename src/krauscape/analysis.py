@@ -9,8 +9,8 @@ level sets along the canonical gradient flow in closed form, and an
 exact connectivity witness: a closed-form path inside a single level set.
 
 One engine runs the optimizer: every campaign is one call on an
-(N, 8, 2) stack of raw frames that keeps, per run, only the objective
-and gradient norm of each iterate.  Its kernels work on the frames'
+(N, 8, 2) stack of raw frames that keeps only the objective and gradient
+norm of each iterate, in one stack sorted by run.  Its kernels work on the frames'
 float view, (N, 8, 4) real rows [Re x0, Im x0, Re x1, Im x1], on which
 right-multiplication by a complex 2x2 matrix is a real 4x4 product.
 Trial points are retracted by the closed-form two-column QR of
@@ -284,22 +284,69 @@ def _tcg(d, dd, dn, f, nb, radius):
     steps.  The model gain and the inner products <eta, eta>, <eta, p>,
     <p, p> of the iterate and the search direction p follow the CG
     recurrences (Conn, Gould & Toint, *Trust-Region Methods*, 2000).
-    Rows leave the stack as they stop and share no arithmetic.  When all
-    rows stop at the same CG step, its running arrays are the result:
-    no result arrays are allocated and nothing is scattered.
+    Step 1 starts from eta = 0, where it is the Cauchy step, and is taken
+    in closed form: the recurrences' terms in eta vanish, so it touches
+    no array of zeros and gives the bits of the general step.  Each
+    later step forms the next direction before the rows that stopped
+    leave the stack.  Rows share no arithmetic.  When all rows stop at
+    the same CG step, its running arrays are the result: no result
+    arrays are allocated and nothing is scattered.
 
     Returns ``(eta, gain, boundary)``: the steps, their model gains
     m(eta), and whether each stopped on the boundary.
     """
     n = len(d)
     stop = (dn * np.minimum(dn, _TR_CG_KAPPA)) ** 2
-    act = None
-    fa, nba, r2, e, r, p = f, nb, radius * radius, np.zeros_like(d), d, d
-    # Every update makes a new array, so the three recurrences can start
-    # from one array of zeros.
-    m = ee = ep = np.zeros(n)
-    pp = rr = dd
-    for j in range(_TR_CG_MAX):
+    r2 = radius * radius
+    # Step 1 along p = r = d from e = 0: <e, e> = alpha (alpha <p, p>),
+    # the boundary root is tau = sqrt(<p, p> radius^2) / <p, p>, and
+    # e = 0 + step p, whose + 0.0 turns the negative zeros of step p
+    # positive.
+    hp = _hess_vec(d, f, nb)
+    kappa = _row_dot(d, hp)
+    alpha = dd / np.where(kappa < 0.0, -kappa, 1.0)
+    ap = alpha * dd
+    ee = alpha * ap
+    out = (kappa >= 0.0) | (ee >= r2)
+    step = alpha
+    if np.count_nonzero(out):
+        step = np.where(out, np.sqrt(dd * r2) / dd, alpha)
+    m = step * (dd + 0.5 * step * kappa)
+    sc = step[:, None]
+    e = sc * d
+    e += 0.0
+    r = d + sc * hp
+    # <e, p> is 0 before step 1; the next one is beta (0.0 + alpha <p, p>).
+    act, fa, nba, p, pp, rr, ep = None, f, nb, d, dd, dd, 0.0
+    for j in range(1, _TR_CG_MAX + 1):
+        rr_new = _row_dot(r, r)
+        fin = out | (rr_new <= stop)
+        stopped = np.count_nonzero(fin)
+        if stopped == len(fin) or j == _TR_CG_MAX:
+            if act is None:
+                return e, m, out
+            eta[act], gain[act], boundary[act] = e, m, out
+            return eta, gain, boundary
+        # Every row in the stack has rr > 0, the stopped ones too.
+        beta = rr_new / rr
+        ep, pp, rr = beta * (ep + ap), rr_new + beta * beta * pp, rr_new
+        p = r + beta[:, None] * p
+        if stopped:
+            if act is None:
+                eta, gain, boundary = np.empty_like(d), np.empty(n), np.empty(n, dtype=bool)
+                act = np.arange(n)
+            # Every row is written; a row still running is written again
+            # at the step where it stops.
+            eta[act], gain[act], boundary[act] = e, m, out
+            # Integer rows, and take() on the stacked arrays: several times
+            # faster than a boolean mask on stacks of a few dozen rows.
+            live = (~fin).nonzero()[0]
+            act, r2, m, ee, ep, pp, rr, stop = (
+                act[live], r2[live], m[live], ee[live], ep[live], pp[live], rr[live],
+                stop[live])
+            fa, nba, e, r, p = (
+                fa.take(live, 0), nba.take(live, 0), e.take(live, 0), r.take(live, 0),
+                p.take(live, 0))
         hp = _hess_vec(p, fa, nba)
         kappa = _row_dot(p, hp)
         alpha = rr / np.where(kappa < 0.0, -kappa, 1.0)
@@ -314,29 +361,7 @@ def _tcg(d, dd, dn, f, nb, radius):
         m = m + step * (rr + 0.5 * step * kappa)
         sc = step[:, None]
         e, r = e + sc * p, r + sc * hp
-        rr_new = _row_dot(r, r)
-        fin = out | (rr_new <= stop)
-        stopped = np.count_nonzero(fin)
-        if stopped == len(fin) or j == _TR_CG_MAX - 1:
-            if act is None:
-                return e, m, out
-            eta[act], gain[act], boundary[act] = e, m, out
-            return eta, gain, boundary
-        if stopped:
-            if act is None:
-                eta, gain, boundary = np.empty_like(d), np.empty(n), np.empty(n, dtype=bool)
-                act = np.arange(n)
-            done = act[fin]
-            eta[done], gain[done], boundary[done] = e[fin], m[fin], out[fin]
-            live = ~fin
-            act, fa, nba, r2, e, r, p, m, ee_new, ep, ap, pp, rr, rr_new, stop = (
-                act[live], fa[live], nba[live], r2[live], e[live], r[live], p[live],
-                m[live], ee_new[live], ep[live], ap[live], pp[live], rr[live],
-                rr_new[live], stop[live])
-        beta = rr_new / rr
-        ee, ep, pp = ee_new, beta * (ep + ap), rr_new + beta * beta * pp
-        p = r + beta[:, None] * p
-        rr = rr_new
+        ee = ee_new
 
 
 def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
@@ -362,42 +387,45 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
 
     The kernels run on the frames' float views (:func:`landscape._gram`).
     Each trial point gets one Gram product G, which gives its value
-    J = tr(G) / 2 and, once the trial is accepted, its gradient and
-    Hessian factor (:func:`landscape._first_order`), both negated for
-    :func:`_tcg`; each iterate's four normal directions are built once
+    J = tr(G) / 2 and, once the trial is accepted, the negated gradient
+    and Hessian factor that :func:`_tcg` takes: :func:`landscape._first_order`
+    of -G and -R(N); each iterate's four normal directions are built once
     for all the CG steps of its trials.
 
-    Returns ``(rows, converged, stalled, frames)``: ``rows[i]`` is run i's
-    (iterates, 2) float array of (objective, gradient norm), the flags
-    are boolean arrays, and ``frames[i]`` is run i's (iterates, 8, 2)
-    stack of frames when ``keep_frames`` is set, else ``frames`` is None.
+    Returns ``(rows, bounds, converged, stalled, frames)``: ``rows`` is
+    one run-sorted (iterates, 2) float stack of (objective, gradient
+    norm), in which run i's records are ``rows[bounds[i]:bounds[i + 1]]``
+    in iteration order; ``bounds`` is an (N + 1,) int array, the flags
+    are boolean arrays, and ``frames`` is the (iterates, 8, 2) stack of
+    frames in the order of ``rows`` when ``keep_frames`` is set, else
+    None.
     """
     dual = cfg.direction == "maximize"
     n = len(w0)
     ids = np.arange(n)
     rn = _weight_factor(params)
-    w = np.ascontiguousarray(w0[:, _DUAL_ROWS] if dual else w0, dtype=complex)
+    nrn = -rn
+    w = np.ascontiguousarray(w0.take(_DUAL_ROWS, 1) if dual else w0, dtype=complex)
     xr = w.view(np.float64)
     g = _gram(xr, rn)
     value = _gram_value(g)
     # d is the descent direction -grad J as flat float rows; f is the
-    # negated Hessian factor of each frame.
-    grad, f = _first_order(xr, g, rn)
-    d, f = -grad.reshape(n, 32), -f
+    # negated Hessian factor of each frame.  Both are linear in (G, R(N)),
+    # so they are the first order of -G and -R(N).
+    d, f = _first_order(xr, -g, nrn)
+    d = d.reshape(n, 32)
     dd = _row_dot(d, d)
     gnorm = np.sqrt(dd)
     radius = np.full(n, _TR_RADIUS_START)
     history = [(ids, value, gnorm, w if keep_frames else None)]
-    converged = np.zeros(n, dtype=bool)
     stalled = np.zeros(n, dtype=bool)
     for _ in range(cfg.max_iters):
         done = gnorm < cfg.grad_tol
         if np.count_nonzero(done):
-            converged[ids[done]] = True
-            live = ~done
-            ids, w, value, d, dd, f, gnorm, radius = (
-                ids[live], w[live], value[live], d[live], dd[live], f[live],
-                gnorm[live], radius[live])
+            live = (~done).nonzero()[0]
+            ids, value, dd, gnorm, radius = (
+                ids[live], value[live], dd[live], gnorm[live], radius[live])
+            w, d, f = w.take(live, 0), d.take(live, 0), f.take(live, 0)
             if not len(ids):
                 break
         tw, td, tdd, tdn, tf, tv, tr = w, d, dd, gnorm, f, value, radius
@@ -407,13 +435,15 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
             cand = _qf(tw + eta.view(complex).reshape(tw.shape))
             g_cand = _gram(cand.view(np.float64), rn)
             v_cand = _gram_value(g_cand)
-            # rho = actual / gain is compared through products: gain > 0.
+            # rho = actual / gain is compared through products: every tCG
+            # gain is positive, so rho > 0.1 needs no test of actual >= 0.
             actual = tv - v_cand
-            accept = (actual >= 0.0) & (actual > _TR_RHO_ACCEPT * gain)
-            # An accepted row sets its radius for the next iteration.
+            accept = actual > _TR_RHO_ACCEPT * gain
+            # An accepted row sets its radius for the next iteration: a
+            # quarter, double or the same; tr never exceeds the cap.
             grow = (actual > 0.75 * gain) & boundary
-            r_cand = np.where(actual < 0.25 * gain, 0.25 * tr,
-                              np.where(grow, np.minimum(2.0 * tr, _TR_RADIUS_MAX), tr))
+            factor = np.where(actual < 0.25 * gain, 0.25, np.where(grow, 2.0, 1.0))
+            r_cand = np.minimum(factor * tr, _TR_RADIUS_MAX)
             hits = np.count_nonzero(accept)
             if shrink == 0:
                 w_new, v_new, g_new, r_new, ok = cand, v_cand, g_cand, r_cand, accept
@@ -440,32 +470,32 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
             if not len(ids):
                 break
         w, value, radius = w_new, v_new, r_new
-        grad, f = _first_order(w.view(np.float64), g_new, rn)
-        d, f = -grad.reshape(len(ids), 32), -f
+        d, f = _first_order(w.view(np.float64), -g_new, nrn)
+        d = d.reshape(len(ids), 32)
         dd = _row_dot(d, d)
         gnorm = np.sqrt(dd)
         history.append((ids, value, gnorm, w if keep_frames else None))
-    else:
-        converged[ids[gnorm < cfg.grad_tol]] = True
 
-    # Regroup the per-iteration records run by run, in iteration order:
-    # run i's records are the slice bounds[i]:bounds[i + 1] of the sorted stack.
+    # Sort the per-iteration records run by run, in iteration order: run
+    # i's records are the slice bounds[i]:bounds[i + 1] of the stack.
     run_of = np.concatenate([h[0] for h in history])
     order = np.argsort(run_of, kind="stable")
-    bounds = [0] + np.cumsum(np.bincount(run_of, minlength=n)).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(run_of, minlength=n), out=bounds[1:])
     values = np.concatenate([h[1] for h in history])
     rows = np.column_stack([
         1.0 - values if dual else values,
         np.concatenate([h[2] for h in history]),
-    ])[order]
+    ]).take(order, 0)
+    # A run converged when its last record is below grad_tol: every other
+    # run ended by stalling or at max_iters above it.
+    converged = rows[:, 1].take(bounds[1:] - 1) < cfg.grad_tol
     frames = None
     if keep_frames:
-        stack = np.concatenate([h[3] for h in history])[order]
+        frames = np.concatenate([h[3] for h in history]).take(order, 0)
         if dual:
-            stack = stack[:, _DUAL_ROWS]
-        frames = [stack[a:b] for a, b in spans]
-    return [rows[a:b] for a, b in spans], converged, stalled, frames
+            frames = frames.take(_DUAL_ROWS, 1)
+    return rows, bounds, converged, stalled, frames
 
 
 def optimize(
@@ -490,11 +520,13 @@ def optimize(
 
     This is the campaign engine of :func:`multi_start` on a batch of one
     frame, so a run here is bitwise the same run inside any campaign.
+    The iterates after the start are checked as one stack by the rule of
+    :class:`KrausPoint` (:func:`stiefel._kraus_points`).
     """
-    rows, converged, stalled, frames = _descend(
+    rows, _, converged, stalled, frames = _descend(
         start.matrix[None], params, cfg, keep_frames=True)
-    points = [start] + [KrausPoint.from_matrix(f) for f in frames[0][1:]]
-    iterates = [(p, v, g) for p, (v, g) in zip(points, rows[0].tolist())]
+    points = (start,) + _kraus_points(frames[1:])
+    iterates = [(p, v, g) for p, (v, g) in zip(points, rows.tolist())]
     return Trajectory(
         iterates=iterates,
         terminated="converged" if converged[0] else "max_iters",
@@ -551,9 +583,12 @@ def multi_start(
     alone (:func:`rerun_start`); a maximize campaign runs as the minimize
     campaign of the dual starts, with values 1 - J.  Saddle hits are
     classified from each run's final objective and gradient norm, all
-    runs in one pass.  An explicit ``start`` replaces the Haar draw and
-    requires ``n_starts == 1``; it documents the behavior of runs
-    launched exactly on a critical manifold.
+    runs in one pass.  The report is read off the engine's run-sorted
+    record stack: the final rows by one fancy index, the iteration
+    counts from the runs' bounds and the best run's rows as one slice;
+    no per-run list is built.  An explicit ``start`` replaces the Haar
+    draw and requires ``n_starts == 1``; it documents the behavior of
+    runs launched exactly on a critical manifold.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -561,9 +596,9 @@ def multi_start(
         raise ValueError("an explicit start point requires n_starts == 1")
     target = 1.0 if cfg.direction == "maximize" else 0.0
     w0 = start.matrix[None] if start is not None else _haar_starts(seed, n_starts)
-    rows, converged, stalled, _ = _descend(w0, params, cfg)
+    rows, bounds, converged, stalled, _ = _descend(w0, params, cfg)
 
-    finals = np.array([r[-1] for r in rows])
+    finals = rows.take(bounds[1:] - 1, 0)
     values = tuple(finals[:, 0].tolist())
     gaps = [abs(target - v) for v in values]
     reached = sum(1 for g in gaps if g <= 1e-6)
@@ -580,8 +615,8 @@ def multi_start(
         classified_saddle_hits=hits,
         best_index=best_index,
         converged=int(converged.sum()),
-        best_rows=map(tuple, rows[best_index].tolist()),
-        iterations=[len(r) - 1 for r in rows],
+        best_rows=map(tuple, rows[bounds[best_index]:bounds[best_index + 1]].tolist()),
+        iterations=(np.diff(bounds) - 1).tolist(),
         stalled=int(stalled.sum()),
     )
 

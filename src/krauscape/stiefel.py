@@ -70,17 +70,20 @@ def _check_frames(frames: np.ndarray, names: tuple, what: str) -> None:
     ``what`` names the coordinates.
     """
     finite = np.isfinite(frames.view(np.float64))
+    first = len(frames)
     if not finite.all():
         # Axes: frame, row half, row, column, real/imaginary part.
         block_ok = finite.reshape(-1, 2, 4, 2, 2).all(axis=(2, 4)).reshape(-1, 4)
-        name = names[np.argwhere(~block_ok)[0][1]]
-        raise ValueError(f"{name} contains non-finite entries")
-    worst = _frame_residuals(frames)
+        first, block = np.argwhere(~block_ok)[0]
+    # Only the frames before the first non-finite one can fail first.
+    worst = _frame_residuals(frames[:first])
     bad = ~(worst <= 1e-10)
     if bad.any():
         raise ValueError(
             f"infeasible {what} coordinates: constraint residual {worst[bad][0]:.3e}"
         )
+    if first < len(frames):
+        raise ValueError(f"{names[block]} contains non-finite entries")
 
 
 def _validate_blocks(obj, names: tuple, what: str) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import krauscape.analysis as analysis
+import krauscape.stiefel as stiefel
 from krauscape.analysis import (
     FlowStallError,
     LevelSetPath,
@@ -49,6 +50,12 @@ from krauscape.stiefel import (
 
 PARAMS05 = LandscapeParams(w=(0.0, 0.0, 0.5))
 NEARPURE_W = ((0.0, 0.0, 0.999), (0.0, 0.0, 1.0 - 1e-6), (0.6, 0.0, 0.8))
+
+
+def _bits(x):
+    """The float64 bytes of ``x``: equal only when every bit, signs of zero
+    included, is equal."""
+    return np.asarray(x, dtype=np.float64).tobytes()
 
 
 def feasibility(p):
@@ -136,6 +143,16 @@ def _rank_one_u_rows(column):
     frame = np.zeros((8, 2), dtype=complex)
     frame[:, column], frame[4:, 1 - column] = x1, v2 / np.linalg.norm(v2)
     return KrausPoint.from_matrix(frame)
+
+
+def descend_runs(w0, params, cfg, keep_frames=False):
+    """:func:`analysis._descend` with its run-sorted stacks split run by run."""
+    rows, bounds, converged, stalled, frames = analysis._descend(w0, params, cfg, keep_frames)
+
+    def split(stack):
+        return [stack[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    return split(rows), converged, stalled, None if frames is None else split(frames)
 
 
 class TestOptimizerConfig:
@@ -233,6 +250,48 @@ class TestOptimize:
         assert traj.final_value == 1.0
         assert len(traj.iterates) - 1 == 1
 
+    def test_iterates_checked_as_one_stack(self, monkeypatch):
+        # The iterates after the start pass one check of the KrausPoint
+        # rule, as one stack, and keep the engine's frames.
+        start = random_kraus_point(seed=6)
+        checked = []
+        check = stiefel._check_frames
+
+        def counting(frames, *rest):
+            checked.append(len(frames))
+            return check(frames, *rest)
+
+        monkeypatch.setattr(stiefel, "_check_frames", counting)
+        traj = optimize(start, PARAMS05)
+        assert checked == [len(traj.iterates) - 1] and checked[0] > 1
+        assert traj.iterates[0][0] is start
+        _, _, _, frames = descend_runs(start.matrix[None], PARAMS05, OptimizerConfig(),
+                                       keep_frames=True)
+        assert np.array_equal(np.stack([p.matrix for p, _, _ in traj.iterates]), frames[0])
+
+    @pytest.mark.parametrize("bad_first", ["infeasible", "non-finite"])
+    def test_bad_iterate_raises_the_first_bad_frame_error(self, monkeypatch, bad_first):
+        # Engine frames spoilt after the fact: optimize raises the error
+        # that checking the iterates one by one raises first.
+        descend = analysis._descend
+
+        def spoilt(*args, **kwargs):
+            rows, bounds, converged, stalled, frames = descend(*args, **kwargs)
+            rows_at = (2, 4) if bad_first == "infeasible" else (4, 2)
+            frames[rows_at[0], 0, 1] += 1e-6
+            frames[rows_at[1], 5, 1] = np.inf
+            spoilt.frames = frames
+            return rows, bounds, converged, stalled, frames
+
+        monkeypatch.setattr(analysis, "_descend", spoilt)
+        with pytest.raises(ValueError) as stack:
+            optimize(random_kraus_point(seed=6), PARAMS05)
+        with pytest.raises(ValueError) as single:
+            for f in spoilt.frames[1:]:
+                KrausPoint.from_matrix(f)
+        assert str(stack.value) == str(single.value)
+        assert ("non-finite" in str(stack.value)) == (bad_first == "non-finite")
+
     def test_failure_above_floor_stalls(self, monkeypatch):
         # A gradient of the wrong sign makes every trial lose measurably,
         # so the radius collapses: that is a stall.
@@ -241,6 +300,41 @@ class TestOptimize:
         assert traj.stalled
         assert traj.terminated == "max_iters"
         assert len(traj.iterates) == 1
+
+
+def _tcg_reference(d, f, nb, radius):
+    """Steihaug-Toint truncated CG of a batch of one, from eta = 0.
+
+    Every step, the first included, runs the general recurrences on arrays
+    that start at zero, with the arithmetic of :func:`analysis._tcg`; this
+    is the reference for its bits.
+    """
+    dd = analysis._row_dot(d, d)
+    dn = np.sqrt(dd)
+    stop = (dn * np.minimum(dn, analysis._TR_CG_KAPPA)) ** 2
+    r2 = radius * radius
+    e, r, p = np.zeros_like(d), d, d
+    m = ee = ep = np.zeros(1)
+    pp = rr = dd
+    for j in range(analysis._TR_CG_MAX):
+        hp = _hess_vec(p, f, nb)
+        kappa = analysis._row_dot(p, hp)
+        alpha = rr / np.where(kappa < 0.0, -kappa, 1.0)
+        ap = alpha * pp
+        ee_new = ee + alpha * (2.0 * ep + ap)
+        out = (kappa >= 0.0) | (ee_new >= r2)
+        step = alpha
+        if out[0]:
+            step = (np.sqrt(ep * ep + pp * (r2 - ee)) - ep) / pp
+        m = m + step * (rr + 0.5 * step * kappa)
+        e, r = e + step[:, None] * p, r + step[:, None] * hp
+        rr_new = analysis._row_dot(r, r)
+        if out[0] or rr_new[0] <= stop[0] or j == analysis._TR_CG_MAX - 1:
+            return e, m, out
+        beta = rr_new / rr
+        ee, ep, pp = ee_new, beta * (ep + ap), rr_new + beta * beta * pp
+        p = r + beta[:, None] * p
+        rr = rr_new
 
 
 class TestTrustRegionStep:
@@ -276,6 +370,34 @@ class TestTrustRegionStep:
         assert np.linalg.norm(eta) == pytest.approx(1e-4, rel=1e-12)
         assert gain[0] > 0.0
 
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_rows_equal_the_zero_start_reference(self, signed_zeros):
+        # Every frame of a minimize campaign at five radii, as one batch
+        # whose rows stop at different CG steps, inside and on the
+        # boundary, against the reference byte for byte.  With -0.0 in
+        # every fourth entry of d, a step that ends at CG step 1 keeps
+        # zeros whose sign only 0 + x fixes.
+        params = LandscapeParams(w=(0.3, -0.4, 0.2))
+        _, _, _, frames = descend_runs(
+            analysis._haar_starts(3, 4), params, OptimizerConfig(direction="minimize"),
+            keep_frames=True)
+        radii = (2.0, 0.5, 0.25, 0.1, 0.04)
+        x = np.concatenate(frames * len(radii))
+        radius = np.repeat(radii, len(x) // len(radii))
+        xr = x.view(np.float64)
+        rn = _weight_factor(params)
+        d, f = _first_order(xr, -_gram(xr, rn), -rn)
+        d, nb = d.reshape(len(x), 32), _normals(xr)
+        if signed_zeros:
+            d[:, ::4] = -0.0
+        dd = analysis._row_dot(d, d)
+        eta, gain, boundary = analysis._tcg(d, dd, np.sqrt(dd), f, nb, radius)
+        for i in range(len(x)):
+            ref = _tcg_reference(d[i:i + 1], f[i:i + 1], nb[i:i + 1], radius[i:i + 1])
+            assert eta[i:i + 1].tobytes() == ref[0].tobytes()
+            assert gain[i:i + 1].tobytes() == ref[1].tobytes()
+            assert boundary[i] == ref[2][0]
+
     @staticmethod
     def _tcg_rows(monkeypatch, d, f, nb, radius):
         """One _tcg call and the row count of each of its CG steps."""
@@ -298,22 +420,29 @@ class TestTrustRegionStep:
         ([(0, 0, 1.0, 1, True), (1, -1, 2.0, 4, False)], [2, 1, 1, 1]),
         # Three rows stop at step 2, two inside and one on the boundary.
         ([(0, 1, 2.0, 2, False), (2, 1, 2.0, 2, False), (3, 1, 2.0, 2, True)], [3, 3]),
-    ], ids=["staggered", "together"])
+        # Three rows stop at the closed-form step 1: along non-positive
+        # curvature, on leaving the region, and inside on the residual.
+        ([(0, 0, 1.0, 1, True), (0, 1, 0.25, 1, True), (3, 2, 1.0, 1, False)], [3]),
+    ], ids=["staggered", "together", "first-step"])
     def test_rows_equal_batch_of_one(self, monkeypatch, picks, batch_rows):
         # Frames (run, iterate) of a minimize campaign with the data that
-        # _descend passes: the negated gradient and Hessian factor.
+        # _descend passes: the negated gradient and Hessian factor, the
+        # first order of -G and -R(N).
         params = LandscapeParams(w=(0.3, -0.4, 0.2))
-        _, _, _, frames = analysis._descend(
+        _, _, _, frames = descend_runs(
             analysis._haar_starts(3, 4), params, OptimizerConfig(direction="minimize"),
             keep_frames=True)
         x = np.stack([frames[run][it] for run, it, *_ in picks])
         radius = np.array([pick[2] for pick in picks])
         xr = x.view(np.float64)
         rn = _weight_factor(params)
-        grad, f = _first_order(xr, _gram(xr, rn), rn)
-        d, f, nb = -grad.reshape(len(x), 32), -f, _normals(xr)
+        d, f = _first_order(xr, -_gram(xr, rn), -rn)
+        d, nb = d.reshape(len(x), 32), _normals(xr)
         (eta, gain, boundary), rows = self._tcg_rows(monkeypatch, d, f, nb, radius)
         assert rows == batch_rows
+        # Every gain is positive, which lets the trial test read rho > 0.1
+        # as actual > 0.1 gain alone.
+        assert (gain > 0.0).all()
         for i, (_, _, _, steps, on_boundary) in enumerate(picks):
             one, rows = self._tcg_rows(
                 monkeypatch, d[i:i + 1], f[i:i + 1], nb[i:i + 1], radius[i:i + 1])
@@ -325,7 +454,7 @@ class TestTrustRegionStep:
 
 def descend_alone(w0, params, cfg):
     """Each row of ``w0`` run as a batch of one."""
-    runs = [analysis._descend(w0[i:i + 1], params, cfg, keep_frames=True)
+    runs = [descend_runs(w0[i:i + 1], params, cfg, keep_frames=True)
             for i in range(len(w0))]
     return [(r[0][0], r[1][0], r[2][0], r[3][0]) for r in runs]
 
@@ -341,13 +470,27 @@ class TestEngine:
         params = LandscapeParams(w=w)
         cfg = OptimizerConfig(direction=direction)
         w0 = analysis._haar_starts(5, starts)
-        rows, converged, stalled, frames = analysis._descend(
+        rows, converged, stalled, frames = descend_runs(
             w0, params, cfg, keep_frames=True)
         assert len({len(r) for r in rows}) > 1  # runs end at different iterations
         for i, (r1, c1, s1, f1) in enumerate(descend_alone(w0, params, cfg)):
             assert np.array_equal(rows[i], r1)
             assert np.array_equal(frames[i], f1)
             assert converged[i] == c1 and stalled[i] == s1
+
+    def test_one_run_sorted_stack(self):
+        # The records of all runs come as one stack sorted by run, in
+        # iteration order within a run, with the runs' bounds.
+        params = LandscapeParams(w=(0.3, -0.4, 0.2))
+        cfg = OptimizerConfig(direction="minimize")
+        w0 = analysis._haar_starts(5, 8)
+        rows, bounds, converged, stalled, frames = analysis._descend(
+            w0, params, cfg, keep_frames=True)
+        alone = descend_alone(w0, params, cfg)
+        assert bounds.tolist() == np.cumsum([0] + [len(r) for r, _, _, _ in alone]).tolist()
+        assert np.array_equal(rows, np.concatenate([r for r, _, _, _ in alone]))
+        assert np.array_equal(frames, np.concatenate([f for _, _, _, f in alone]))
+        assert analysis._descend(w0, params, cfg)[4] is None
 
     def test_mixed_endings_in_one_batch(self):
         # At |w| = 0.9 with max_iters 6: start 0 reaches grad_tol after 5
@@ -356,7 +499,7 @@ class TestEngine:
         params = LandscapeParams(w=(0.0, 0.0, 0.9))
         cfg = OptimizerConfig(max_iters=6)
         w0 = np.stack([random_kraus_point(seed=s).matrix for s in (0, 55, 5)])
-        rows, converged, stalled, _ = analysis._descend(w0, params, cfg)
+        rows, converged, stalled, _ = descend_runs(w0, params, cfg)
         assert [len(r) - 1 for r in rows] == [5, 6, 6]
         assert rows[0][-1, 1] < cfg.grad_tol
         assert rows[1][-1, 1] < cfg.grad_tol
@@ -395,7 +538,7 @@ class TestEngine:
             _haar_frame(8, 2, np.random.default_rng(np.random.SeedSequence(0, spawn_key=(i,))))
             for i in range(8)])
         n = len(w0)
-        rows, converged, stalled, frames = analysis._descend(w0, params, cfg, keep_frames=True)
+        rows, converged, stalled, frames = descend_runs(w0, params, cfg, keep_frames=True)
         assert converged.all() and not stalled.any()
         mixed = 0
         for j, (calls, after) in enumerate(zip(iterations, iterations[1:])):
@@ -424,7 +567,7 @@ class TestEngine:
     def test_stalled_batch(self, monkeypatch):
         monkeypatch.setattr(analysis, "_first_order", _wrong_sign(analysis._first_order))
         w0 = analysis._haar_starts(2, 4)
-        rows, converged, stalled, _ = analysis._descend(w0, PARAMS05, OptimizerConfig())
+        rows, converged, stalled, _ = descend_runs(w0, PARAMS05, OptimizerConfig())
         assert stalled.all() and not converged.any()
         assert [len(r) for r in rows] == [1, 1, 1, 1]
 
@@ -436,7 +579,7 @@ class TestEngine:
         # a long tail there or at any other norm.
         params = LandscapeParams(w=(0.0, 0.0, norm))
         cfg = OptimizerConfig(direction=direction)
-        rows, converged, stalled, _ = analysis._descend(
+        rows, converged, stalled, _ = descend_runs(
             analysis._haar_starts(7, 60), params, cfg)
         assert converged.all() and not stalled.any()
         target, sgn = (1.0, 1.0) if direction == "maximize" else (0.0, -1.0)
@@ -480,19 +623,31 @@ class TestChildStreams:
     def test_rerun_is_the_campaign_run(self, direction):
         # rerun_start(seed, i) redraws i + 1 frames; its run must be run i
         # of the 40-start campaign bitwise, and the campaign's run i must
-        # be the rerun's.
+        # be the rerun's.  The report's aggregates, read from the engine's
+        # run-sorted stack, must be those of the 40 reruns.
         cfg = OptimizerConfig(direction=direction)
-        rows, converged, stalled, frames = analysis._descend(
+        rows, converged, stalled, frames = descend_runs(
             analysis._haar_starts(13, 40), PARAMS05, cfg, keep_frames=True)
         report = multi_start(PARAMS05, 40, 13, cfg)
-        for i in (0, 17, 39):
-            traj = rerun_start(PARAMS05, 13, i, cfg)
+        trajs = [rerun_start(PARAMS05, 13, i, cfg) for i in range(40)]
+        for i, traj in enumerate(trajs):
             assert np.array_equal(np.array([(v, g) for _, v, g in traj.iterates]), rows[i])
             assert np.array_equal(np.stack([p.matrix for p, _, _ in traj.iterates]), frames[i])
             assert (traj.terminated == "converged") == converged[i]
             assert traj.stalled == stalled[i]
-            assert report.final_values[i] == traj.final_value
+            assert _bits(report.final_values[i]) == _bits(traj.final_value)
             assert report.iterations[i] == len(traj.iterates) - 1
+        values = [t.final_value for t in trajs]
+        target = 1.0 if direction == "maximize" else 0.0
+        gaps = [abs(target - v) for v in values]
+        best = values.index(max(values) if direction == "maximize" else min(values))
+        assert report.best_index == best
+        assert _bits(report.best_rows) == _bits([(v, g) for _, v, g in trajs[best].iterates])
+        assert _bits(report.worst_gap) == _bits(max(gaps))
+        assert report.reached_global == sum(g <= 1e-6 for g in gaps)
+        assert report.classified_saddle_hits == sum(
+            _is_saddle_label(_classify_scalar(t.final_value, t.final_grad_norm, PARAMS05))
+            for t in trajs)
 
     def test_negative_index_is_rejected(self):
         with pytest.raises(ValueError, match="start index must be non-negative"):
@@ -705,7 +860,7 @@ class TestClassifyRows:
             report = multi_start(params, 1, 0, cfg, start=p)
             expected = int(_is_saddle_label(classify_critical(p, params)))
             assert report.classified_saddle_hits == expected
-            rows, _, _, _ = analysis._descend(analysis._haar_starts(9, 12), params, cfg)
+            rows, _, _, _ = descend_runs(analysis._haar_starts(9, 12), params, cfg)
             loop = sum(_is_saddle_label(_classify_scalar(*r[-1].tolist(), params))
                        for r in rows)
             assert multi_start(params, 12, 9, cfg).classified_saddle_hits == loop

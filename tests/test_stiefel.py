@@ -457,6 +457,22 @@ class TestKrausPointStack:
             _kraus_points(frames)
         assert str(stack.value) == str(single.value) == "v2 contains non-finite entries"
 
+    @pytest.mark.parametrize("bad_first", ["infeasible", "non-finite"])
+    def test_mixed_rows_rejected_with_the_first_bad_point_error(self, bad_first):
+        # An infeasible and a non-finite frame in one stack: the error is
+        # the first bad frame's, as checking frame by frame reports it.
+        frames = np.stack([random_point(8, 2, seed=s).frame for s in range(5)])
+        rows = (1, 3) if bad_first == "infeasible" else (3, 1)
+        frames[rows[0], 0, 1] += 1e-6
+        frames[rows[1], 6, 0] = np.nan
+        with pytest.raises(ValueError) as single:
+            for f in frames:
+                KrausPoint.from_matrix(f)
+        with pytest.raises(ValueError) as stack:
+            _kraus_points(frames)
+        assert str(stack.value) == str(single.value)
+        assert ("non-finite" in str(stack.value)) == (bad_first == "non-finite")
+
     def test_from_matrix_errors_are_the_block_errors(self):
         # Each bad input fails from_matrix with the block constructor's error.
         good = random_point(8, 2, seed=8).frame
