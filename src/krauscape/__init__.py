@@ -4,141 +4,18 @@ Kraus maps on a qubit, their Stiefel-manifold parameter space, the
 transfer objective's exact critical structure (values, constructors,
 Morse signatures), Riemannian optimization, and level-set connectivity
 tracing, with a deterministic CLI for artifacts.
+
+The public names are those of each module's ``__all__``, listed there
+once.
 """
 
-from .qcore import (
-    IDENTITY2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    THETA0,
-    BlochVector,
-    CompletenessError,
-    DensityMatrix,
-    DilatedUnitary,
-    KrausSet,
-    TargetOperator,
-    apply_kraus,
-    bloch_to_density,
-    dilate,
-    objective_trace,
-    reduce_target,
-    verify_dilation,
-)
-from .stiefel import (
-    KrausPoint,
-    StiefelPoint,
-    TangentBasis,
-    TangentVector,
-    constraint_residuals,
-    kraus_to_point,
-    orthonormal_tangent_basis,
-    point_to_kraus,
-    random_kraus_point,
-    random_point,
-    real_inner,
-    retract,
-)
-from .landscape import (
-    CriticalManifoldId,
-    CriticalPointCertificate,
-    DiagCoords,
-    IllegalManifoldError,
-    LandscapeParams,
-    ManifoldTag,
-    MorseSignature,
-    coord_change,
-    critical_point,
-    duality_map,
-    euclidean_gradient,
-    hessian_form,
-    lagrange_certificate,
-    morse_signature,
-    objective_diag,
-    objective_uv,
-    predicted_morse,
-    predicted_value,
-    riemannian_gradient,
-    saddle_values,
-    to_diag,
-)
-from .analysis import (
-    FlowStallError,
-    LevelSetPath,
-    MultiStartReport,
-    OptimizerConfig,
-    Trajectory,
-    classify_critical,
-    level_transfer,
-    levelset_connect,
-    multi_start,
-    optimize,
-    rerun_start,
-)
+from . import analysis, landscape, qcore, stiefel
+from .qcore import *  # noqa: F401,F403
+from .stiefel import *  # noqa: F401,F403
+from .landscape import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IDENTITY2",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "THETA0",
-    "BlochVector",
-    "CompletenessError",
-    "DensityMatrix",
-    "DilatedUnitary",
-    "KrausSet",
-    "TargetOperator",
-    "apply_kraus",
-    "bloch_to_density",
-    "dilate",
-    "objective_trace",
-    "reduce_target",
-    "verify_dilation",
-    "KrausPoint",
-    "StiefelPoint",
-    "TangentBasis",
-    "TangentVector",
-    "constraint_residuals",
-    "kraus_to_point",
-    "orthonormal_tangent_basis",
-    "point_to_kraus",
-    "random_kraus_point",
-    "random_point",
-    "real_inner",
-    "retract",
-    "CriticalManifoldId",
-    "CriticalPointCertificate",
-    "DiagCoords",
-    "IllegalManifoldError",
-    "LandscapeParams",
-    "ManifoldTag",
-    "MorseSignature",
-    "coord_change",
-    "critical_point",
-    "duality_map",
-    "euclidean_gradient",
-    "hessian_form",
-    "lagrange_certificate",
-    "morse_signature",
-    "objective_diag",
-    "objective_uv",
-    "predicted_morse",
-    "predicted_value",
-    "riemannian_gradient",
-    "saddle_values",
-    "to_diag",
-    "FlowStallError",
-    "LevelSetPath",
-    "MultiStartReport",
-    "OptimizerConfig",
-    "Trajectory",
-    "classify_critical",
-    "level_transfer",
-    "levelset_connect",
-    "multi_start",
-    "optimize",
-    "rerun_start",
-    "__version__",
-]
+__all__ = [*qcore.__all__, *stiefel.__all__, *landscape.__all__, *analysis.__all__,
+           "__version__"]

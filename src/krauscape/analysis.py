@@ -56,12 +56,12 @@ from .landscape import (
     _DUAL_ROWS,
     _critical_manifolds,
     _first_order,
+    _first_order_mat,
     _gram,
     _gram_value,
     _hess_vec,
     _normals,
     _objective_mat,
-    _rgrad_mat,
     _weight_factor,
     coord_change,
 )
@@ -69,6 +69,7 @@ from .stiefel import (
     _KRAUS_BLOCKS,
     KrausPoint,
     _check_frames,
+    _haar_frames,
     _kraus_points,
     _points_of,
     _qf,
@@ -327,8 +328,12 @@ def _tcg(d, dd, dn, f, nb, radius):
                 return e, m, out
             eta[act], gain[act], boundary[act] = e, m, out
             return eta, gain, boundary
-        # Every row in the stack has rr > 0, the stopped ones too.
+        # Every row in the stack has rr > 0, the stopped ones too.  A
+        # stopped row's recurrence is discarded; its beta is zeroed, since
+        # beta^2 <p, p> overflows where rr is near the float floor.
         beta = rr_new / rr
+        if stopped:
+            beta[fin] = 0.0
         ep, pp, rr = beta * (ep + ap), rr_new + beta * beta * pp, rr_new
         p = r + beta[:, None] * p
         if stopped:
@@ -364,6 +369,30 @@ def _tcg(d, dd, dn, f, nb, radius):
         ee = ee_new
 
 
+def _trial_frames(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The QR retractions of the trial points w + eta of :func:`_descend`.
+
+    A step can collapse a frame's rank: from a start whose gradient is
+    rounding noise, CG may step along a normal direction such as -x1.
+    Only when :func:`stiefel._qf` raises for the stack are the rows
+    retracted one by one, bitwise as in the stack, and a collapsed row
+    gets its base frame back.  That zero step decreases J by exactly 0,
+    which the acceptance test rejects (every tCG gain is positive), so
+    the row is retried at a quarter of its radius.
+    """
+    y = w + eta.view(complex).reshape(w.shape)
+    try:
+        return _qf(y)
+    except RuntimeError:
+        q = w.copy()
+        for i, frame in enumerate(y):
+            try:
+                q[i] = _qf(frame)
+            except RuntimeError:
+                pass
+        return q
+
+
 def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
              keep_frames: bool = False):
     """Run the optimizer of :func:`optimize` on every frame of an (N, 8, 2) stack.
@@ -373,8 +402,11 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     J(dual X) = 1 - J(X): its values are read back as 1 - J, which stays
     monotone, and its frames are swapped back.  Near J = 1 the value
     tr(G) / 2 resolves J only to an ulp of 1; near J = 0 it resolves J,
-    its gradient and its Hessian factor to relative precision, so a run
-    next to either extreme reaches ``grad_tol``.
+    its gradient and its Hessian factor to relative precision, so on the
+    z axis a run next to either extreme reaches ``grad_tol``.  Off the
+    axis it need not: at the tilted pure state w = (0.6, 0, 0.8) the
+    rounded N has an eigenvalue of -2.8e-17, and a minimize run can stall
+    one step short of ``grad_tol`` (ROADMAP item 12).
 
     Rows share no arithmetic, so each row's run is bitwise the run of a
     batch of one.  Rows advance in lockstep: every row still running
@@ -382,7 +414,9 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     trust-region trial, with the radius rule applied to every row, are
     the iteration's result.  A rejected row is retried at a quarter of
     its radius, and only accepted retries are written into those arrays;
-    a row with no accepted trial after _TR_MAX_SHRINKS radii stalls.
+    a row with no accepted trial after _TR_MAX_SHRINKS radii stalls.  A
+    trial whose retraction collapses a column is rejected
+    (:func:`_trial_frames`).
     The running set is compacted only when a run ends.
 
     The kernels run on the frames' float views (:func:`landscape._gram`).
@@ -432,7 +466,7 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
         tn = _normals(w.view(np.float64))
         for shrink in range(_TR_MAX_SHRINKS):
             eta, gain, boundary = _tcg(td, tdd, tdn, tf, tn, tr)
-            cand = _qf(tw + eta.view(complex).reshape(tw.shape))
+            cand = _trial_frames(tw, eta)
             g_cand = _gram(cand.view(np.float64), rn)
             v_cand = _gram_value(g_cand)
             # rho = actual / gain is compared through products: every tCG
@@ -537,17 +571,15 @@ def optimize(
 def _haar_starts(seed: int, n: int) -> np.ndarray:
     """Haar frames of starts 0..n-1, the first n frames of one seeded stream.
 
-    The 32 normals of every start come from one
-    ``default_rng(seed).standard_normal((n, 2, 8, 2))`` draw, which one
-    batched QR finishes.  NumPy fills the draw in order, so start i is
-    the i-th Haar frame of the stream and the same for any n >= i + 1.
-    ``seed`` must be a non-negative integer; numpy integers are accepted.
+    They are :func:`stiefel._haar_frames` of ``default_rng(seed)``, so
+    start i is the i-th Haar frame of the stream and the same for any
+    n >= i + 1.  ``seed`` must be a non-negative integer; numpy integers
+    are accepted.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    g = np.random.default_rng(seed).standard_normal((n, 2, 8, 2))
-    return _qf(g[:, 0] + 1j * g[:, 1])
+    return _haar_frames(np.random.default_rng(seed), n)
 
 
 def rerun_start(
@@ -633,10 +665,8 @@ def classify_critical(p: KrausPoint, params: LandscapeParams):
     nears 0 and lambda_+ nears 1 (1 - |w| <= 4e-6, short of the pure
     states, which have no saddle values).
     """
-    w = p.matrix
-    gnorm = np.linalg.norm(_rgrad_mat(w, params))
-    label = _classify(np.reshape(_objective_mat(w, params), 1), np.reshape(gnorm, 1),
-                      params)[0]
+    value, grad, _ = _first_order_mat(p.matrix, params)
+    label = _classify(np.reshape(value, 1), np.reshape(np.linalg.norm(grad), 1), params)[0]
     labels = ("non-critical", "ambiguous") + tuple(
         CriticalManifoldId(tag) for tag, _, _, _ in _critical_manifolds(params))
     return labels[label]
@@ -751,13 +781,14 @@ def level_transfer(
     if not 0.0 < target_mu < 1.0:
         raise ValueError("target level must lie strictly inside (0, 1)")
     w = p.matrix
-    value = float(_objective_mat(w, params))
+    value, grad, _ = _first_order_mat(w, params)
+    value = float(value)
     if abs(target_mu - value) <= 1e-14:
         return p
     # The gradient shrinks like 1 - |w| near the pure states, so the stall
     # test scales with it there; nothing changes for |w| <= 1/2.
     scale = max(min(1.0, 2.0 * (1.0 - params.norm_w)), 1e-6)
-    if np.linalg.norm(_rgrad_mat(w, params)) < _STALL_GRAD * scale:
+    if np.linalg.norm(grad) < _STALL_GRAD * scale:
         raise FlowStallError(value)
     iso, sig, zh = _block_polar(w[None])
     basis = coord_change(params)  # N = basis diag(1 + r, 1 - r) basis^H

@@ -66,7 +66,7 @@ from .qcore import (
 from .stiefel import (
     KrausPoint,
     _gram_r,
-    _haar_frame,
+    _haar_frames,
     _project_mat,
     constraint_residuals,
     kraus_to_point,
@@ -236,14 +236,9 @@ def _parse_z(text: str | None):
     return complex(float(parts[0]), float(parts[1]))
 
 
-_MANIFOLD_NAMES = {
-    "global-min": ManifoldTag.GLOBAL_MIN,
-    "global-max": ManifoldTag.GLOBAL_MAX,
-    "saddle-minus": ManifoldTag.SADDLE_MINUS,
-    "saddle-plus": ManifoldTag.SADDLE_PLUS,
-    "mixed": ManifoldTag.MIXED_SADDLE,
-    "mixed-saddle": ManifoldTag.MIXED_SADDLE,
-}
+# Every tag's value, and "mixed" for the mixed saddle.
+_MANIFOLD_NAMES = {tag.value: tag for tag in ManifoldTag}
+_MANIFOLD_NAMES["mixed"] = ManifoldTag.MIXED_SADDLE
 
 
 def _parse_manifold(name: str, z_text: str | None) -> CriticalManifoldId:
@@ -258,17 +253,21 @@ def _parse_manifold(name: str, z_text: str | None) -> CriticalManifoldId:
     return CriticalManifoldId(tag, z=z)
 
 
-def _pick_tols(items, allowed: dict) -> dict:
-    """The defaults ``allowed`` with the ``--tol NAME=VALUE`` overrides applied."""
-    out = dict(allowed)
+def _pick_tols(items, names: tuple) -> dict:
+    """The ``--tol NAME=VALUE`` overrides, by name; a name not in ``names`` fails.
+
+    They go to the library as keywords, so its defaults stand for every
+    name not overridden.
+    """
+    out = {}
     for item in items or ():
         if "=" not in item:
             raise ValueError(f"--tol expects NAME=VALUE, got '{item}'")
         name, _, value = item.partition("=")
         name = name.strip()
-        if name not in allowed:
+        if name not in names:
             raise ValueError(
-                f"unknown tolerance '{name}'; this command accepts {sorted(allowed)}"
+                f"unknown tolerance '{name}'; this command accepts {sorted(names)}"
             )
         out[name] = float(value)
     return out
@@ -323,12 +322,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_OPT_TOL_DEFAULTS = {
-    "grad_tol": 1e-8,
-    "max_iters": 5000,
-}
-
-
 def _direction(name: str) -> str:
     if name in ("max", "maximize"):
         return "maximize"
@@ -339,12 +332,8 @@ def _direction(name: str) -> str:
 
 def _cmd_optimize(args) -> int:
     params = _parse_w(args.w)
-    tols = _pick_tols(args.tol, _OPT_TOL_DEFAULTS)
-    cfg = OptimizerConfig(
-        direction=_direction(args.direction),
-        max_iters=tols["max_iters"],
-        grad_tol=tols["grad_tol"],
-    )
+    tols = _pick_tols(args.tol, ("grad_tol", "max_iters"))
+    cfg = OptimizerConfig(direction=_direction(args.direction), **tols)
     start = None
     if args.start_file:
         start = point_from_dict(_load_json(args.start_file))
@@ -396,19 +385,16 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-_MORSE_TOL_DEFAULTS = {"zero_tol": 1e-12}
-
-
 def _cmd_morse(args) -> int:
     params = _parse_w(args.w)
-    tols = _pick_tols(args.tol, _MORSE_TOL_DEFAULTS)
+    tols = _pick_tols(args.tol, ("zero_tol",))
     mid = _parse_manifold(args.manifold, args.z)
     predicted = predicted_morse(mid, params)
     point = critical_point(mid, params, seed=args.seed)
     # The Hessian and the gradient norm, riemannian_gradient(...).norm(),
     # from the one gradient pass of hessian_form.
     hess, grad_norm = _hessian(point, params)
-    computed = morse_signature(hess, zero_tol=tols["zero_tol"])
+    computed = morse_signature(hess, **tols)
     match = computed == predicted
     report = {
         "manifold": mid.tag.value,
@@ -539,13 +525,17 @@ def _cmd_scan(args) -> int:
         raise ValueError("grid counts must be at least 2")
     if not (math.isfinite(args.range) and args.range > 0):
         raise ValueError("grid ranges must be finite and positive")
+    # The Gram data hold squares of the range, which overflow from about
+    # 1.3e154 (the square root of the largest float).
+    if args.range > 1e150:
+        raise ValueError("grid ranges must be at most 1e150")
     # The base frame, then the two directions, from the one stream.
     rng = np.random.default_rng(args.seed)
     if args.manifold:
         mid = _parse_manifold(args.manifold, args.z)
         base = _critical_frames(mid, params, rng, 1)[0]
     else:
-        base = _haar_frame(8, 2, rng)
+        base = _haar_frames(rng, 1)[0]
     w0 = KrausPoint.from_matrix(base).matrix
     dirs = []
     for _ in range(2):

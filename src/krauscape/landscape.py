@@ -11,8 +11,9 @@ manifold, stationarity certificates, and the value-reversing duality.
 
 One first-order kernel (:func:`_first_order`, from the Gram product of
 :func:`_gram`) and one Hessian-vector kernel (:func:`_hess_vec`) serve
-the optimizer, the Morse Hessian, the Riemannian gradient and the
-classifier.  They work on the float view of frames, in which
+the optimizer, the Morse Hessian, the Riemannian gradient, the
+classifier and the level transfer; outside the optimizer a frame's
+first-order pass is one call of :func:`_first_order_mat`.  They work on the float view of frames, in which
 right-multiplication by a complex 2x2 matrix is a real 4x4 product
 (:func:`_right_factor`).
 """
@@ -32,7 +33,7 @@ from .stiefel import (
     KrausPoint,
     TangentVector,
     _frame_residuals,
-    _qf,
+    _haar_frames,
     _tangent_stack,
     _validate_blocks,
 )
@@ -365,11 +366,18 @@ def _hess_vec(xi: np.ndarray, f: np.ndarray, nb: np.ndarray) -> np.ndarray:
     return a - (c.swapaxes(-1, -2) @ nb)[..., 0, :]
 
 
-def _rgrad_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
-    """Riemannian gradient of complex (..., 8, 2) frames, by :func:`_first_order`."""
+def _first_order_mat(w: np.ndarray, params: LandscapeParams):
+    """J, the Riemannian gradient and the Hessian factor of complex (..., 8, 2) frames.
+
+    All three come from one :func:`_gram` product: J bitwise as
+    :func:`_objective_mat` reads it, then :func:`_first_order`'s gradient,
+    as complex frames, and its factor F.
+    """
     xr = np.ascontiguousarray(w, dtype=complex).view(np.float64)
     rn = _weight_factor(params)
-    return _first_order(xr, _gram(xr, rn), rn)[0].view(complex)
+    g = _gram(xr, rn)
+    grad, f = _first_order(xr, g, rn)
+    return _gram_value(g), grad.view(complex), f
 
 
 def objective_uv(p: KrausPoint, params: LandscapeParams) -> float:
@@ -412,7 +420,7 @@ def riemannian_gradient(p: KrausPoint, params: LandscapeParams) -> TangentVector
     dJ(t) = <grad, t> for every tangent t.
     """
     base = p.to_stiefel()
-    return TangentVector(base=base, delta=_rgrad_mat(base.frame, params))
+    return TangentVector(base=base, delta=_first_order_mat(base.frame, params)[1])
 
 
 def _critical_manifolds(params: LandscapeParams) -> tuple:
@@ -491,18 +499,17 @@ def _critical_frames(mid: CriticalManifoldId, params: LandscapeParams,
                      rng: np.random.Generator, n: int) -> np.ndarray:
     """The next ``n`` random frames of ``rng`` on a critical sub-manifold, (n, 8, 2).
 
-    One ``rng.standard_normal((n, 2, 8, 2))`` draw, the real then the
-    imaginary parts, is zeroed off the row's block mask
-    (:func:`_critical_manifolds`, as :func:`_frame_mask`) and finished
-    by one batched QR; an off-mask block stays exactly zero through it.
-    The frames in N's eigenbasis turn back by B^H (:func:`coord_change`),
-    or, on the mixed saddle's chart z, by s [[-conj(z), 1], [1, z]] with
-    s = 1 / sqrt(1 + |z|^2), which maps the boundary chart's blocks
-    (0, a, b, 0) to (s a, z s a, -conj(z) s b, s b); B is I there.  A tag
-    the state has no row for raises :class:`IllegalManifoldError`.
+    The Haar draw of :func:`stiefel._haar_frames` is zeroed off the
+    row's block mask (:func:`_critical_manifolds`, as :func:`_frame_mask`)
+    before its one batched QR, through which an off-mask block stays
+    exactly zero.  The frames in N's eigenbasis turn back by B^H
+    (:func:`coord_change`), or, on the mixed saddle's chart z, by
+    s [[-conj(z), 1], [1, z]] with s = 1 / sqrt(1 + |z|^2), which maps
+    the boundary chart's blocks (0, a, b, 0) to (s a, z s a, -conj(z) s b,
+    s b); B is I there.  A tag the state has no row for raises
+    :class:`IllegalManifoldError`.
     """
-    g = rng.standard_normal((n, 2, 8, 2)) * _frame_mask(_manifold_row(mid, params)[3])
-    q = _qf(g[:, 0] + 1j * g[:, 1])
+    q = _haar_frames(rng, n, mask=_frame_mask(_manifold_row(mid, params)[3]))
     if mid.z is None:
         return q @ coord_change(params).conj().T
     s = 1.0 / math.hypot(1.0, abs(mid.z))
@@ -574,10 +581,8 @@ def _hessian(p: KrausPoint, params: LandscapeParams) -> tuple[np.ndarray, float]
     bitwise ``riemannian_gradient(p, params).norm()``.
     """
     w = p.matrix
-    xr = w.view(np.float64)
-    rn = _weight_factor(params)
-    grad, f = _first_order(xr, _gram(xr, rn), rn)
-    grad_norm = float(np.linalg.norm(grad.view(complex)))
+    _, grad, f = _first_order_mat(w, params)
+    grad_norm = float(np.linalg.norm(grad))
     if grad_norm > 1e-6:
         warnings.warn(
             f"Hessian requested at a point with gradient norm {grad_norm:.3e}; "
@@ -586,7 +591,7 @@ def _hessian(p: KrausPoint, params: LandscapeParams) -> tuple[np.ndarray, float]
         )
     t = _tangent_stack(w)
     tr = t.view(np.float64).reshape(len(t), 32)
-    out = tr @ _hess_vec(tr, f, _normals(xr)).T
+    out = tr @ _hess_vec(tr, f, _normals(w.view(np.float64))).T
     return 0.5 * (out + out.T), grad_norm
 
 
@@ -613,16 +618,14 @@ def lagrange_certificate(
     ``constraint_residual`` is the largest entry of |X^H X - I|.
     """
     w = p.matrix
-    xr = w.view(np.float64)
-    rn = _weight_factor(params)
-    grad, f = _first_order(xr, _gram(xr, rn), rn)
+    _, grad, f = _first_order_mat(w, params)
     lam = 0.5 * f[1]  # R(L) = -R(S) / 2
     return CriticalPointCertificate(
         point=p,
         eta1=float(lam[0, 0]),
         eta2=float(lam[2, 2]),
         eta3=complex(lam[0, 2], lam[0, 3]),
-        stationarity_residual=0.5 * float(np.linalg.norm(grad.view(complex))),
+        stationarity_residual=0.5 * float(np.linalg.norm(grad)),
         constraint_residual=float(_frame_residuals(w[None])[0]),
     )
 

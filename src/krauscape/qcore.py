@@ -21,6 +21,10 @@ __all__ = [
     "KrausSet",
     "DilatedUnitary",
     "THETA0",
+    "IDENTITY2",
+    "PAULI_X",
+    "PAULI_Y",
+    "PAULI_Z",
     "bloch_to_density",
     "apply_kraus",
     "reduce_target",

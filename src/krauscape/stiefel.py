@@ -428,26 +428,31 @@ def retract(x: StiefelPoint, t: TangentVector) -> StiefelPoint:
     return StiefelPoint(x.n, x.k, _qf(x.frame + t.delta))
 
 
-def _haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar frame of n x k, k = 2: the Q factor of a Ginibre draw.
+def _haar_frames(rng: np.random.Generator, n: int, rows: int = 8,
+                 mask: np.ndarray | None = None) -> np.ndarray:
+    """The next ``n`` Haar frames of ``rng``, (n, rows, 2): Q factors of Ginibre draws.
 
-    The draw is one (2, n, k) standard-normal array: the real parts,
-    then the imaginary parts.
+    The one seeded frame draw: one ``rng.standard_normal((n, 2, rows, 2))``
+    array, the real parts then the imaginary parts, finished by one
+    batched :func:`_qf`.  NumPy fills the draw in order, so frame i is
+    the same for any n >= i + 1.  A ``(rows, 2)`` 0/1 ``mask`` multiplies
+    the draw first; an entry it zeroes stays exactly zero through the QR.
     """
-    g = rng.standard_normal((2, n, k))
-    return _qf(g[0] + 1j * g[1])
+    g = rng.standard_normal((n, 2, rows, 2))
+    if mask is not None:
+        g = g * mask
+    return _qf(g[:, 0] + 1j * g[:, 1])
 
 
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
     """Haar-distributed n x k frame from an explicit seed; ``k`` must be 2."""
     _require_two_columns(k)
-    rng = np.random.default_rng(seed)
-    return StiefelPoint(n, k, _haar_frame(n, k, rng))
+    return StiefelPoint(n, k, _haar_frames(np.random.default_rng(seed), 1, rows=n)[0])
 
 
 def random_kraus_point(seed: int) -> KrausPoint:
     """Haar-distributed feasible channel coordinates."""
-    return KrausPoint.from_matrix(_haar_frame(8, 2, np.random.default_rng(seed)))
+    return KrausPoint.from_matrix(_haar_frames(np.random.default_rng(seed), 1)[0])
 
 
 # Orthonormal basis of the anti-Hermitian 2x2 matrices: the two diagonal

@@ -42,7 +42,7 @@ from krauscape.qcore import (
     verify_dilation,
 )
 from krauscape.stiefel import (
-    _haar_frame,
+    _haar_frames,
     _project_mat,
     _qf,
     point_to_kraus,
@@ -82,7 +82,7 @@ def seeded_w(rng, allow_boundary=True):
 
 
 def random_kraus_set(m, rng):
-    frame = _haar_frame(2 * m, 2, rng)
+    frame = _haar_frames(rng, 1, rows=2 * m)[0]
     ops = tuple(
         np.array(
             [[frame[a, 0], frame[a, 1]], [frame[m + a, 0], frame[m + a, 1]]]

@@ -28,11 +28,11 @@ from krauscape.landscape import (
     ManifoldTag,
     _critical_manifolds,
     _first_order,
+    _first_order_mat,
     _gram,
     _hess_vec,
     _normals,
     _objective_mat,
-    _rgrad_mat,
     _weight_factor,
     critical_point,
     duality_map,
@@ -41,7 +41,7 @@ from krauscape.landscape import (
 )
 from krauscape.stiefel import (
     KrausPoint,
-    _haar_frame,
+    _haar_frames,
     _project_mat,
     _qf,
     constraint_residuals,
@@ -241,7 +241,7 @@ class TestOptimize:
         cfg = OptimizerConfig(direction="maximize")
         top = critical_point(CriticalManifoldId(ManifoldTag.GLOBAL_MAX), params, seed=7)
         start = KrausPoint.from_matrix(_nudged(top.matrix, 1.1e-8))
-        gnorm = np.linalg.norm(_rgrad_mat(start.matrix, params))
+        gnorm = np.linalg.norm(_first_order_mat(start.matrix, params)[1])
         assert cfg.grad_tol < gnorm < 2.0 * cfg.grad_tol
         traj = optimize(start, params, cfg)
         assert traj.terminated == "converged"
@@ -535,7 +535,7 @@ class TestEngine:
         # The Haar frames of numpy's child streams (0, i): a batch in which
         # some iterations mix first-trial accepts with retries.
         w0 = np.stack([
-            _haar_frame(8, 2, np.random.default_rng(np.random.SeedSequence(0, spawn_key=(i,))))
+            _haar_frames(np.random.default_rng(np.random.SeedSequence(0, spawn_key=(i,))), 1)[0]
             for i in range(8)])
         n = len(w0)
         rows, converged, stalled, frames = descend_runs(w0, params, cfg, keep_frames=True)
@@ -570,6 +570,49 @@ class TestEngine:
         rows, converged, stalled, _ = descend_runs(w0, PARAMS05, OptimizerConfig())
         assert stalled.all() and not converged.any()
         assert [len(r) for r in rows] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("tag", [ManifoldTag.SADDLE_MINUS, ManifoldTag.SADDLE_PLUS])
+    def test_collapsing_trial_is_rejected(self, tag):
+        # At |w| = 1 - 1e-12 the dual of an exact saddle frame has a
+        # gradient of rounding noise, so the first CG step runs along a
+        # normal direction and its trial collapses a column.  The trial
+        # is rejected like any other, and the run stalls.
+        params = LandscapeParams(w=(0.0, 0.0, 1.0 - 1e-12))
+        w0 = critical_point(CriticalManifoldId(tag), params, seed=0).matrix[None]
+        rows, converged, stalled, _ = descend_runs(w0, params, OptimizerConfig(grad_tol=1e-300))
+        assert stalled.tolist() == [True] and converged.tolist() == [False]
+        assert len(rows[0]) == 1
+
+    def test_collapsing_trial_beside_haar_starts(self, monkeypatch):
+        # The collapse makes the whole stack's retraction raise, and its
+        # rows are then retracted one by one: every Haar row must still be
+        # bitwise its run as a batch of one.  The Haar runs go on to
+        # gradient norms near the float floor, where no CG recurrence of a
+        # stopped row may overflow.
+        params = LandscapeParams(w=(0.0, 0.0, 1.0 - 1e-12))
+        cfg = OptimizerConfig(max_iters=20, grad_tol=1e-300)
+        saddle = critical_point(CriticalManifoldId(ManifoldTag.SADDLE_MINUS), params, seed=0)
+        w0 = np.concatenate([saddle.matrix[None], analysis._haar_starts(3, 39)])
+        collapsed, qf = [], analysis._qf
+
+        def recorded_qf(w):
+            try:
+                return qf(w)
+            except RuntimeError:
+                collapsed.append(w.shape)
+                raise
+
+        monkeypatch.setattr(analysis, "_qf", recorded_qf)
+        rows, converged, stalled, frames = descend_runs(w0, params, cfg, keep_frames=True)
+        assert (40, 8, 2) in collapsed
+        monkeypatch.undo()
+        assert stalled[0] and not converged[0]
+        for i, (r1, c1, s1, f1) in enumerate(descend_alone(w0, params, cfg)):
+            if i == 0:
+                continue
+            assert _bits(rows[i]) == _bits(r1)
+            assert _bits(frames[i].view(np.float64)) == _bits(f1.view(np.float64))
+            assert converged[i] == c1 and stalled[i] == s1
 
     @pytest.mark.parametrize("norm", [1.0 - 1e-6, 0.0, 0.5, 0.999, 1.0])
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])

@@ -205,6 +205,35 @@ class TestOptimize:
         assert report["best_value"] == pytest.approx(1.0, abs=1e-12)
         assert report["reached_global"] == 0
 
+    def test_collapsing_trial_stalls_the_run(self, tmp_path, capsys):
+        # From the dual of an exact saddle frame at |w| = 1 - 1e-12 the
+        # first CG step collapses a column of its trial: the trial is
+        # rejected, and the campaign reports a stalled run.
+        params = LandscapeParams(w=(0.0, 0.0, 0.999999999999))
+        p = critical_point(CriticalManifoldId(ManifoldTag.SADDLE_MINUS), params, seed=0)
+        start = write_json(tmp_path / "start.json", point_to_dict(p))
+        code = main(["optimize", "--w", "0,0,0.999999999999", "--start-file", start,
+                     "--direction", "max", "--tol", "grad_tol=1e-300"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert "1 of 1 runs did not converge (1 stalled)" in captured.err
+        assert json.loads(captured.out)["stalled"] == 1
+
+    def test_traj_out_is_the_default_trajectory(self, tmp_path, capsys):
+        argv = ["optimize", "--w", "0,0,0.5", "--seed", "7", "--direction", "max",
+                "--starts", "5"]
+        assert main(argv + ["--out", str(tmp_path / "a.json")]) == 0
+        default = (tmp_path / "a.json.traj.csv").read_bytes()
+        assert main(argv + ["--out", str(tmp_path / "b.json"),
+                            "--traj-out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "b.csv").read_bytes() == default
+        assert not (tmp_path / "b.json.traj.csv").exists()
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--traj-out", str(tmp_path / "c.csv")]) == 0
+        assert (tmp_path / "c.csv").read_bytes() == default
+        assert json.loads(capsys.readouterr().out)["starts"] == 5
+
     def test_seed_required_without_start(self, capsys):
         code = main(["optimize", "--w", "0,0,0.5", "--direction", "max"])
         assert code == 2
@@ -861,6 +890,13 @@ class TestScan:
         for half in ("0", "-1", "nan", "inf"):
             assert main(argv + ["--range", half]) == 2
             assert "grid ranges must be finite and positive" in capsys.readouterr().err
+
+    def test_range_is_bounded(self, capsys):
+        # From about 1.3e154 the Gram data's squares of the range overflow.
+        argv = ["scan", "--w", "0,0,0.5", "--seed", "1", "--out", os.devnull]
+        assert main(argv + ["--range", "1e155"]) == 2
+        assert "grid ranges must be at most 1e150" in capsys.readouterr().err
+        assert main(argv + ["--range", "1e150"]) == 0
 
     def test_unknown_manifold(self):
         code = main(

@@ -7,13 +7,13 @@ import krauscape.landscape as landscape
 from krauscape.landscape import (
     _critical_manifolds,
     _first_order,
+    _first_order_mat,
     _gram,
     _gram_value,
     _hess_vec,
     _normals,
     _objective_mat,
     _quotient_value,
-    _rgrad_mat,
     _weight_factor,
     CriticalManifoldId,
     CriticalPointCertificate,
@@ -748,11 +748,12 @@ class TestHessianVector:
     @pytest.mark.parametrize("w", [(0.3, -0.4, 0.2), (0.0, 0.0, 0.999999), (0.0, 0.0, 0.0)])
     def test_matches_gradient_differences(self, w):
         # Hess J[xi] = Proj_X(D rgrad[xi]) for any smooth extension of the
-        # Riemannian gradient; _rgrad_mat is one off the manifold.
+        # Riemannian gradient; _first_order_mat's is one off the manifold.
         params = LandscapeParams(w=BlochVector(*w))
         x, xi = _tangent_stack()
         h = 1e-5
-        diff = (_rgrad_mat(x + h * xi, params) - _rgrad_mat(x - h * xi, params)) / (2 * h)
+        diff = (_first_order_mat(x + h * xi, params)[1]
+                - _first_order_mat(x - h * xi, params)[1]) / (2 * h)
         assert np.abs(_hvp(x, xi, params) - _project_mat(x, diff)).max() <= 1e-8
 
     def test_self_adjoint_on_tangents(self):
@@ -835,7 +836,7 @@ class TestFloatViewKernels:
         assert abs(_objective_mat(x, params) - value) <= 1e-15
         grad = _u_rows(x) @ n - x @ _sym(xpxn)
         assert np.abs(_first_order(xr, g, rn)[0].view(complex) - grad).max() <= 1e-15
-        assert np.abs(_rgrad_mat(x, params) - grad).max() <= 1e-15
+        assert np.abs(_first_order_mat(x, params)[1] - grad).max() <= 1e-15
 
     @pytest.mark.parametrize("size", [2, 3, 40, 200])
     def test_stacks_equal_single_frames(self, size):
