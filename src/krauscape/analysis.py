@@ -62,7 +62,6 @@ from .landscape import (
     _hess_vec,
     _normals,
     _objective_mat,
-    _weight_factor,
     coord_change,
 )
 from .stiefel import (
@@ -289,9 +288,10 @@ def _tcg(d, dd, dn, f, nb, radius):
     in closed form: the recurrences' terms in eta vanish, so it touches
     no array of zeros and gives the bits of the general step.  Each
     later step forms the next direction before the rows that stopped
-    leave the stack.  Rows share no arithmetic.  When all rows stop at
-    the same CG step, its running arrays are the result: no result
-    arrays are allocated and nothing is scattered.
+    leave the stack; a stopped row's beta is 0, and its <r, r>, which can
+    be subnormal, is never divided.  Rows share no arithmetic.  When all
+    rows stop at the same CG step, its running arrays are the result: no
+    result arrays are allocated and nothing is scattered.
 
     Returns ``(eta, gain, boundary)``: the steps, their model gains
     m(eta), and whether each stopped on the boundary.
@@ -328,12 +328,11 @@ def _tcg(d, dd, dn, f, nb, radius):
                 return e, m, out
             eta[act], gain[act], boundary[act] = e, m, out
             return eta, gain, boundary
-        # Every row in the stack has rr > 0, the stopped ones too.  A
-        # stopped row's recurrence is discarded; its beta is zeroed, since
-        # beta^2 <p, p> overflows where rr is near the float floor.
-        beta = rr_new / rr
+        # A running row has rr > 0.
         if stopped:
-            beta[fin] = 0.0
+            beta = np.divide(rr_new, rr, out=np.zeros(len(rr)), where=~fin)
+        else:
+            beta = rr_new / rr
         ep, pp, rr = beta * (ep + ap), rr_new + beta * beta * pp, rr_new
         p = r + beta[:, None] * p
         if stopped:
@@ -402,11 +401,17 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     J(dual X) = 1 - J(X): its values are read back as 1 - J, which stays
     monotone, and its frames are swapped back.  Near J = 1 the value
     tr(G) / 2 resolves J only to an ulp of 1; near J = 0 it resolves J,
-    its gradient and its Hessian factor to relative precision, so on the
-    z axis a run next to either extreme reaches ``grad_tol``.  Off the
-    axis it need not: at the tilted pure state w = (0.6, 0, 0.8) the
-    rounded N has an eigenvalue of -2.8e-17, and a minimize run can stall
-    one step short of ``grad_tol`` (ROADMAP item 12).
+    its gradient and its Hessian factor to relative precision, so a run
+    next to either extreme reaches ``grad_tol``.
+
+    Every batch runs in N's eigenbasis B (:func:`landscape.coord_change`):
+    the starts are rotated once to X B, whose J is that of X for
+    N = diag(1 + |w|, 1 - |w|), with R(N) built from |w| itself, and kept
+    frames are rotated back by B^H.  With N diagonal, J = tr(G) / 2 sums
+    non-negative terms, so no value falls below 0, also off the z axis,
+    where the rounded N of the state can have a negative eigenvalue
+    (-2.8e-17 at w = (0.6, 0, 0.8)).  On the z axis with gamma >= 0, B is
+    the identity.
 
     Rows share no arithmetic, so each row's run is bitwise the run of a
     batch of one.  Rows advance in lockstep: every row still running
@@ -437,9 +442,13 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     dual = cfg.direction == "maximize"
     n = len(w0)
     ids = np.arange(n)
-    rn = _weight_factor(params)
+    basis = coord_change(params)
+    # R(N) of N = diag(1 + r, 1 - r) scales both parts of column 0 by
+    # 1 + r and of column 1 by 1 - r.
+    r = params.norm_w
+    rn = np.diag([1.0 + r, 1.0 + r, 1.0 - r, 1.0 - r])
     nrn = -rn
-    w = np.ascontiguousarray(w0.take(_DUAL_ROWS, 1) if dual else w0, dtype=complex)
+    w = (w0.take(_DUAL_ROWS, 1) if dual else w0) @ basis
     xr = w.view(np.float64)
     g = _gram(xr, rn)
     value = _gram_value(g)
@@ -527,6 +536,7 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     frames = None
     if keep_frames:
         frames = np.concatenate([h[3] for h in history]).take(order, 0)
+        frames = frames @ basis.conj().T
         if dual:
             frames = frames.take(_DUAL_ROWS, 1)
     return rows, bounds, converged, stalled, frames
@@ -967,17 +977,13 @@ def _witness(wa: np.ndarray, wb: np.ndarray, params: LandscapeParams,
     """:func:`levelset_connect` on the endpoints' 8x2 frames."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError("level must lie in [0, 1]")
-    if _chord(wa, wb) < 1e-12:
-        found = _stack_witness(wa[None], params, mu, "connected")
-        if found.deviation > 1e-8:
-            raise ValueError(f"endpoint a is off the level by {found.deviation:.3e}")
-        return found
-    for name, frame in (("a", wa), ("b", wb)):
-        dev = abs(float(_objective_mat(frame, params)) - mu)
+    ends = np.stack([wa, wb])
+    for name, value in zip("ab", _objective_mat(ends, params).tolist()):
+        dev = abs(value - mu)
         if dev > 1e-8:
             raise ValueError(f"endpoint {name} is off the level by {dev:.3e}")
-
-    ends = np.stack([wa, wb])
+    if _chord(wa, wb) < 1e-12:
+        return _stack_witness(wa[None], params, mu, "connected")
     nodes = _gram_witness(wa, wb)
     length = _norms(np.diff(nodes(np.linspace(0.0, 1.0, 9)), axis=0)).sum()
     s = np.linspace(0.0, 1.0, math.ceil(length / (0.85 * _CHORD_LIMIT)) + 1)

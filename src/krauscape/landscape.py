@@ -30,6 +30,7 @@ import numpy as np
 
 from .qcore import BlochVector
 from .stiefel import (
+    _HERMITIAN_BASIS,
     KrausPoint,
     TangentVector,
     _frame_residuals,
@@ -258,14 +259,6 @@ def _sym_factor() -> np.ndarray:
     return (0.5 * (basis - e @ basis @ e)).reshape(16, 16)
 
 
-# An orthonormal basis H_k of the Hermitian 2x2 matrices for the trace
-# inner product: the two diagonal units, then sigma_x and sigma_y over sqrt 2.
-_HERMITIAN_BASIS = np.array([
-    [[1.0, 0.0], [0.0, 0.0]],
-    [[0.0, 0.0], [0.0, 1.0]],
-    [[0.0, 1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0), 0.0]],
-    [[0.0, -1j / np.sqrt(2.0)], [1j / np.sqrt(2.0), 0.0]],
-])
 _NORMAL_FACTORS = _right_factor(_HERMITIAN_BASIS)
 _SYM_FACTOR = _sym_factor()
 # Selects R(N) for the u-rows of the factor [R(N) - R(S); -R(S)].
@@ -310,9 +303,11 @@ def _quotient_value(m, params: LandscapeParams):
 def _objective_mat(w: np.ndarray, params: LandscapeParams) -> np.ndarray:
     """Yield on complex (..., 8, 2) frames: :func:`_gram_value` of :func:`_gram`.
 
-    The one value kernel: the optimizer reads J of its float views the
-    same way, so a frame has one value everywhere, bitwise the same
-    alone and in any stack.
+    The one value kernel: a frame has one value, bitwise the same alone
+    and in any stack.  The optimizer reads J the same way of X B in N's
+    eigenbasis (:func:`analysis._descend`), which is this value where B
+    is the identity (the z axis with gamma >= 0) and differs from it in
+    the last bits elsewhere.
     """
     xr = np.ascontiguousarray(w, dtype=complex).view(np.float64)
     return _gram_value(_gram(xr, _weight_factor(params)))

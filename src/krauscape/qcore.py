@@ -51,7 +51,8 @@ class CompletenessError(ValueError):
 
 
 def _as_complex(a, shape, what: str) -> np.ndarray:
-    m = np.array(a, dtype=complex)
+    """A read-only C-ordered complex copy of ``a``, checked for shape and finiteness."""
+    m = np.array(a, dtype=complex, order="C")
     if m.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import CompletenessError, KrausSet
+from .qcore import CompletenessError, KrausSet, _as_complex
 
 __all__ = [
     "StiefelPoint",
@@ -140,14 +140,9 @@ class StiefelPoint:
 
     def __post_init__(self):
         _require_two_columns(self.k)
-        f = np.array(self.frame, dtype=complex, order="C")
-        if f.shape != (self.n, self.k):
-            raise ValueError(f"frame must have shape {(self.n, self.k)}, got {f.shape}")
-        if not np.all(np.isfinite(f.real)) or not np.all(np.isfinite(f.imag)):
-            raise ValueError("frame contains non-finite entries")
+        f = _as_complex(self.frame, (self.n, self.k), "frame")
         if not _frame_residuals(f[None])[0] <= 1e-10:
             raise ValueError("frame columns are not orthonormal within 1e-10")
-        f.setflags(write=False)
         object.__setattr__(self, "frame", f)
 
 
@@ -455,14 +450,18 @@ def random_kraus_point(seed: int) -> KrausPoint:
     return KrausPoint.from_matrix(_haar_frames(np.random.default_rng(seed), 1)[0])
 
 
-# Orthonormal basis of the anti-Hermitian 2x2 matrices: the two diagonal
-# phases, then the real and the imaginary off-diagonal pair.
-_ROTATIONS = np.array([
-    [[1j, 0.0], [0.0, 0.0]],
-    [[0.0, 0.0], [0.0, 1j]],
-    [[0.0, 1.0 / np.sqrt(2.0)], [-1.0 / np.sqrt(2.0), 0.0]],
-    [[0.0, 1j / np.sqrt(2.0)], [1j / np.sqrt(2.0), 0.0]],
+# An orthonormal basis H_k of the Hermitian 2x2 matrices for the trace
+# inner product: the two diagonal units, then sigma_x and sigma_y over sqrt 2.
+_HERMITIAN_BASIS = np.array([
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0), 0.0]],
+    [[0.0, -1j / np.sqrt(2.0)], [1j / np.sqrt(2.0), 0.0]],
 ])
+# The anti-Hermitian basis i H_k, i H_3 before i H_2: the two diagonal
+# phases, then the real and the imaginary off-diagonal pair.  The + 0j
+# turns the one -0j of i (-i / sqrt 2) positive.
+_ROTATIONS = 1j * _HERMITIAN_BASIS[[0, 1, 3, 2]] + 0j
 
 
 def _tangent_stack(w: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,40 @@ class TestTrustRegionStep:
             assert np.array_equal(gain[i:i + 1], one[1])
             assert np.array_equal(boundary[i:i + 1], one[2])
 
+    def test_stopped_row_with_a_subnormal_residual(self, monkeypatch):
+        # Row 0 sits at a global maximum with a descent direction of norm
+        # 1e-160, so <r, r> = <d, d> is subnormal; along its positive
+        # curvature it stops on the boundary at step 1, 1e160 away in
+        # units of d, with a residual of order 1.  Row 1 runs on inside.
+        # The stopped row's beta is never divided out (the filter turns
+        # an overflow warning into an error), and each row is bitwise its
+        # batch of one.
+        params = LandscapeParams(w=(0.3, -0.4, 0.2))
+        top = critical_point(CriticalManifoldId(ManifoldTag.GLOBAL_MAX), params, seed=4)
+        _, _, _, frames = descend_runs(
+            analysis._haar_starts(3, 4), params, OptimizerConfig(direction="minimize"),
+            keep_frames=True)
+        x = np.stack([top.matrix, frames[1][-1]])
+        xr = x.view(np.float64)
+        rn = _weight_factor(params)
+        d, f = _first_order(xr, -_gram(xr, rn), -rn)
+        d, nb = d.reshape(2, 32), _normals(xr)
+        tangent = _project_mat(top.matrix, np.ones((8, 2)) + 1j * np.arange(16.0).reshape(8, 2))
+        d[0] = 1e-160 * (tangent / np.linalg.norm(tangent)).view(np.float64).reshape(32)
+        dd = analysis._row_dot(d, d)
+        assert 0.0 < dd[0] < np.finfo(float).tiny
+        radius = np.array([1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (eta, gain, boundary), rows = self._tcg_rows(monkeypatch, d, f, nb, radius)
+            assert rows == [2, 1, 1, 1] and boundary.tolist() == [True, False]
+            for i in range(2):
+                one = self._tcg_rows(
+                    monkeypatch, d[i:i + 1], f[i:i + 1], nb[i:i + 1], radius[i:i + 1])[0]
+                assert eta[i:i + 1].tobytes() == one[0].tobytes()
+                assert gain[i:i + 1].tobytes() == one[1].tobytes()
+                assert boundary[i] == one[2][0]
+
 
 def descend_alone(w0, params, cfg):
     """Each row of ``w0`` run as a batch of one."""
@@ -614,13 +649,33 @@ class TestEngine:
             assert _bits(frames[i].view(np.float64)) == _bits(f1.view(np.float64))
             assert converged[i] == c1 and stalled[i] == s1
 
-    @pytest.mark.parametrize("norm", [1.0 - 1e-6, 0.0, 0.5, 0.999, 1.0])
+    def test_runs_to_the_float_floor_raise_no_warning(self):
+        # With grad_tol 1e-300 the runs go on to gradients near the float
+        # floor, where a row that stops in CG can hold a subnormal <r, r>
+        # while another runs on; dividing by it would overflow, which the
+        # filter makes an error.  Every row is bitwise its batch of one.
+        cfg = OptimizerConfig(direction="minimize", grad_tol=1e-300, max_iters=30)
+        w0 = analysis._haar_starts(500, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, converged, stalled, frames = descend_runs(w0, PARAMS05, cfg, keep_frames=True)
+            alone = descend_alone(w0, PARAMS05, cfg)
+        for i, (r1, c1, s1, f1) in enumerate(alone):
+            assert _bits(rows[i]) == _bits(r1)
+            assert _bits(frames[i].view(np.float64)) == _bits(f1.view(np.float64))
+            assert converged[i] == c1 and stalled[i] == s1
+
+    @pytest.mark.parametrize("w", [
+        (0.0, 0.0, 1.0 - 1e-6), (0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 0.999),
+        (0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.48, 0.64, 0.6),
+    ], ids=lambda w: str(w[2]) if w[:2] == (0.0, 0.0) else ",".join(map(str, w)))
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
-    def test_short_runs_everywhere(self, norm, direction):
+    def test_short_runs_everywhere(self, w, direction):
         # Near a pure state the slow direction has curvature (1 - |w|) / 2;
         # the trust-region step takes it in one Newton step, so no run has
-        # a long tail there or at any other norm.
-        params = LandscapeParams(w=(0.0, 0.0, norm))
+        # a long tail there or at any other norm.  Off the z axis the runs
+        # go in N's eigenbasis, so their values stay in [0, 1] there too.
+        params = LandscapeParams(w=w)
         cfg = OptimizerConfig(direction=direction)
         rows, converged, stalled, _ = descend_runs(
             analysis._haar_starts(7, 60), params, cfg)
@@ -739,17 +794,24 @@ class TestMultiStart:
         assert all(v < 1e-6 for v in report.final_values)
 
     def test_report_validation(self):
-        with pytest.raises(ValueError):
-            MultiStartReport(
-                starts=2,
-                seed=0,
-                direction="maximize",
-                reached_global=3,
-                final_values=(1.0, 1.0),
-                worst_gap=0.0,
-                classified_saddle_hits=0,
-                best_index=0,
-            )
+        fields = dict(
+            starts=2,
+            seed=0,
+            direction="maximize",
+            reached_global=3,
+            final_values=(1.0, 1.0),
+            worst_gap=0.0,
+            classified_saddle_hits=0,
+            best_index=0,
+        )
+        with pytest.raises(ValueError, match=r"reached_global must lie in \[0, starts\]"):
+            MultiStartReport(**fields)
+        with pytest.raises(ValueError, match="worst_gap must be non-negative"):
+            MultiStartReport(**{**fields, "reached_global": 2, "worst_gap": -1.0})
+
+    def test_needs_a_start(self):
+        with pytest.raises(ValueError, match="n_starts must be at least 1"):
+            multi_start(PARAMS05, n_starts=0, seed=0)
 
     def test_converged_count_validation(self):
         fields = dict(
@@ -1094,6 +1156,15 @@ class TestLevelsetConnect:
         assert len(path.waypoints) == 1
         assert path.max_step_length == 0.0
 
+    def test_level_and_coincident_endpoints_are_checked(self):
+        a = level_transfer(random_kraus_point(seed=31), PARAMS05, 0.4)
+        with pytest.raises(ValueError, match=r"level must lie in \[0, 1\]"):
+            levelset_connect(a, a, PARAMS05, 1.5)
+        dev = abs(objective_uv(a, PARAMS05) - 0.5)
+        with pytest.raises(ValueError) as err:
+            levelset_connect(a, a, PARAMS05, 0.5)
+        assert str(err.value) == f"endpoint a is off the level by {dev:.3e}"
+
     def test_interior_level(self):
         a = level_transfer(random_kraus_point(seed=31), PARAMS05, 0.4)
         b = level_transfer(random_kraus_point(seed=32), PARAMS05, 0.4)
@@ -1270,6 +1341,7 @@ class TestLevelsetConnect:
             dict(max_value_deviation=-1e-9), dict(max_step_length=-0.01),
             dict(waypoints=()), dict(mu=math.nan), dict(mu=2.0),
             dict(status="failed", max_step_length=-1.0), dict(status="failed", mu=-0.1),
+            dict(status="open"),
         ):
             with pytest.raises(ValueError):
                 LevelSetPath(**{**good, **bad})

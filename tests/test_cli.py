@@ -33,6 +33,8 @@ from krauscape.qcore import KrausSet, bloch_to_density, dilate, verify_dilation
 from krauscape.stiefel import KrausPoint
 
 IDENT = np.eye(2, dtype=complex)
+# The identity operator's two rows as the Kraus JSON writes them.
+IDENT_OP = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 DEPHASE = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 
 
@@ -136,6 +138,34 @@ class TestEvaluate:
             main(["evaluate", "--in", ident_file])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"m": 1, "operators": [IDENT_OP]},
+         "Kraus JSON must declare system dimension n = 2"),
+        ({"n": 2, "m": 0, "operators": []},
+         "Kraus JSON must supply a non-empty 'operators' list"),
+        ({"n": 2, "m": 2, "operators": [IDENT_OP]},
+         "Kraus JSON field 'm' must match the operator count"),
+        ({"n": 2, "m": 1, "operators": [IDENT_OP + IDENT_OP[:1]]},
+         "operator 0 must have 2 rows"),
+        ({"n": 2, "m": 1, "operators": [[IDENT_OP[0], [[0.0, 0.0], [1.0, 0.0, 0.0]]]]},
+         "operator 0: complex entries must be [re, im] pairs"),
+    ], ids=["no-n", "no-operators", "wrong-m", "three-rows", "not-a-pair"])
+    def test_malformed_kraus_json_exits_2(self, tmp_path, doc, message, capsys):
+        path = write_json(tmp_path / "kraus.json", doc)
+        assert main(["evaluate", "--in", path, "--w", "0,0,0.5"]) == 2
+        assert capsys.readouterr().err == f"krauscape evaluate: {message}\n"
+
+    def test_theta_without_entries_exits_2(self, tmp_path, ident_file, capsys):
+        theta = write_json(tmp_path / "theta.json", {"entries": [[[1.0, 0.0], [0.0, 0.0]]]})
+        assert main(["evaluate", "--in", ident_file, "--w", "0,0,0.5", "--theta", theta]) == 2
+        assert capsys.readouterr().err == (
+            "krauscape evaluate: target-operator JSON must supply 2x2 'entries'\n")
+
+    def test_json_array_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "array.json", [kraus_to_dict(KrausSet((IDENT,)))])
+        assert main(["evaluate", "--in", path, "--w", "0,0,0.5"]) == 2
+        assert capsys.readouterr().err == f"krauscape evaluate: {path}: expected a JSON object\n"
+
 
 class TestOptimize:
     def test_deterministic_artifacts(self, tmp_path):
@@ -233,6 +263,42 @@ class TestOptimize:
         assert main(argv + ["--traj-out", str(tmp_path / "c.csv")]) == 0
         assert (tmp_path / "c.csv").read_bytes() == default
         assert json.loads(capsys.readouterr().out)["starts"] == 5
+
+    @pytest.mark.parametrize("field, change, message", [
+        ("u2", None, "point JSON is missing field 'u2'"),
+        ("u1", 3, "point field u1: expected a list of 4 [re, im] pairs"),
+    ], ids=["missing-block", "short-block"])
+    def test_malformed_start_file_exits_2(self, tmp_path, field, change, message, capsys):
+        doc = point_to_dict(stiefel.random_kraus_point(3))
+        if change is None:
+            del doc[field]
+        else:
+            doc[field] = doc[field][:change]
+        start = write_json(tmp_path / "start.json", doc)
+        code = main(["optimize", "--w", "0,0,0.5", "--start-file", start,
+                     "--direction", "max"])
+        assert code == 2
+        assert capsys.readouterr().err == f"krauscape optimize: {message}\n"
+
+    @pytest.mark.parametrize("option, message", [
+        (["--w", "0,0.5"], "--w expects three comma-separated numbers a,b,g"),
+        (["--w", "0,0,0.5", "--tol", "grad_tol"], "--tol expects NAME=VALUE, got 'grad_tol'"),
+    ], ids=["two-stokes-numbers", "tol-without-value"])
+    def test_malformed_option_exits_2(self, option, message, capsys):
+        code = main(["optimize", "--seed", "1", "--direction", "max"] + option)
+        assert code == 2
+        assert capsys.readouterr().err == f"krauscape optimize: {message}\n"
+
+    def test_tilted_pure_minimize_converges(self, capsys):
+        # Draw 185 of the benchmark's campaign-nearpure seed 8: in the
+        # rounded N of w = (0.6, 0, 0.8) the run stalled one step short
+        # of grad_tol; in N's eigenbasis it converges.
+        code = main(["optimize", "--w", "0.6,0,0.8", "--seed", "441686585",
+                     "--direction", "min", "--starts", "2"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] == 2
+        assert all(0.0 <= v <= 1e-6 for v in report["final_values"])
 
     def test_seed_required_without_start(self, capsys):
         code = main(["optimize", "--w", "0,0,0.5", "--direction", "max"])
@@ -529,6 +595,16 @@ class TestMorse:
     def test_unknown_manifold(self, capsys):
         code = main(["morse", "--w", "0,0,0.5", "--seed", "1", "--manifold", "ridge"])
         assert code == 2
+
+    @pytest.mark.parametrize("manifold, z, message", [
+        ("mixed", "0.1", "--z expects two comma-separated numbers re,im"),
+        ("saddle-minus", "0.1,0.2", "--z applies only to the mixed saddle"),
+    ], ids=["one-number", "not-the-mixed-saddle"])
+    def test_bad_chart_exits_2(self, manifold, z, message, capsys):
+        code = main(["morse", "--w", "0,0,0", "--seed", "1", "--manifold", manifold,
+                     f"--z={z}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"krauscape morse: {message}\n"
 
     def test_near_mixed_saddle_matches(self, capsys):
         code = main(

@@ -639,6 +639,8 @@ class TestMorse:
     def test_signature_sums_to_dimension(self):
         with pytest.raises(ValueError):
             MorseSignature(8, 6, 13)
+        with pytest.raises(ValueError, match="signature counts must be non-negative"):
+            MorseSignature(-1, 15, 14)
 
     def test_warns_off_critical(self):
         params = LandscapeParams(w=BlochVector(0.0, 0.0, 0.5))

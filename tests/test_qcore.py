@@ -169,6 +169,10 @@ class TestCompletenessResidual:
 
 
 class TestReduceTarget:
+    def test_target_must_be_hermitian(self):
+        with pytest.raises(ValueError, match="target operator is not Hermitian within 1e-12"):
+            TargetOperator(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+
     def test_theta0(self):
         scale, offset, basis = reduce_target(THETA0)
         assert scale == pytest.approx(1.0) and offset == pytest.approx(0.0)
@@ -362,6 +366,12 @@ class TestDilationCompletion:
             _dilation_residual(u, k, off)
         assert str(stacked.value) == str(one.value)
 
+    def test_stacked_residual_rejects_another_ancilla_dimension(self):
+        u = dilate(KrausSet(DEPHASING))
+        with pytest.raises(ValueError) as err:
+            _dilation_residual(u, KrausSet((IDENTITY2,)), _probe_states(0))
+        assert str(err.value) == "dilation has ancilla dimension 2, channel has 1 operators"
+
     def test_qr_completion_is_unitary_and_keeps_the_prescribed_columns(self):
         channels = _edge_channels() + [random_kraus(m, seed=700 + m) for m in (1, 2, 3, 4)]
         for k in channels:
@@ -383,6 +393,11 @@ class TestKrausSetInvariants:
         ops = tuple(IDENTITY2 / np.sqrt(5) for _ in range(5))
         with pytest.raises(ValueError):
             KrausSet(ops)
+
+    def test_rejects_a_three_by_three_operator(self):
+        with pytest.raises(ValueError) as err:
+            KrausSet((np.eye(3, dtype=complex),))
+        assert str(err.value) == "Kraus operator must have shape (2, 2), got (3, 3)"
 
     def test_caller_tolerance(self):
         ops = (IDENTITY2 * (1.0 + 2e-8),)

@@ -373,6 +373,37 @@ class TestTypeInvariants:
             with pytest.raises(ValueError, match="k = 2 columns, got k = "):
                 random_point(8, k, seed=1)
 
+    def test_stiefel_point_checks_shape_then_entries(self):
+        # The messages of the one complex-array check of qcore, which
+        # StiefelPoint shares.
+        with pytest.raises(ValueError) as err:
+            StiefelPoint(8, 2, np.eye(7, 2, dtype=complex))
+        assert str(err.value) == "frame must have shape (8, 2), got (7, 2)"
+        frame = random_point(8, 2, seed=25).frame.copy()
+        frame[3, 1] = np.nan
+        with pytest.raises(ValueError) as err:
+            StiefelPoint(8, 2, frame)
+        assert str(err.value) == "frame contains non-finite entries"
+
+    def test_stiefel_point_frame_is_a_read_only_c_ordered_copy(self):
+        frame = np.asfortranarray(random_point(8, 2, seed=25).frame)
+        x = StiefelPoint(8, 2, frame)
+        assert x.frame.flags.c_contiguous and not x.frame.flags.writeable
+        assert np.array_equal(x.frame, frame) and not np.shares_memory(x.frame, frame)
+
+    def test_tangent_vector_rejects_wrong_shape(self):
+        x = random_point(8, 2, seed=25)
+        with pytest.raises(ValueError, match="tangent delta shape does not match the base frame"):
+            TangentVector(base=x, delta=np.zeros((7, 2), dtype=complex))
+
+    def test_tangent_basis_rejects_non_orthonormal_vectors(self):
+        # Every delta is tangent, but one has norm 2.
+        x = random_point(8, 2, seed=26)
+        vectors = list(orthonormal_tangent_basis(x).vectors)
+        vectors[3] = TangentVector(base=x, delta=2.0 * vectors[3].delta)
+        with pytest.raises(ValueError, match="tangent basis is not orthonormal within 1e-10"):
+            TangentBasis(base=x, vectors=vectors)
+
     def test_tangent_vector_rejects_normal_component(self):
         x = random_point(8, 2, seed=25)
         with pytest.raises(ValueError):
