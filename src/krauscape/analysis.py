@@ -17,12 +17,14 @@ Trial points are retracted by the closed-form two-column QR of
 ``stiefel._qf``, and each gets one Gram product G, whose trace is its
 objective.  The arrays of an iteration's first trial are the
 iteration's result: only rows retried at a quarter radius are written
-into them.  An accepted trial's G gives its gradient and its Hessian
-factor, with which every CG step applies the Hessian as one stacked
-real product and a projection on four normal directions, on flat
-(N, 32) float rows.  The engine only minimizes: a maximize run is the
-minimize run of its dual frame, u- and v-rows swapped, read back as
-1 - J.  The saddle hits of a campaign are counted in
+into them.  An iteration starts with one first-order pass over the
+frames accepted last, the starts being iteration 0's: an accepted G
+gives its gradient and its Hessian factor, with which every CG step
+applies the Hessian as one stacked real product and a projection on
+four normal directions, on flat (N, 32) float rows.  Rows leave a
+stack by one rule, integer ``take()``.  The engine only minimizes: a
+maximize run is the minimize run of its dual frame, u- and v-rows
+swapped, read back as 1 - J.  The saddle hits of a campaign are counted in
 one vectorised pass.  :func:`optimize` is that engine on a single
 frame; validated :class:`KrausPoint` objects are built only where a
 caller receives them.
@@ -44,7 +46,6 @@ broadcast over a stack, validated once as a stack of waypoints.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,6 +73,7 @@ from .stiefel import (
     _kraus_points,
     _points_of,
     _qf,
+    _seeded_rng,
 )
 
 __all__ = [
@@ -267,6 +269,16 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a * b, axis=1)
 
 
+def _rows(keep: np.ndarray, *arrays) -> list:
+    """The rows of each array where the boolean ``keep`` is set.
+
+    Integer rows and take(): several times faster than a boolean mask on
+    stacks of a few dozen rows.
+    """
+    index = keep.nonzero()[0]
+    return [a.take(index, 0) for a in arrays]
+
+
 def _tcg(d, dd, dn, f, nb, radius):
     """Steihaug-Toint truncated CG on the quadratic model of every row.
 
@@ -283,12 +295,10 @@ def _tcg(d, dd, dn, f, nb, radius):
     residual falls to |d| * min(|d|, _TR_CG_KAPPA), or after _TR_CG_MAX
     steps.  The model gain and the inner products <eta, eta>, <eta, p>,
     <p, p> of the iterate and the search direction p follow the CG
-    recurrences (Conn, Gould & Toint, *Trust-Region Methods*, 2000).
-    Step 1 starts from eta = 0, where it is the Cauchy step, and is taken
-    in closed form: the recurrences' terms in eta vanish, so it touches
-    no array of zeros and gives the bits of the general step.  Each
-    later step forms the next direction before the rows that stopped
-    leave the stack; a stopped row's beta is 0, and its <r, r>, which can
+    recurrences (Conn, Gould & Toint, *Trust-Region Methods*, 2000),
+    from eta = 0, so step 1 is the Cauchy step.  Each step forms the next
+    direction before the rows that stopped leave the stack
+    (:func:`_rows`); a stopped row's beta is 0, and its <r, r>, which can
     be subnormal, is never divided.  Rows share no arithmetic.  When all
     rows stop at the same CG step, its running arrays are the result: no
     result arrays are allocated and nothing is scattered.
@@ -299,27 +309,26 @@ def _tcg(d, dd, dn, f, nb, radius):
     n = len(d)
     stop = (dn * np.minimum(dn, _TR_CG_KAPPA)) ** 2
     r2 = radius * radius
-    # Step 1 along p = r = d from e = 0: <e, e> = alpha (alpha <p, p>),
-    # the boundary root is tau = sqrt(<p, p> radius^2) / <p, p>, and
-    # e = 0 + step p, whose + 0.0 turns the negative zeros of step p
-    # positive.
-    hp = _hess_vec(d, f, nb)
-    kappa = _row_dot(d, hp)
-    alpha = dd / np.where(kappa < 0.0, -kappa, 1.0)
-    ap = alpha * dd
-    ee = alpha * ap
-    out = (kappa >= 0.0) | (ee >= r2)
-    step = alpha
-    if np.count_nonzero(out):
-        step = np.where(out, np.sqrt(dd * r2) / dd, alpha)
-    m = step * (dd + 0.5 * step * kappa)
-    sc = step[:, None]
-    e = sc * d
-    e += 0.0
-    r = d + sc * hp
-    # <e, p> is 0 before step 1; the next one is beta (0.0 + alpha <p, p>).
-    act, fa, nba, p, pp, rr, ep = None, f, nb, d, dd, dd, 0.0
+    # CG starts at e = 0 with p = r = d.  The scalars become arrays at
+    # step 1, where 0.0 + x turns the negative zeros of step p positive.
+    e = m = ee = ep = 0.0
+    act, p, pp, rr, r = None, d, dd, dd, d
     for j in range(1, _TR_CG_MAX + 1):
+        hp = _hess_vec(p, f, nb)
+        kappa = _row_dot(p, hp)
+        alpha = rr / np.where(kappa < 0.0, -kappa, 1.0)
+        ap = alpha * pp
+        ee_new = ee + alpha * (2.0 * ep + ap)
+        out = (kappa >= 0.0) | (ee_new >= r2)
+        step = alpha
+        if np.count_nonzero(out):
+            # The positive root tau of |e + tau p| = radius.
+            tau = (np.sqrt(ep * ep + pp * (r2 - ee)) - ep) / pp
+            step = np.where(out, tau, alpha)
+        m = m + step * (rr + 0.5 * step * kappa)
+        sc = step[:, None]
+        e, r = e + sc * p, r + sc * hp
+        ee = ee_new
         rr_new = _row_dot(r, r)
         fin = out | (rr_new <= stop)
         stopped = np.count_nonzero(fin)
@@ -342,30 +351,8 @@ def _tcg(d, dd, dn, f, nb, radius):
             # Every row is written; a row still running is written again
             # at the step where it stops.
             eta[act], gain[act], boundary[act] = e, m, out
-            # Integer rows, and take() on the stacked arrays: several times
-            # faster than a boolean mask on stacks of a few dozen rows.
-            live = (~fin).nonzero()[0]
-            act, r2, m, ee, ep, pp, rr, stop = (
-                act[live], r2[live], m[live], ee[live], ep[live], pp[live], rr[live],
-                stop[live])
-            fa, nba, e, r, p = (
-                fa.take(live, 0), nba.take(live, 0), e.take(live, 0), r.take(live, 0),
-                p.take(live, 0))
-        hp = _hess_vec(p, fa, nba)
-        kappa = _row_dot(p, hp)
-        alpha = rr / np.where(kappa < 0.0, -kappa, 1.0)
-        ap = alpha * pp
-        ee_new = ee + alpha * (2.0 * ep + ap)
-        out = (kappa >= 0.0) | (ee_new >= r2)
-        step = alpha
-        if np.count_nonzero(out):
-            # The positive root tau of |e + tau p| = radius.
-            tau = (np.sqrt(ep * ep + pp * (r2 - ee)) - ep) / pp
-            step = np.where(out, tau, alpha)
-        m = m + step * (rr + 0.5 * step * kappa)
-        sc = step[:, None]
-        e, r = e + sc * p, r + sc * hp
-        ee = ee_new
+            act, r2, m, ee, ep, pp, rr, stop, f, nb, e, r, p = _rows(
+                ~fin, act, r2, m, ee, ep, pp, rr, stop, f, nb, e, r, p)
 
 
 def _trial_frames(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -415,14 +402,16 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
 
     Rows share no arithmetic, so each row's run is bitwise the run of a
     batch of one.  Rows advance in lockstep: every row still running
-    accepts one step per iteration.  The arrays of an iteration's first
-    trust-region trial, with the radius rule applied to every row, are
-    the iteration's result.  A rejected row is retried at a quarter of
-    its radius, and only accepted retries are written into those arrays;
-    a row with no accepted trial after _TR_MAX_SHRINKS radii stalls.  A
-    trial whose retraction collapses a column is rejected
-    (:func:`_trial_frames`).
-    The running set is compacted only when a run ends.
+    accepts one step per iteration.  The starts are iteration 0's
+    accepted frames, and each of the ``max_iters + 1`` passes first takes
+    the first order of the accepted frames and records it; the last pass
+    stops there.  The arrays of an iteration's first trust-region trial,
+    with the radius rule applied to every row, are the iteration's
+    result.  A rejected row is retried at a quarter of its radius, and
+    only accepted retries are written into those arrays; a row with no
+    accepted trial after _TR_MAX_SHRINKS radii stalls.  A trial whose
+    retraction collapses a column is rejected (:func:`_trial_frames`).
+    The running set is compacted only when a run ends, by :func:`_rows`.
 
     The kernels run on the frames' float views (:func:`landscape._gram`).
     Each trial point gets one Gram product G, which gives its value
@@ -449,26 +438,26 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
     rn = np.diag([1.0 + r, 1.0 + r, 1.0 - r, 1.0 - r])
     nrn = -rn
     w = (w0.take(_DUAL_ROWS, 1) if dual else w0) @ basis
-    xr = w.view(np.float64)
-    g = _gram(xr, rn)
+    g = _gram(w.view(np.float64), rn)
     value = _gram_value(g)
-    # d is the descent direction -grad J as flat float rows; f is the
-    # negated Hessian factor of each frame.  Both are linear in (G, R(N)),
-    # so they are the first order of -G and -R(N).
-    d, f = _first_order(xr, -g, nrn)
-    d = d.reshape(n, 32)
-    dd = _row_dot(d, d)
-    gnorm = np.sqrt(dd)
     radius = np.full(n, _TR_RADIUS_START)
-    history = [(ids, value, gnorm, w if keep_frames else None)]
+    history = []
     stalled = np.zeros(n, dtype=bool)
-    for _ in range(cfg.max_iters):
+    for it in range(cfg.max_iters + 1):
+        # d is the descent direction -grad J as flat float rows; f is the
+        # negated Hessian factor of each frame.  Both are linear in
+        # (G, R(N)), so they are the first order of -G and -R(N).
+        d, f = _first_order(w.view(np.float64), -g, nrn)
+        d = d.reshape(len(ids), 32)
+        dd = _row_dot(d, d)
+        gnorm = np.sqrt(dd)
+        history.append((ids, value, gnorm, w if keep_frames else None))
+        if it == cfg.max_iters:
+            break
         done = gnorm < cfg.grad_tol
         if np.count_nonzero(done):
-            live = (~done).nonzero()[0]
-            ids, value, dd, gnorm, radius = (
-                ids[live], value[live], dd[live], gnorm[live], radius[live])
-            w, d, f = w.take(live, 0), d.take(live, 0), f.take(live, 0)
+            ids, value, dd, gnorm, radius, w, d, f = _rows(
+                ~done, ids, value, dd, gnorm, radius, w, d, f)
             if not len(ids):
                 break
         tw, td, tdd, tdn, tf, tv, tr = w, d, dd, gnorm, f, value, radius
@@ -495,29 +484,20 @@ def _descend(w0: np.ndarray, params: LandscapeParams, cfg: OptimizerConfig,
                     break
                 trial = np.arange(len(ids))
             elif hits:
-                hit = trial[accept]
-                w_new[hit], v_new[hit], g_new[hit], r_new[hit], ok[hit] = (
-                    cand[accept], v_cand[accept], g_cand[accept], r_cand[accept], True)
+                hit, c, v, gc, rc = _rows(accept, trial, cand, v_cand, g_cand, r_cand)
+                w_new[hit], v_new[hit], g_new[hit], r_new[hit], ok[hit] = c, v, gc, rc, True
                 if hits == len(accept):
                     break
             # A rejected trial is retried at a quarter of its radius.
-            more = ~accept
-            trial, tw, td, tdd, tdn, tf, tn, tv, tr = (
-                trial[more], tw[more], td[more], tdd[more], tdn[more], tf[more],
-                tn[more], tv[more], tr[more])
+            trial, tw, td, tdd, tdn, tf, tn, tv, tr = _rows(
+                ~accept, trial, tw, td, tdd, tdn, tf, tn, tv, tr)
             tr = 0.25 * tr
         if rejected and np.count_nonzero(ok) < len(ok):
             stalled[ids[~ok]] = True
-            ids, w_new, v_new, g_new, r_new = (
-                ids[ok], w_new[ok], v_new[ok], g_new[ok], r_new[ok])
+            ids, w_new, v_new, g_new, r_new = _rows(ok, ids, w_new, v_new, g_new, r_new)
             if not len(ids):
                 break
-        w, value, radius = w_new, v_new, r_new
-        d, f = _first_order(w.view(np.float64), -g_new, nrn)
-        d = d.reshape(len(ids), 32)
-        dd = _row_dot(d, d)
-        gnorm = np.sqrt(dd)
-        history.append((ids, value, gnorm, w if keep_frames else None))
+        w, value, g, radius = w_new, v_new, g_new, r_new
 
     # Sort the per-iteration records run by run, in iteration order: run
     # i's records are the slice bounds[i]:bounds[i + 1] of the stack.
@@ -584,12 +564,9 @@ def _haar_starts(seed: int, n: int) -> np.ndarray:
     They are :func:`stiefel._haar_frames` of ``default_rng(seed)``, so
     start i is the i-th Haar frame of the stream and the same for any
     n >= i + 1.  ``seed`` must be a non-negative integer; numpy integers
-    are accepted.
+    are accepted (:func:`stiefel._seeded_rng`).
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return _haar_frames(np.random.default_rng(seed), n)
+    return _haar_frames(_seeded_rng(seed), n)
 
 
 def rerun_start(

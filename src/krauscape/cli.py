@@ -68,6 +68,7 @@ from .stiefel import (
     _gram_r,
     _haar_frames,
     _project_mat,
+    _seeded_rng,
     constraint_residuals,
     kraus_to_point,
     real_inner,
@@ -216,6 +217,15 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text.encode("utf-8"))
 
 
+def _write_report(args, payload: dict, header: tuple, rows) -> None:
+    """Write a subcommand's report in its ``--format``: ``payload`` as JSON,
+    or ``rows`` under ``header`` as CSV (:func:`csv_lines`)."""
+    if args.format == "csv":
+        _write_text(csv_lines(header, rows), args.out)
+    else:
+        _write_text(dumps_json(payload), args.out)
+
+
 # ---------------------------------------------------------------------------
 # Argument plumbing.
 
@@ -302,23 +312,20 @@ def _cmd_evaluate(args) -> int:
         "grad_norm": grad_norm,
         "constraints": {"phi1": phi1, "phi2": phi2, "phi3": _pair(phi3)},
     }
-    if args.format == "csv":
-        rows = [
-            ("case", params.case),
-            ("j_trace", j_trace),
-            ("j_uv", j_uv),
-            ("j_diag", j_diag),
-            ("residual_trace_uv", report["residual_trace_uv"]),
-            ("residual_uv_diag", report["residual_uv_diag"]),
-            ("grad_norm", grad_norm),
-            ("phi1", phi1),
-            ("phi2", phi2),
-            ("phi3_re", phi3.real),
-            ("phi3_im", phi3.imag),
-        ]
-        _write_text(csv_lines(("key", "value"), rows), args.out)
-    else:
-        _write_text(dumps_json(report), args.out)
+    rows = [
+        ("case", params.case),
+        ("j_trace", j_trace),
+        ("j_uv", j_uv),
+        ("j_diag", j_diag),
+        ("residual_trace_uv", report["residual_trace_uv"]),
+        ("residual_uv_diag", report["residual_uv_diag"]),
+        ("grad_norm", grad_norm),
+        ("phi1", phi1),
+        ("phi2", phi2),
+        ("phi3_re", phi3.real),
+        ("phi3_im", phi3.imag),
+    ]
+    _write_report(args, report, ("key", "value"), rows)
     return 0
 
 
@@ -364,11 +371,7 @@ def _cmd_optimize(args) -> int:
             "max": its[-1],
         },
     }
-    if args.format == "csv":
-        rows = list(enumerate(report.final_values))
-        _write_text(csv_lines(("index", "final_value"), rows), args.out)
-    else:
-        _write_text(dumps_json(payload), args.out)
+    _write_report(args, payload, ("index", "final_value"), enumerate(report.final_values))
     traj_path = args.traj_out
     if traj_path is None and args.out is not None:
         traj_path = args.out + ".traj.csv"
@@ -406,21 +409,18 @@ def _cmd_morse(args) -> int:
         "match": match,
         "grad_norm": grad_norm,
     }
-    if args.format == "csv":
-        rows = [
-            ("manifold", mid.tag.value),
-            ("predicted_positive", predicted.nu_plus),
-            ("predicted_negative", predicted.nu_minus),
-            ("predicted_zero", predicted.nu_zero),
-            ("computed_positive", computed.nu_plus),
-            ("computed_negative", computed.nu_minus),
-            ("computed_zero", computed.nu_zero),
-            ("match", str(match).lower()),
-            ("grad_norm", grad_norm),
-        ]
-        _write_text(csv_lines(("key", "value"), rows), args.out)
-    else:
-        _write_text(dumps_json(report), args.out)
+    rows = [
+        ("manifold", mid.tag.value),
+        ("predicted_positive", predicted.nu_plus),
+        ("predicted_negative", predicted.nu_minus),
+        ("predicted_zero", predicted.nu_zero),
+        ("computed_positive", computed.nu_plus),
+        ("computed_negative", computed.nu_minus),
+        ("computed_zero", computed.nu_zero),
+        ("match", str(match).lower()),
+        ("grad_norm", grad_norm),
+    ]
+    _write_report(args, report, ("key", "value"), rows)
     if not match:
         print(
             f"morse: computed signature {report['computed']} does not match "
@@ -441,8 +441,7 @@ def _levelset_endpoints(params: LandscapeParams, mu: float, seed: int):
     """
     if mu >= 1.0 - 1e-9 or mu <= 1e-9:
         tag = ManifoldTag.GLOBAL_MAX if mu >= 0.5 else ManifoldTag.GLOBAL_MIN
-        frames = _critical_frames(CriticalManifoldId(tag), params,
-                                  np.random.default_rng(seed), 2)
+        frames = _critical_frames(CriticalManifoldId(tag), params, _seeded_rng(seed), 2)
         return tuple(map(KrausPoint.from_matrix, frames))
     a, b = map(KrausPoint.from_matrix, _haar_starts(seed, 2))
     return level_transfer(a, params, mu), level_transfer(b, params, mu)
@@ -459,21 +458,15 @@ def _cmd_levelset(args) -> int:
             for i, (value, step) in enumerate(zip(path.values.tolist(),
                                                   path.steps.tolist()))]
     rows.append(("status", path.status, path.deviation, path.step))
-    if args.format == "json":
-        payload = {
-            "mu": mu,
-            "status": path.status,
-            "waypoints": len(path.frames),
-            "max_value_deviation": path.deviation,
-            "max_step_length": path.step,
-            "detail": path.detail,
-        }
-        _write_text(dumps_json(payload), args.out)
-    else:
-        _write_text(
-            csv_lines(("index", "value", "deviation", "step"), rows),
-            args.out,
-        )
+    payload = {
+        "mu": mu,
+        "status": path.status,
+        "waypoints": len(path.frames),
+        "max_value_deviation": path.deviation,
+        "max_step_length": path.step,
+        "detail": path.detail,
+    }
+    _write_report(args, payload, ("index", "value", "deviation", "step"), rows)
     if path.status != "connected":
         print(f"levelset: tracer failed: {path.detail}", file=sys.stderr)
         return 4
@@ -507,15 +500,12 @@ def _cmd_dilate(args) -> int:
     report = unitary_to_dict(u)
     report["partial_trace_residual"] = residual
     report["unitarity_residual"] = unitarity
-    if args.format == "csv":
-        rows = [
-            (i, j, u.entries[i, j].real, u.entries[i, j].imag)
-            for i in range(u.dim)
-            for j in range(u.dim)
-        ]
-        _write_text(csv_lines(("row", "col", "re", "im"), rows), args.out)
-    else:
-        _write_text(dumps_json(report), args.out)
+    rows = (
+        (i, j, u.entries[i, j].real, u.entries[i, j].imag)
+        for i in range(u.dim)
+        for j in range(u.dim)
+    )
+    _write_report(args, report, ("row", "col", "re", "im"), rows)
     return 0
 
 
@@ -530,7 +520,7 @@ def _cmd_scan(args) -> int:
     if args.range > 1e150:
         raise ValueError("grid ranges must be at most 1e150")
     # The base frame, then the two directions, from the one stream.
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     if args.manifold:
         mid = _parse_manifold(args.manifold, args.z)
         base = _critical_frames(mid, params, rng, 1)[0]

@@ -35,6 +35,7 @@ from .stiefel import (
     TangentVector,
     _frame_residuals,
     _haar_frames,
+    _seeded_rng,
     _tangent_stack,
     _validate_blocks,
 )
@@ -525,7 +526,7 @@ def critical_point(
     :class:`IllegalManifoldError`.
     """
     return KrausPoint.from_matrix(
-        _critical_frames(mid, params, np.random.default_rng(seed), 1)[0])
+        _critical_frames(mid, params, _seeded_rng(seed), 1)[0])
 
 
 def morse_signature(h: np.ndarray, zero_tol: float = 1e-12) -> MorseSignature:

@@ -12,6 +12,7 @@ Every frame has two columns (k = 2); :class:`StiefelPoint` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,6 +424,18 @@ def retract(x: StiefelPoint, t: TangentVector) -> StiefelPoint:
     return StiefelPoint(x.n, x.k, _qf(x.frame + t.delta))
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """``default_rng(seed)``; ``seed`` must be a non-negative integer.
+
+    The one check of a seed, so every seeded draw rejects a bad seed with
+    the same message.  Numpy integers are accepted.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _haar_frames(rng: np.random.Generator, n: int, rows: int = 8,
                  mask: np.ndarray | None = None) -> np.ndarray:
     """The next ``n`` Haar frames of ``rng``, (n, rows, 2): Q factors of Ginibre draws.
@@ -442,12 +455,12 @@ def _haar_frames(rng: np.random.Generator, n: int, rows: int = 8,
 def random_point(n: int, k: int, seed: int) -> StiefelPoint:
     """Haar-distributed n x k frame from an explicit seed; ``k`` must be 2."""
     _require_two_columns(k)
-    return StiefelPoint(n, k, _haar_frames(np.random.default_rng(seed), 1, rows=n)[0])
+    return StiefelPoint(n, k, _haar_frames(_seeded_rng(seed), 1, rows=n)[0])
 
 
 def random_kraus_point(seed: int) -> KrausPoint:
     """Haar-distributed feasible channel coordinates."""
-    return KrausPoint.from_matrix(_haar_frames(np.random.default_rng(seed), 1)[0])
+    return KrausPoint.from_matrix(_haar_frames(_seeded_rng(seed), 1)[0])
 
 
 # An orthonormal basis H_k of the Hermitian 2x2 matrices for the trace

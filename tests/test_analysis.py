@@ -599,6 +599,27 @@ class TestEngine:
             assert np.array_equal(frames[i], f1)
             assert converged[i] == c1 and stalled[i] == s1
 
+    @pytest.mark.parametrize("max_iters", [1, 2])
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_critical_and_haar_starts_at_the_loop_edge(self, max_iters, direction):
+        # The starts are iteration 0's accepted frames, and a run records
+        # at most max_iters + 1 iterates.  Exact critical starts are below
+        # grad_tol in both directions and keep their one record beside
+        # Haar starts that run to the bound.
+        cfg = OptimizerConfig(direction=direction, max_iters=max_iters)
+        critical = [critical_point(CriticalManifoldId(tag), PARAMS05, seed=s).matrix
+                    for s, tag in enumerate(ManifoldTag) if tag is not ManifoldTag.MIXED_SADDLE]
+        haar = analysis._haar_starts(11, 4)
+        w0 = np.stack([critical[0], *haar[:2], *critical[1:], *haar[2:]])
+        is_critical = np.array([True, False, False, True, True, True, False, False])
+        rows, converged, stalled, frames = descend_runs(w0, PARAMS05, cfg, keep_frames=True)
+        assert [len(r) for r in rows] == [1 if c else max_iters + 1 for c in is_critical]
+        assert converged[is_critical].all() and not stalled.any()
+        for i, (r1, c1, s1, f1) in enumerate(descend_alone(w0, PARAMS05, cfg)):
+            assert _bits(rows[i]) == _bits(r1)
+            assert _bits(frames[i].view(np.float64)) == _bits(f1.view(np.float64))
+            assert converged[i] == c1 and stalled[i] == s1
+
     def test_stalled_batch(self, monkeypatch):
         monkeypatch.setattr(analysis, "_first_order", _wrong_sign(analysis._first_order))
         w0 = analysis._haar_starts(2, 4)
@@ -709,6 +730,15 @@ class TestChildStreams:
             analysis._haar_starts(-1, 2)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             multi_start(PARAMS05, 2, -1)
+
+    @pytest.mark.parametrize("draw", [
+        lambda: random_kraus_point(-1),
+        lambda: stiefel.random_point(8, 2, -1),
+        lambda: critical_point(CriticalManifoldId(ManifoldTag.GLOBAL_MAX), PARAMS05, -1),
+    ], ids=["random_kraus_point", "random_point", "critical_point"])
+    def test_every_seeded_draw_has_the_one_seed_message(self, draw):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            draw()
 
     def test_large_seed_runs(self):
         report = multi_start(PARAMS05, 2, 10**26)
@@ -992,6 +1022,15 @@ class TestLevelTransfer:
         assert abs(objective_uv(back, PARAMS05) - j0) < 1e-10
         assert _chord(back.matrix, p.matrix) < 1e-4
 
+    def test_post_lift_level_check(self, monkeypatch):
+        # The lift keeps the level to rounding, so only a broken lift fails
+        # the check: one that returns the start frame stalls at its J.
+        p = random_kraus_point(seed=3)
+        monkeypatch.setattr(analysis, "_lift", lambda iso, turn, grams: p.matrix)
+        with pytest.raises(FlowStallError) as err:
+            level_transfer(p, PARAMS05, 0.6)
+        assert err.value.value_reached == float(_objective_mat(p.matrix, PARAMS05))
+
     def test_stalls_at_critical_start(self):
         s = critical_point(
             CriticalManifoldId(ManifoldTag.SADDLE_MINUS), PARAMS05, seed=5
@@ -1164,6 +1203,19 @@ class TestLevelsetConnect:
         with pytest.raises(ValueError) as err:
             levelset_connect(a, a, PARAMS05, 0.5)
         assert str(err.value) == f"endpoint a is off the level by {dev:.3e}"
+
+    def test_off_level_nodes_fail(self, monkeypatch):
+        # Nodes on the straight chord between two frames leave the level:
+        # the refined path fails its level check and keeps its endpoints.
+        monkeypatch.setattr(analysis, "_gram_witness", lambda wa, wb: (
+            lambda s: (1.0 - s)[:, None, None] * wa + s[:, None, None] * wb))
+        a = level_transfer(random_kraus_point(seed=31), PARAMS05, 0.4)
+        b = level_transfer(random_kraus_point(seed=32), PARAMS05, 0.4)
+        path = levelset_connect(a, b, PARAMS05, 0.4)
+        assert path.status == "failed"
+        assert path.detail == "refinement finished above the step or level tolerance"
+        assert path.waypoints == (a, b)
+        assert path.max_value_deviation > 1e-6 and path.max_step_length <= 0.05
 
     def test_interior_level(self):
         a = level_transfer(random_kraus_point(seed=31), PARAMS05, 0.4)

@@ -792,6 +792,14 @@ class TestLevelset:
         assert main(["levelset", "--w", "0,0,0.5", "--seed", "5", "--mu", "0.4"]) == 4
         assert "krauscape levelset: gradient flow stalled" in capsys.readouterr().err
 
+    def test_off_level_nodes_exit_4(self, monkeypatch, capsys):
+        # Nodes on the straight chord between the endpoints leave the level.
+        monkeypatch.setattr(analysis, "_gram_witness", lambda wa, wb: (
+            lambda s: (1.0 - s)[:, None, None] * wa + s[:, None, None] * wb))
+        assert main(["levelset", "--w", "0,0,0.5", "--seed", "5", "--mu", "0.4"]) == 4
+        assert capsys.readouterr().err == (
+            "levelset: tracer failed: refinement finished above the step or level tolerance\n")
+
     def test_saddle_guard(self, capsys):
         # A level 4e-4 from the lambda_- saddle value 0.25 connects; no
         # guard refuses it.
@@ -883,6 +891,11 @@ class TestScan:
     def test_tol_is_usage_error(self, capsys):
         assert_unread_options_rejected(
             ["scan", "--w", "0,0,0.5", "--seed", "1"], [["--tol", "zero_tol=1"]], capsys)
+
+    def test_degenerate_directions_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_project_mat", lambda x, raw: np.zeros_like(raw))
+        assert main(["scan", "--w", "0,0,0.5", "--seed", "1", "--grid", "2"]) == 2
+        assert "degenerate tangent directions; change the seed" in capsys.readouterr().err
 
     def test_grid_rows(self, capsys):
         code = main(
@@ -1056,7 +1069,7 @@ class TestSeeds:
     ])
     def test_negative_seed_is_usage_error(self, argv, capsys):
         assert main(argv + ["--seed", "-1"]) == 2
-        assert "non-negative" in capsys.readouterr().err
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_large_seed_runs(self, capsys):
         code = main(["optimize", "--w", "0,0,0.5", "--direction", "max", "--starts", "2",
