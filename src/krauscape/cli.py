@@ -67,6 +67,7 @@ from .stiefel import (
     KrausPoint,
     _gram_r,
     _haar_frames,
+    _kraus_points,
     _project_mat,
     _seeded_rng,
     constraint_residuals,
@@ -437,13 +438,14 @@ def _levelset_endpoints(params: LandscapeParams, mu: float, seed: int):
     Inside (0, 1) they are the level transfers of the Haar frames
     :func:`_haar_starts` ``(seed, 2)``; at an extreme level, within 1e-9
     of 0 or 1, they are the frames :func:`_critical_frames` draws on that
-    extreme's sub-manifold.
+    extreme's sub-manifold.  Each (2, 8, 2) stack is checked once
+    (:func:`stiefel._kraus_points`).
     """
     if mu >= 1.0 - 1e-9 or mu <= 1e-9:
         tag = ManifoldTag.GLOBAL_MAX if mu >= 0.5 else ManifoldTag.GLOBAL_MIN
-        frames = _critical_frames(CriticalManifoldId(tag), params, _seeded_rng(seed), 2)
-        return tuple(map(KrausPoint.from_matrix, frames))
-    a, b = map(KrausPoint.from_matrix, _haar_starts(seed, 2))
+        return _kraus_points(
+            _critical_frames(CriticalManifoldId(tag), params, _seeded_rng(seed), 2))
+    a, b = _kraus_points(_haar_starts(seed, 2))
     return level_transfer(a, params, mu), level_transfer(b, params, mu)
 
 

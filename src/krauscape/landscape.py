@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import BlochVector
+from .qcore import BlochVector, _eigenbasis
 from .stiefel import (
     _HERMITIAN_BASIS,
     KrausPoint,
@@ -69,9 +69,6 @@ __all__ = [
 # is treated as pure and the saddle levels disappear.
 _MIXED_NORM_TOL = 1e-14
 _PURE_NORM_TOL = 1e-12
-# Transverse offset magnitude below which the coordinate change loses its
-# generic branch and falls back to a permutation.
-_Z0_TOL = 1e-14
 
 
 class IllegalManifoldError(ValueError):
@@ -119,36 +116,14 @@ class LandscapeParams:
 def coord_change(params: LandscapeParams) -> np.ndarray:
     """N's eigenbasis: a read-only 2x2 unitary B, N B = B diag(1+|w|, 1-|w|).
 
-    N = [[1+gamma, z0], [conj(z0), 1-gamma]] is the state matrix of the
-    yield J(X) = Re tr(X^H P X N) / 2, so a frame X has the diagonal
-    coordinates X B (:func:`to_diag`).  Generically
-    B = [[mu, -nu], [phase nu, phase mu]] with mu^2 + nu^2 = 1 and
-    phase = conj(z0)/|z0|, computed without cancellation near the poles.
-    When the transverse offset z0 vanishes, B is the identity
+    N = [[1+gamma, z0], [conj(z0), 1-gamma]] = I + w.sigma is the state
+    matrix of the yield J(X) = Re tr(X^H P X N) / 2, so a frame X has the
+    diagonal coordinates X B (:func:`to_diag`).  B is the closed form of
+    ``qcore._eigenbasis``, which a target observable's eigenbasis shares;
+    when the transverse offset z0 vanishes it is the identity
     (gamma >= 0) or the swap (gamma < 0).
     """
-    z0 = params.z0
-    if abs(z0) < _Z0_TOL:
-        b = np.eye(2, dtype=complex)
-        if params.gamma < 0.0:
-            b = b[::-1].copy()
-    else:
-        wn = params.norm_w
-        gamma = params.gamma
-        # |z0|^2 = (wn - gamma)(wn + gamma); compute the smaller factor by
-        # division to avoid cancellation when gamma dominates.
-        if gamma >= 0.0:
-            s_plus = wn + gamma
-            s_minus = (abs(z0) ** 2) / s_plus
-        else:
-            s_minus = wn - gamma
-            s_plus = (abs(z0) ** 2) / s_minus
-        mu = math.sqrt(s_plus / (2.0 * wn))
-        nu = math.sqrt(s_minus / (2.0 * wn))
-        phase = complex(np.conj(z0) / abs(z0))
-        b = np.array([[mu, -nu], [phase * nu, phase * mu]], dtype=complex)
-    b.setflags(write=False)
-    return b
+    return _eigenbasis(params.z0, params.gamma, params.norm_w)
 
 
 @dataclass(frozen=True, eq=False)

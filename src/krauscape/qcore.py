@@ -4,6 +4,9 @@ Density matrices in the Stokes (Bloch) representation, Kraus maps with
 their trace-preservation constraint, reduction of a Hermitian target
 observable to the rank-one projector, the trace-form yield functional,
 and the unitary dilation of a channel onto a system-plus-ancilla space.
+One closed form each serves every user: the eigenbasis of c I + v.sigma
+for the target and the state matrix N = 2 rho0, the channel outputs of a
+stack of states, and the layout of a Kraus set's entries.
 """
 
 from __future__ import annotations
@@ -61,33 +64,36 @@ def _as_complex(a, shape, what: str) -> np.ndarray:
     return m
 
 
-def _eig2_hermitian(m: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Closed-form eigensystem of a 2x2 Hermitian matrix.
+# Transverse entry below which the eigenbasis of c I + v.sigma loses its
+# generic branch and falls back to a permutation.
+_Z0_TOL = 1e-14
 
-    Returns (lambda1, lambda2, basis) with lambda1 >= lambda2 and the
-    columns of ``basis`` holding the corresponding orthonormal
-    eigenvectors.
+
+def _eigenbasis(z0: complex, gamma: float, norm: float) -> np.ndarray:
+    """The eigenbasis of c I + v.sigma: a read-only 2x2 unitary B.
+
+    With z0 = v_x - i v_y, gamma = v_z and norm = |v|, the columns are the
+    eigenvectors of c + |v| and of c - |v|: B = [[mu, -nu], [phase nu,
+    phase mu]], mu^2 + nu^2 = 1 and phase = conj(z0)/|z0|, free of
+    cancellation near the poles; for |z0| < 1e-14 the identity
+    (gamma >= 0) or the swap (gamma < 0).
     """
-    a = m[0, 0].real
-    c = m[1, 1].real
-    b = m[0, 1]
-    h = 0.5 * (a - c)
-    r = math.hypot(h, abs(b))
-    lam1 = 0.5 * (a + c) + r
-    lam2 = 0.5 * (a + c) - r
-    # Pick the eigenvector formula that stays away from cancellation.
-    if h >= 0.0:
-        v1 = np.array([h + r, np.conj(b)], dtype=complex)
+    if abs(z0) < _Z0_TOL:
+        b = np.eye(2, dtype=complex)
+        if gamma < 0.0:
+            b = b[::-1].copy()
     else:
-        v1 = np.array([b, r - h], dtype=complex)
-    n1 = np.linalg.norm(v1)
-    if n1 < 1e-300:
-        # Degenerate target: any basis diagonalizes it.
-        return lam1, lam2, IDENTITY2.copy()
-    v1 = v1 / n1
-    v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])], dtype=complex)
-    basis = np.column_stack([v1, v2])
-    return lam1, lam2, basis
+        # |z0|^2 = (norm - gamma)(norm + gamma); the smaller factor is taken
+        # by division, free of cancellation when gamma dominates.
+        big = norm + abs(gamma)
+        small = abs(z0) ** 2 / big
+        s_plus, s_minus = (big, small) if gamma >= 0.0 else (small, big)
+        mu = math.sqrt(s_plus / (2.0 * norm))
+        nu = math.sqrt(s_minus / (2.0 * norm))
+        phase = complex(np.conj(z0) / abs(z0))
+        b = np.array([[mu, -nu], [phase * nu, phase * mu]], dtype=complex)
+    b.setflags(write=False)
+    return b
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ def _check_states(m: np.ndarray, trace_tol: float = 1e-12) -> None:
     """Check every matrix of a finite (P, 2, 2) stack as a density matrix.
 
     The one rule of ``DensityMatrix``: Hermitian, unit trace and smallest
-    eigenvalue (closed form, as in :func:`_eig2_hermitian`) not below
+    eigenvalue (the closed form of ``TargetOperator.lambda2``) not below
     zero, each within 1e-12; a channel's outputs have their trace checked
     within ``trace_tol`` (:func:`_output_trace_tol`).  The error names the
     first failing matrix's first failing condition.
@@ -159,8 +165,12 @@ def _check_states(m: np.ndarray, trace_tol: float = 1e-12) -> None:
 class TargetOperator:
     """Hermitian 2x2 observable with cached closed-form eigensystem.
 
-    ``lambda1 >= lambda2`` and the columns of ``eigenbasis`` are the
-    matching orthonormal eigenvectors, the lambda1 vector first.
+    ``lambda1, lambda2 = (a + c)/2 +/- r`` with r = hypot((a - c)/2, |b|)
+    for diagonal (a, c) and (0, 1) entry b; eigenvalues that overflow the
+    float range raise ``ValueError``.  ``eigenbasis`` is the closed form
+    :func:`_eigenbasis` that ``landscape.coord_change`` takes for N, of
+    the unit vector (b, (a - c)/2)/r, or the identity when r = 0, so no
+    entry is squared.
     """
 
     entries: np.ndarray
@@ -172,12 +182,20 @@ class TargetOperator:
         m = _as_complex(self.entries, (2, 2), "target operator")
         if np.abs(m - m.conj().T).max() > 1e-12:
             raise ValueError("target operator is not Hermitian within 1e-12")
-        lam1, lam2, basis = _eig2_hermitian(m)
-        basis.setflags(write=False)
+        a, c, b = m[0, 0].real, m[1, 1].real, m[0, 1]
+        # Entries near the float range can overflow here; that is refused.
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = 0.5 * (a - c)
+            r = math.hypot(h, abs(b))
+            lam1, lam2 = 0.5 * (a + c) + r, 0.5 * (a + c) - r
+            spread = lam1 - lam2
+        if not math.isfinite(spread):
+            raise ValueError("target operator eigenvalues exceed the float range")
+        z0, gamma = (b / r, h / r) if r > 0.0 else (0j, 0.0)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "lambda1", lam1)
         object.__setattr__(self, "lambda2", lam2)
-        object.__setattr__(self, "eigenbasis", basis)
+        object.__setattr__(self, "eigenbasis", _eigenbasis(z0, gamma, 1.0))
 
 
 THETA0 = TargetOperator(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
@@ -257,19 +275,28 @@ def _output_trace_tol(k: KrausSet) -> float:
     return 1e-12 + 2.0 * k.tol
 
 
+def _channel_outputs(k: KrausSet, rhos: np.ndarray) -> np.ndarray:
+    """The outputs sum_l K_l rho K_l^+ of a (P, 2, 2) stack of states, checked.
+
+    Each output is bitwise the same alone and in any stack, and passes
+    the rule of ``DensityMatrix`` with the trace tolerance of
+    :func:`_output_trace_tol`.
+    """
+    out = np.zeros(rhos.shape, dtype=complex)
+    for op in k.operators:
+        out += op @ rhos @ op.conj().T
+    _check_states(out, _output_trace_tol(k))
+    return out
+
+
 def apply_kraus(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """Propagate a state through the channel rho -> sum_l K_l rho K_l^+.
 
     A ``KrausSet`` is frozen, its operators are read-only and its
-    completeness was checked when it was built, so none is re-checked here.
-    The output is checked by the rule of ``DensityMatrix``, with its trace
-    held to the channel's own tolerance (:func:`_output_trace_tol`).
+    completeness was checked when it was built, so none is re-checked
+    here; the output is checked by :func:`_channel_outputs`.
     """
-    out = np.zeros((2, 2), dtype=complex)
-    r = rho.entries
-    for op in k.operators:
-        out += op @ r @ op.conj().T
-    _check_states(out[None], _output_trace_tol(k))
+    out = _channel_outputs(k, rho.entries[None])[0]
     out.setflags(write=False)
     state = object.__new__(DensityMatrix)
     object.__setattr__(state, "entries", out)
@@ -280,11 +307,12 @@ def reduce_target(theta: TargetOperator) -> tuple[float, float, np.ndarray]:
     """Split a Hermitian target into projector form.
 
     Returns ``(scale, offset, basis)`` with ``scale = lambda1 - lambda2``,
-    ``offset = lambda2``, and ``basis`` the eigenbasis unitary, so that
-    in the rotated frame the observable becomes
+    ``offset = lambda2``, and ``basis`` a writable copy of
+    ``theta.eigenbasis`` (the closed form that ``landscape.coord_change``
+    gives N), so that in the rotated frame the observable becomes
     ``scale * diag(1, 0) + offset * I``.  A degenerate target gives
-    ``scale = 0``: the induced landscape is flat and callers simply see a
-    constant objective, never an error.
+    ``scale = 0`` and the identity basis: the induced landscape is flat
+    and callers simply see a constant objective, never an error.
     """
     return (
         theta.lambda1 - theta.lambda2,
@@ -310,6 +338,7 @@ def _dilation_columns(k: KrausSet) -> np.ndarray:
     Basis ordering is system-major: index s*M + a holds system state s and
     ancilla state a.  Column s stacks entry (s', s) of operator a at index
     s'*M + a, so the image of |s> x |0> carries K_a |s> in ancilla sector a.
+    The frame of ``stiefel.kraus_to_point`` is this layout at M = 4.
     """
     # Axes of the operator stack: operator a, output s', input s.
     return np.stack(k.operators).swapaxes(0, 1).reshape(2 * k.m, 2)
@@ -339,8 +368,8 @@ def _dilation_residual(u: DilatedUnitary, k: KrausSet, rhos: np.ndarray) -> floa
     ``rhos`` holds the entries of valid density matrices.  All P states
     go through the same evolution, partial trace and comparison as
     :func:`verify_dilation`, as stacks, so the result equals the maximum
-    of its P values; the channel's outputs are checked once, as one
-    stack, by the rule of :func:`apply_kraus`.
+    of its P values; the channel's outputs are those of
+    :func:`apply_kraus`, checked once, as one stack.
     """
     m = k.m
     if u.ancilla_dim != m:
@@ -356,11 +385,7 @@ def _dilation_residual(u: DilatedUnitary, k: KrausSet, rhos: np.ndarray) -> floa
     # each diagonal takes the same summation order as a 2D ``trace()``.
     diag = evolved.reshape(-1, 2, m, 2, m).diagonal(axis1=2, axis2=4)
     reduced = np.ascontiguousarray(diag).sum(axis=-1)
-    # apply_kraus on every state: the operators' terms, summed in their order.
-    ops = np.stack(k.operators)[:, None]
-    direct = (ops @ rhos @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
-    _check_states(direct, _output_trace_tol(k))
-    return float(np.abs(reduced - direct).max())
+    return float(np.abs(reduced - _channel_outputs(k, rhos)).max())
 
 
 def verify_dilation(u: DilatedUnitary, k: KrausSet, rho: DensityMatrix) -> float:

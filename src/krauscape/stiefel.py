@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import CompletenessError, KrausSet, _as_complex
+from .qcore import CompletenessError, KrausSet, _as_complex, _dilation_columns
 
 __all__ = [
     "StiefelPoint",
@@ -299,12 +299,12 @@ def kraus_to_point(k: KrausSet) -> KrausPoint:
     """Stack operator entries into frame coordinates, padding to four operators.
 
     Row i of the frame is the first row of operator i, and row 4 + i its
-    second row.  A frame that fails the rule of ``KrausPoint`` raises
+    second row: the layout of ``qcore._dilation_columns``, padded with
+    zero operators.  A frame that fails the rule of ``KrausPoint`` raises
     ``CompletenessError`` with its largest entry of |X^H X - I|.
     """
     frame = np.zeros((2, 4, 2), dtype=complex)
-    for idx, op in enumerate(k.operators):
-        frame[:, idx] = op
+    frame[:, : k.m] = _dilation_columns(k).reshape(2, k.m, 2)
     frame = frame.reshape(8, 2)
     try:
         return KrausPoint.from_matrix(frame)
@@ -341,14 +341,8 @@ def _points_of(frames: np.ndarray) -> tuple:
 
 def point_to_kraus(p: KrausPoint) -> KrausSet:
     """Reassemble the four 2x2 operators from frame coordinates."""
-    ops = []
-    for idx in range(4):
-        ops.append(
-            np.array(
-                [[p.u1[idx], p.u2[idx]], [p.v1[idx], p.v2[idx]]], dtype=complex
-            )
-        )
-    return KrausSet(tuple(ops))
+    # Axes: operator row, operator, column; operator first for the set.
+    return KrausSet(tuple(p.matrix.reshape(2, 4, 2).swapaxes(0, 1)))
 
 
 def _qf(w: np.ndarray) -> np.ndarray:

@@ -123,6 +123,27 @@ class TestEvaluate:
             assert report["residual_trace_uv"] <= 1e-12
             assert report["residual_uv_diag"] <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e200, 1e300])
+    def test_target_of_any_finite_scale(self, tmp_path, dephase_file, scale, capsys):
+        # The target's eigenbasis squares none of its entries, so a target
+        # whose squares overflow (or underflow) still reduces to a frame.
+        theta = scale * np.array([[0.3, 1.0], [1.0, -0.3]])
+        entries = [[[z, 0.0] for z in row] for row in theta.tolist()]
+        path = write_json(tmp_path / "big.json", {"entries": entries})
+        assert main(["evaluate", "--in", dephase_file, "--w", "0.3,-0.4,0.2",
+                     "--theta", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["residual_trace_uv"] <= 1e-12 * abs(report["j_trace"])
+        assert report["residual_uv_diag"] <= 1e-12 * abs(report["j_trace"])
+
+    def test_target_past_the_float_range_is_a_usage_error(self, tmp_path, dephase_file,
+                                                           capsys):
+        path = write_json(tmp_path / "huge.json",
+                          {"entries": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e308, 0.0]]]})
+        assert main(["evaluate", "--in", dephase_file, "--w", "0,0,0.5",
+                     "--theta", path]) == 2
+        assert "eigenvalues exceed the float range" in capsys.readouterr().err
+
     def test_infeasible_file(self, bad_file, capsys):
         code = main(["evaluate", "--in", bad_file, "--w", "0,0,0.5"])
         assert code == 2

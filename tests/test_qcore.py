@@ -1,11 +1,16 @@
 """State/channel arithmetic: Bloch maps, Kraus application, dilation."""
 
+import math
+
 import numpy as np
 import pytest
 
+from krauscape.landscape import LandscapeParams, coord_change
 from krauscape.qcore import (
     IDENTITY2,
     PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     THETA0,
     BlochVector,
     CompletenessError,
@@ -13,6 +18,7 @@ from krauscape.qcore import (
     DilatedUnitary,
     KrausSet,
     TargetOperator,
+    _channel_outputs,
     _dilation_residual,
     apply_kraus,
     bloch_to_density,
@@ -71,6 +77,10 @@ class TestBlochMaps:
     def test_rejects_outside_ball(self):
         with pytest.raises(ValueError):
             BlochVector(1.0, 0.5, 0.0)
+
+    def test_as_array(self):
+        w = BlochVector(0.3, -0.4, 0.2)
+        assert np.array_equal(w.as_array(), [0.3, -0.4, 0.2])
 
     @pytest.mark.parametrize("w", [(1e200, 0.0, 0.0), (0.0, 0.0, 1e155), (0.0, -1e300, 0.0)])
     def test_rejects_a_component_whose_square_overflows(self, w):
@@ -149,6 +159,27 @@ class TestApplyKraus:
             KrausSet((IDENTITY2, IDENTITY2))
         assert err.value.residual == pytest.approx(1.0)
 
+    def test_outputs_are_the_same_alone_and_in_a_stack(self):
+        # apply_kraus and the dilation check share one stacked rule.
+        rng = np.random.default_rng(4)
+        rhos = np.stack([random_density(rng).entries for _ in range(5)])
+        for m in (1, 2, 3, 4):
+            k = random_kraus(m, seed=600 + m)
+            stacked = _channel_outputs(k, rhos)
+            for rho, out in zip(rhos, stacked):
+                assert np.array_equal(apply_kraus(k, DensityMatrix(rho)).entries, out)
+
+    def test_stacked_outputs_are_checked_against_the_channel_tolerance(self):
+        # The trace of I (1 + 1e-11)'s outputs is within 1e-12 + 2 tol; an
+        # input of trace 2 gives an output that no channel state passes.
+        k = KrausSet((IDENTITY2 * (1.0 + 1e-11),))
+        rhos = np.stack([np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]).astype(complex)
+        out = _channel_outputs(k, rhos)
+        assert np.abs(out - rhos * (1.0 + 1e-11) ** 2).max() <= 1e-15
+        rhos[1] *= 2.0
+        with pytest.raises(ValueError, match=r"trace \(2.* is not 1 within 2.01e-10"):
+            _channel_outputs(k, rhos)
+
 
 class TestCompletenessResidual:
     def test_identity(self):
@@ -211,6 +242,71 @@ class TestReduceTarget:
             TargetOperator(np.diag([0.4, 0.4]).astype(complex))
         )
         assert scale == pytest.approx(0.0) and offset == pytest.approx(0.4)
+
+
+# Hermitian targets by shape: a complex off-diagonal entry, h = (a - c)/2
+# below zero with and without an off-diagonal entry, an off-diagonal
+# entry of 1e-15 r (below the generic branch's 1e-14) for either sign of
+# h, a multiple of I, and an offset.
+TARGET_SHAPES = {
+    "complex": [[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]],
+    "h-negative": [[-0.5, 0.3], [0.3, 0.5]],
+    "h-negative-diagonal": [[-0.5, 0.0], [0.0, 0.5]],
+    "tiny-b": [[1.0, 1e-15j], [-1e-15j, -1.0]],
+    "tiny-b-h-negative": [[-1.0, 1e-15], [1e-15, 1.0]],
+    "multiple-of-identity": [[0.4, 0.0], [0.0, 0.4]],
+    "offset": [[2.3, 0.1 - 0.2j], [0.1 + 0.2j, 1.9]],
+}
+
+
+class TestTargetEigenbasis:
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e160, 1e300])
+    @pytest.mark.parametrize("shape", sorted(TARGET_SHAPES))
+    def test_eigensystem_at_every_scale(self, shape, scale):
+        # The basis is that of the unit vector (b, h)/r, so no square of an
+        # entry overflows or underflows at either end of the float range.
+        theta = scale * np.array(TARGET_SHAPES[shape], dtype=complex)
+        t = TargetOperator(theta)
+        b = t.eigenbasis
+        assert t.lambda1 >= t.lambda2
+        assert np.abs(b.conj().T @ b - IDENTITY2).max() <= 1e-15
+        # |Theta|, its Frobenius norm, without squaring an entry.
+        norm = math.hypot(*np.abs(theta).ravel())
+        residual = np.abs(theta @ b - b * np.array([t.lambda1, t.lambda2])).max()
+        assert residual <= 1e-15 * norm
+        assert not b.flags.writeable
+
+    @pytest.mark.parametrize("theta", [np.diag([1e308, -1e308]), np.diag([1e308, 1e308]),
+                                       np.array([[0.0, 1.5e308], [1.5e308, 0.0]]),
+                                       np.array([[0.0, 1.3e308 + 1.3e308j],
+                                                 [1.3e308 - 1.3e308j, 0.0]])])
+    def test_eigenvalues_past_the_float_range_are_refused(self, theta):
+        with pytest.raises(ValueError, match="eigenvalues exceed the float range"):
+            TargetOperator(theta)
+
+    def test_closed_forms(self):
+        # THETA0 and every multiple of I keep the identity, and a diagonal
+        # target with h < 0 the swap.
+        assert np.array_equal(THETA0.eigenbasis, IDENTITY2)
+        assert np.array_equal(TargetOperator(0.4 * IDENTITY2).eigenbasis, IDENTITY2)
+        swap = TargetOperator(np.diag([-0.5, 0.5]).astype(complex)).eigenbasis
+        assert np.array_equal(swap, [[0, 1], [1, 0]])
+
+    def test_shares_the_state_matrix_eigenbasis(self):
+        # N = 2 rho0 = I + w.sigma and a target of the same entries take one
+        # closed form: on the poles, off them, at pure states and over the
+        # ball at |w| >= 0.25, where rounding 1 +/- gamma into the target's
+        # diagonal moves its basis by less than 1e-15.
+        rng = np.random.default_rng(31)
+        states = [(0.0, 0.0, 0.5), (0.0, 0.0, -0.5), (0.3, -0.4, 0.2), (0.6, 0.0, 0.8),
+                  (0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (-0.48, 0.64, -0.6)]
+        for _ in range(200):
+            v = rng.standard_normal(3)
+            states.append(tuple(v * rng.uniform(0.25, 1.0) / np.linalg.norm(v)))
+        for w in states:
+            theta = IDENTITY2 + w[0] * PAULI_X + w[1] * PAULI_Y + w[2] * PAULI_Z
+            expected = coord_change(LandscapeParams(w=BlochVector(*w)))
+            assert np.abs(TargetOperator(theta).eigenbasis - expected).max() <= 1e-15
 
 
 class TestObjectiveTrace:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from krauscape.qcore import IDENTITY2, CompletenessError, KrausSet
+from krauscape.qcore import IDENTITY2, CompletenessError, KrausSet, _dilation_columns
 from krauscape.stiefel import (
     KrausPoint,
     StiefelPoint,
@@ -53,7 +53,20 @@ class TestKrausCorrespondence:
         for seed in range(20):
             p = random_kraus_point(seed=seed)
             back = kraus_to_point(point_to_kraus(p))
-            assert np.max(np.abs(back.matrix - p.matrix)) < 1e-14
+            assert np.array_equal(back.matrix, p.matrix)
+
+    def test_frame_is_the_dilation_layout_padded(self):
+        # Both directions read one layout, that of the dilation's columns:
+        # row s' * 4 + a holds row s' of operator a, zero past the last one.
+        for m in (1, 2, 3, 4):
+            frame = random_point(2 * m, 2, seed=40 + m).frame
+            k = KrausSet(tuple(frame.reshape(2, m, 2).swapaxes(0, 1)))
+            halves = kraus_to_point(k).matrix.reshape(2, 4, 2)
+            assert np.array_equal(halves[:, :m].reshape(2 * m, 2), _dilation_columns(k))
+            assert not halves[:, m:].any()
+            ops = point_to_kraus(kraus_to_point(k)).operators
+            assert all(np.array_equal(a, b) for a, b in zip(ops, k.operators))
+            assert not np.any(ops[m:])
 
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError, match="infeasible channel coordinates"):
@@ -356,6 +369,14 @@ class TestTangentBasis:
     def test_small_manifold_count(self):
         basis = orthonormal_tangent_basis(random_point(4, 2, seed=24))
         assert len(basis.vectors) == 2 * 4 * 2 - 4
+
+    def test_direct_build_keeps_the_vectors_and_their_stack(self):
+        x = random_point(8, 2, seed=25)
+        built = orthonormal_tangent_basis(x)
+        basis = TangentBasis(base=x, vectors=list(built.vectors))
+        assert basis.vectors == built.vectors
+        assert np.array_equal(basis.as_array(), built.as_array())
+        assert not basis.as_array().flags.writeable
 
 
 class TestTypeInvariants:
